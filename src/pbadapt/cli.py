@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,13 @@ def _getint(section, key, default=None):
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"bad int for {key!r}: {raw!r}") from exc
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _require_file(path, what):
@@ -214,19 +221,18 @@ def cmd_solve(args) -> int:
     charges = _build_charges(cp)
     physics = _build_physics(cp)
     settings = _adapt_settings(cp, args)
+    start = time.perf_counter()
     solution = solve_forward(
         mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
     )
-    energy = solvation_energy(solution, charges, physics)
+    energy = solvation_energy(solution, charges, physics, threads=args.threads)
+    wall = time.perf_counter() - start
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol")
     print(f"N_panels = {mesh.n_panels}")
     print(f"gmres_iters = {solution.gmres_iters}")
     print(f"gmres_tol = {settings['gmres_tol']:g}")
     out = _out_dir(args)
-    row = (
-        f"0,{mesh.n_panels},{energy.dG_solv!r},,,"
-        f"{solution.gmres_iters},"
-    )
+    row = f"0,{mesh.n_panels},{energy.dG_solv!r},,,{solution.gmres_iters},{wall!r}"
     (out / "energy.csv").write_text(ENERGY_CSV_HEADER + "\n" + row + "\n")
     return EXIT_OK
 
@@ -240,12 +246,14 @@ def cmd_estimate(args) -> int:
     forward = solve_forward(
         mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
     )
-    energy = solvation_energy(forward, charges, physics)
+    energy = solvation_energy(forward, charges, physics, threads=args.threads)
+    background = _build_background(cp)
     adjoint = solve_adjoint(
         mesh,
         physics,
         charges,
         refine_levels=settings["adjoint_levels"],
+        background=background,
         gmres_tol=settings["gmres_tol"],
         threads=args.threads,
     )
@@ -258,7 +266,7 @@ def cmd_estimate(args) -> int:
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
-    exact = _exact_reference(cp, mesh, charges, physics, settings, _build_background(cp))
+    exact = _exact_reference(cp, mesh, charges, physics, settings, background)
     if exact is None:
         print("gamma_eff: omitted (no reference value; supply [oracle] mode = richardson)")
     else:
@@ -334,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("flat", "conforming"), default=None)
         p.add_argument("--iters", type=int, default=None)
         p.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count())
+        p.add_argument("--threads", type=_positive_int, default=None,
+                       help="worker threads (default: every CPU this process may use)")
         p.set_defaults(handler=fn)
     return parser
 

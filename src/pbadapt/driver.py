@@ -89,7 +89,7 @@ def adaptive_loop(
             forward = solve_forward(
                 mesh, physics, charges, gmres_tol=config.gmres_tol, threads=config.threads
             )
-            energy = solvation_energy(forward, charges, physics)
+            energy = solvation_energy(forward, charges, physics, threads=config.threads)
             adjoint = solve_adjoint(
                 mesh,
                 physics,
@@ -130,7 +130,7 @@ def uniform_loop(
         start = time.perf_counter()
         try:
             forward = solve_forward(mesh, physics, charges, gmres_tol=gmres_tol, threads=threads)
-            energy = solvation_energy(forward, charges, physics)
+            energy = solvation_energy(forward, charges, physics, threads=threads)
             if level + 1 < levels:
                 next_mesh = _refine(mesh, range(mesh.n_panels), mode, background)
         except PbAdaptError as exc:

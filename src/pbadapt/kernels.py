@@ -15,6 +15,7 @@ Gaussian rule in angle.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,6 +30,7 @@ NEAR_FACTOR = 2.0                  # targets within this many diameters are "nea
 NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule for near panels
 SMOOTH_RULE = subdivided(GAUSS7, 2)
 FOUR_PI = 4.0 * np.pi
+ROW_BATCH_VALUES = 6.0e6           # values per kernel array, summed over concurrent row batches
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +195,76 @@ def shape_gradients(mesh: SurfaceMesh) -> np.ndarray:
     return g
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (affinity mask, not machine size)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` items covering range(n)."""
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def run_parallel(fn, items, threads: int | None = None) -> None:
+    """Call ``fn(item)`` for every item on a pool of worker threads.
+
+    ``threads=None`` uses every usable CPU, ``threads=1`` runs serially in
+    the caller; more threads than usable CPUs are capped. The items are
+    fixed by the caller independently of the worker count and each call
+    writes its own output slice, so results do not depend on ``threads``.
+    The numpy kernels release the interpreter lock, so the workers overlap.
+    """
+    if threads is not None and threads < 1:
+        raise UsageError("threads must be >= 1")
+    workers = min(threads or _usable_cpus(), _usable_cpus(), len(items))
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fn, items))  # re-raises the first worker exception
+
+
 def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq):
-    """Kernel values for a batch of targets against all panel quad points."""
+    """Kernel values for a batch of targets against all panel quad points.
+
+    Every batch-sized array lives in one block allocated here: a block that
+    large is mapped and unmapped as a whole, so batches run on worker
+    threads leave no freed heap memory behind in the threads' arenas.
+    """
+    b = len(tb)
+    work = np.empty((6 if yukawa else 4, b, T, nq))
+    r, gl, klk, tmp = work[:4]
     tt = np.einsum("ij,ij->i", tb, tb)
-    dots = tb @ xqf.T
-    r2 = tt[:, None] - 2.0 * dots + xx[None, :]
-    np.maximum(r2, 0.0, out=r2)
-    r = np.sqrt(r2).reshape(len(tb), T, nq)
+    np.matmul(tb, xqf.T, out=r.reshape(b, T * nq))
+    r *= -2.0
+    r += tt[:, None, None]
+    r += xx.reshape(1, T, nq)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
     zero = r < 1e-14
-    if np.any(zero):
-        r = np.where(zero, 1.0, r)
-    tn = tb @ normals.T
-    dotn = tn[:, :, None] - xn[None, :, :]
-    rinv = 1.0 / (FOUR_PI * r)
-    gl = rinv
-    klk = dotn * rinv / (r * r)
+    any_zero = np.any(zero)
+    if any_zero:
+        r[zero] = 1.0
+    np.multiply(r, FOUR_PI, out=gl)
+    np.divide(1.0, gl, out=gl)
+    np.subtract((tb @ normals.T)[:, :, None], xn[None, :, :], out=klk)
+    klk *= gl
+    klk /= np.multiply(r, r, out=tmp)
+    gy = kyk = None
     if yukawa:
-        ex = np.exp(-kappa * r)
-        gy = gl * ex
-        kyk = klk * (1.0 + kappa * r) * ex
-    else:
-        gy = kyk = None
-    if np.any(zero):
-        gl = np.where(zero, 0.0, gl)
-        klk = np.where(zero, 0.0, klk)
-        if yukawa:
-            gy = np.where(zero, 0.0, gy)
-            kyk = np.where(zero, 0.0, kyk)
+        ex, gy, kyk = tmp, work[4], work[5]
+        np.multiply(r, -kappa, out=ex)
+        np.exp(ex, out=ex)
+        np.multiply(gl, ex, out=gy)
+        np.multiply(r, kappa, out=kyk)
+        kyk += 1.0
+        kyk *= klk
+        kyk *= ex
+    if any_zero:
+        for k in (gl, klk, gy, kyk):
+            if k is not None:
+                k[zero] = 0.0
     return gl, klk, gy, kyk
 
 
@@ -241,7 +286,8 @@ def kernel_row_blocks(
     (3T, n_cols) sparse matrix, to fold the three per-panel columns into
     global columns batch by batch (keeps memory at O(batch * T)). Entries
     whose target coincides with a quadrature point come out zero and must be
-    fixed by the caller (self terms).
+    fixed by the caller (self terms). Batches of targets run on ``threads``
+    workers (see ``run_parallel``).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     T, nq = mesh.n_panels, rule.n_points
@@ -261,8 +307,9 @@ def kernel_row_blocks(
     vy = np.empty((m, n_cols)) if yukawa else None
     ky = np.empty((m, n_cols)) if yukawa else None
 
-    batch = max(1, int(6.0e6 / max(T * nq, 1)))
-    slices = [slice(i, min(i + batch, m)) for i in range(0, m, batch)]
+    # the budget is shared by the batches that can run at once; it depends on
+    # the usable CPUs, never on ``threads``, so results do not either
+    batch = max(1, int(ROW_BATCH_VALUES / _usable_cpus() / max(T * nq, 1)))
 
     def run(sl):
         gl, klk, gy, kyk = _batch_kernels(
@@ -283,12 +330,7 @@ def kernel_row_blocks(
                 vy[sl] = np.einsum("mtq,tq->mt", gy, w_area)
                 ky[sl] = np.einsum("mtq,tq->mt", kyk, w_area)
 
-    if threads and threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, slices))
-    else:
-        for sl in slices:
-            run(sl)
+    run_parallel(run, _chunks(m, batch), threads)
     return vl, kl, vy, ky
 
 
@@ -301,12 +343,14 @@ def kernel_pair_entries(
     yukawa: bool = True,
     shape_functions: bool = False,
     chunk: int = 4096,
+    threads: int | None = None,
 ):
     """Panel integrals for explicit (target point, panel) pairs.
 
     Returns (VL, KL, VY, KY) with shape (P,) or (P, 3) when integrating
     against the linear shape functions. Used to patch near-singular entries
-    with a finer rule.
+    with a finer rule. Chunks of pairs run on ``threads`` workers (see
+    ``run_parallel``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
@@ -318,29 +362,30 @@ def kernel_pair_entries(
     ky = np.zeros(shape) if yukawa else None
     if n_pairs == 0:
         return vl, kl, vy, ky
-    corners = mesh.vertices[mesh.triangles]
-    chunk = max(1, int(chunk * 7 / rule.n_points))
-    for s in range(0, n_pairs, chunk):
-        sl = slice(s, min(s + chunk, n_pairs))
+    # each panel has many near targets: map its points once, gather per pair
+    xq_all = panel_quad_points(mesh, rule)
+    if shape_functions:
+        wl = np.einsum("q,ql->ql", rule.weights, rule.points)
+        red = lambda k, area: np.einsum("pq,ql,p->pl", k, wl, area)  # noqa: E731
+    else:
+        red = lambda k, area: np.einsum("pq,q,p->p", k, rule.weights, area)  # noqa: E731
+
+    def run(sl):
         pid = panels[sl]
-        xq = np.einsum("qk,pkx->pqx", rule.points, corners[pid])
-        d = points[sl][:, None, :] - xq
+        d = points[sl][:, None, :] - xq_all[pid]
         r = np.linalg.norm(d, axis=-1)
         dotn = np.einsum("pqx,px->pq", d, mesh.normals[pid])
         gl = 1.0 / (FOUR_PI * r)
         klk = dotn * gl / (r * r)
         area = mesh.areas[pid]
-        if shape_functions:
-            wl = np.einsum("q,ql->ql", rule.weights, rule.points)
-            red = lambda k: np.einsum("pq,ql,p->pl", k, wl, area)  # noqa: E731
-        else:
-            red = lambda k: np.einsum("pq,q,p->p", k, rule.weights, area)  # noqa: E731
-        vl[sl] = red(gl)
-        kl[sl] = red(klk)
+        vl[sl] = red(gl, area)
+        kl[sl] = red(klk, area)
         if yukawa:
             ex = np.exp(-kappa * r)
-            vy[sl] = red(gl * ex)
-            ky[sl] = red(klk * (1.0 + kappa * r) * ex)
+            vy[sl] = red(gl * ex, area)
+            ky[sl] = red(klk * (1.0 + kappa * r) * ex, area)
+
+    run_parallel(run, _chunks(n_pairs, max(1, int(chunk * 7 / rule.n_points))), threads)
     return vl, kl, vy, ky
 
 
@@ -391,6 +436,7 @@ def yukawa_regular_part(
     kappa: float,
     rule: QuadratureRule = SMOOTH_RULE,
     shape_functions: bool = False,
+    threads: int | None = None,
 ):
     """Integrals of (exp(-kappa*r) - 1) / (4*pi*r), the bounded Yukawa remainder.
 
@@ -402,20 +448,20 @@ def yukawa_regular_part(
     out = np.zeros((n_pairs, 3) if shape_functions else (n_pairs,))
     if n_pairs == 0 or kappa == 0.0:
         return out
-    corners = mesh.vertices[mesh.triangles]
-    chunk = 2048
-    for s in range(0, n_pairs, chunk):
-        sl = slice(s, min(s + chunk, n_pairs))
+    xq_all = panel_quad_points(mesh, rule)
+    wl = np.einsum("q,ql->ql", rule.weights, rule.points)
+
+    def run(sl):
         pid = panels[sl]
-        xq = np.einsum("qk,pkx->pqx", rule.points, corners[pid])
-        r = np.linalg.norm(points[sl][:, None, :] - xq, axis=-1)
+        r = np.linalg.norm(points[sl][:, None, :] - xq_all[pid], axis=-1)
         small = r < 1e-12
         rs = np.where(small, 1.0, r)
         vals = (np.exp(-kappa * rs) - 1.0) / (FOUR_PI * rs)
         vals = np.where(small, -kappa / FOUR_PI, vals)  # removable limit at r = 0
         if shape_functions:
-            wl = np.einsum("q,ql->ql", rule.weights, rule.points)
             out[sl] = np.einsum("pq,ql,p->pl", vals, wl, mesh.areas[pid])
         else:
             out[sl] = np.einsum("pq,q,p->p", vals, rule.weights, mesh.areas[pid])
+
+    run_parallel(run, _chunks(n_pairs, 2048), threads)
     return out

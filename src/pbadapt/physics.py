@@ -133,12 +133,14 @@ def coulomb_trace(charges: ChargeSet, physics: BiePhysics, points, normals):
 # reaction potential and energy
 
 
-def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
+def reaction_potential(
+    solution: "PanelSolution", targets, threads: int | None = None
+) -> np.ndarray:
     """Solvent reaction potential at interior points from the surface traces.
 
     Evaluates the interior representation with the Laplace kernel,
     u_r = -K[u] + V[du/dn]; panels close to a target get the refined
-    near-singular rule.
+    near-singular rule. ``threads`` as in ``kernels.run_parallel``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     mesh = solution.mesh_ref
@@ -158,15 +160,18 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
             shape=(3 * n_pan, mesh.n_vertices),
         )
     vl, kl, _, _ = kernels.kernel_row_blocks(
-        targets, mesh, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1, scatter=scatter
+        targets, mesh, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1,
+        threads=threads, scatter=scatter,
     )
     ti, pj = kernels.near_pairs(targets, mesh)
     if len(ti):
         coarse = kernels.kernel_pair_entries(
-            targets[ti], mesh, pj, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1
+            targets[ti], mesh, pj, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1,
+            threads=threads,
         )
         fine = kernels.kernel_pair_entries(
-            targets[ti], mesh, pj, kernels.NEAR_RULE, kappa=0.0, yukawa=False, shape_functions=p1
+            targets[ti], mesh, pj, kernels.NEAR_RULE, kappa=0.0, yukawa=False,
+            shape_functions=p1, threads=threads,
         )
         if p1:
             for l in range(3):
@@ -178,9 +183,11 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace
 
 
-def solvation_energy(solution: "PanelSolution", charges: ChargeSet, physics: BiePhysics) -> EnergyResult:
+def solvation_energy(
+    solution: "PanelSolution", charges: ChargeSet, physics: BiePhysics, threads: int | None = None
+) -> EnergyResult:
     """Electrostatic solvation free energy (1/2) sum_k q_k u_r(r_k), in kcal/mol."""
-    ur = reaction_potential(solution, charges.positions)
+    ur = reaction_potential(solution, charges.positions, threads=threads)
     per_charge = physics.energy_unit * 0.5 * charges.charges * ur
     diag = {
         "n_panels": solution.mesh_ref.n_panels,

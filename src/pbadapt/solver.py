@@ -103,15 +103,17 @@ def _p0_operators(mesh: SurfaceMesh, kappa: float, threads=None):
     off = ti != pj
     ti, pj = ti[off], pj[off]
     if len(ti):
-        coarse = kernels.kernel_pair_entries(cen[ti], mesh, pj, GAUSS7, kappa)
-        fine = kernels.kernel_pair_entries(cen[ti], mesh, pj, kernels.NEAR_RULE, kappa)
+        coarse = kernels.kernel_pair_entries(cen[ti], mesh, pj, GAUSS7, kappa, threads=threads)
+        fine = kernels.kernel_pair_entries(
+            cen[ti], mesh, pj, kernels.NEAR_RULE, kappa, threads=threads
+        )
         for block, c, f in zip((vl, kl, vy, ky), coarse, fine):
             block[ti, pj] += f - c
 
     idx = np.arange(mesh.n_panels)
     v_self = kernels.centroid_self_single_layer(mesh)
     vl[idx, idx] = v_self
-    vy[idx, idx] = v_self + kernels.yukawa_regular_part(cen, mesh, idx, kappa)
+    vy[idx, idx] = v_self + kernels.yukawa_regular_part(cen, mesh, idx, kappa, threads=threads)
     kl[idx, idx] = 0.0  # flat panel: principal value vanishes
     ky[idx, idx] = 0.0
     return vl, kl, vy, ky
@@ -141,10 +143,11 @@ def _p1_operators(mesh: SurfaceMesh, kappa: float, threads=None):
     near_t, near_p = ti[~incident], pj[~incident]
     if len(near_t):
         coarse = kernels.kernel_pair_entries(
-            verts[near_t], mesh, near_p, GAUSS7, kappa, shape_functions=True
+            verts[near_t], mesh, near_p, GAUSS7, kappa, shape_functions=True, threads=threads
         )
         fine = kernels.kernel_pair_entries(
-            verts[near_t], mesh, near_p, kernels.NEAR_RULE, kappa, shape_functions=True
+            verts[near_t], mesh, near_p, kernels.NEAR_RULE, kappa, shape_functions=True,
+            threads=threads,
         )
         for block, c, f in zip((vl, kl, vy, ky), coarse, fine):
             adjust(block, near_t, near_p, f - c)
@@ -156,11 +159,11 @@ def _p1_operators(mesh: SurfaceMesh, kappa: float, threads=None):
     inc_v = tris.ravel()
     inc_local = np.tile(np.arange(3), n_pan)
     reg = kernels.kernel_pair_entries(
-        verts[inc_v], mesh, inc_t, GAUSS7, kappa, shape_functions=True
+        verts[inc_v], mesh, inc_t, GAUSS7, kappa, shape_functions=True, threads=threads
     )
     v_corner = kernels.corner_single_layer_linear(mesh, inc_t, inc_local)
     y_corner = v_corner + kernels.yukawa_regular_part(
-        verts[inc_v], mesh, inc_t, kappa, shape_functions=True
+        verts[inc_v], mesh, inc_t, kappa, shape_functions=True, threads=threads
     )
     adjust(vl, inc_v, inc_t, v_corner - reg[0])
     adjust(kl, inc_v, inc_t, -reg[1])

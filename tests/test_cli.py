@@ -56,6 +56,8 @@ def test_solve_born_within_two_percent(tmp_path, capsys):
     csv = (tmp_path / "out" / "energy.csv").read_text().splitlines()
     assert csv[0].startswith("iter,N_panels,dG")
     assert len(csv) == 2
+    assert csv[0].split(",")[6] == "wall_time_s"
+    assert float(csv[1].split(",")[6]) > 0.0
 
 
 def test_solve_echoes_gmres_tol_override(tmp_path, capsys):
@@ -76,6 +78,14 @@ def test_missing_pqr_is_input_error(tmp_path, capsys):
         "[mesh]\ntype = icosphere\nradius = 1\nlevel = 1\n\n[charges]\npqr = missing.pqr\n",
     )
     assert main(["solve", "--config", cfg]) == EXIT_INPUT
+
+
+def test_threads_must_be_positive(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_bad_estimator_is_config_error(tmp_path):
@@ -100,6 +110,20 @@ def test_estimate_sphere_reports_gamma_both_estimators(tmp_path, capsys):
     for tag in ("ephi", "eu"):
         rows = (out_dir / f"{tag}_per_panel.csv").read_text().splitlines()
         assert len(rows) == 80 + 1  # header plus one row per panel
+
+
+def test_estimate_conforming_adjoint_matches_adapt(tmp_path, capsys):
+    # estimate and adapt must build the same (conforming) adjoint
+    cfg = write_config(
+        tmp_path / "c.ini", SPHERE_SMALL.replace("level = 1", "level = 1\nbackground_level = 4")
+    )
+    flags = ["--config", cfg, "--adjoint-levels", "1", "--mode", "conforming"]
+    assert main(["estimate", *flags, "--out", str(tmp_path / "est")]) == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("Eu:"))
+    run = tmp_path / "run"
+    assert main(["adapt", *flags, "--iters", "1", "--estimator", "Eu", "--out", str(run)]) == EXIT_OK
+    signed = float((run / "energy.csv").read_text().splitlines()[1].split(",")[3])
+    assert line == f"Eu: signed total = {signed:.6f} kcal/mol"
 
 
 def test_estimate_molecular_mesh_omits_gamma(tmp_path, capsys):

@@ -245,6 +245,74 @@ def test_yukawa_self_decomposition():
     assert np.all(lap + rem < lap)  # screening strictly reduces the potential
 
 
+# -- pair quadrature and the worker pool ----------------------------------------
+
+
+def _pair_entries_mapped_per_pair(points, mesh, panels, rule, kappa, shape_functions):
+    """Reference: the rule's points mapped again for every (target, panel) pair."""
+    xq = np.einsum("qk,pkx->pqx", rule.points, mesh.vertices[mesh.triangles[panels]])
+    d = points[:, None, :] - xq
+    r = np.linalg.norm(d, axis=-1)
+    dotn = np.einsum("pqx,px->pq", d, mesh.normals[panels])
+    gl = 1.0 / (FOUR_PI * r)
+    klk = dotn * gl / (r * r)
+    ex = np.exp(-kappa * r)
+    area = mesh.areas[panels]
+    if shape_functions:
+        wl = np.einsum("q,ql->ql", rule.weights, rule.points)
+        red = lambda k: np.einsum("pq,ql,p->pl", k, wl, area)  # noqa: E731
+    else:
+        red = lambda k: np.einsum("pq,q,p->p", k, rule.weights, area)  # noqa: E731
+    return red(gl), red(klk), red(gl * ex), red(klk * (1.0 + kappa * r) * ex)
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions):
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 1)
+    ti, pj = kn.near_pairs(mesh.centroids, mesh)
+    off = ti != pj
+    points, panels = mesh.centroids[ti[off]], pj[off]
+    want = _pair_entries_mapped_per_pair(points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions)
+    for threads in (1, 2):
+        got = kn.kernel_pair_entries(
+            points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions=shape_functions,
+            threads=threads,
+        )
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_run_parallel_calls_each_item_once():
+    import sys
+
+    seen = np.zeros(500, dtype=int)
+
+    def bump(i):
+        seen[i] += 1  # one item per call, so no two workers touch one slot
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (None, 1, 2, 64):
+            kn.run_parallel(bump, range(len(seen)), threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(seen == 4)
+
+
+def test_run_parallel_raises_worker_errors_and_rejects_zero_threads():
+    def fail(i):
+        if i == 7:
+            raise SingularityError("boom")
+
+    with pytest.raises(SingularityError):
+        kn.run_parallel(fail, range(20), threads=2)
+    with pytest.raises(UsageError):
+        kn.run_parallel(fail, range(20), threads=0)
+
+
 # -- Gauss identity -----------------------------------------------------------
 
 

@@ -65,6 +65,32 @@ def test_single_layer_kernel_symmetry(born_setup):
     assert np.linalg.norm(vl - vl.T) / np.linalg.norm(vl) < 1e-2
 
 
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_assembly_independent_of_threads(salty, offcenter_charge, space, monkeypatch):
+    # a small budget splits the rows into many batches for the workers
+    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5)
+    mesh = pa.icosphere(1.0, 2)
+    a1, b1 = pa.assemble_system(mesh, salty, offcenter_charge, space=space, threads=1)
+    a2, b2 = pa.assemble_system(mesh, salty, offcenter_charge, space=space, threads=2)
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(b1, b2)
+
+
+def test_reaction_potential_independent_of_threads(salty, offcenter_charge, monkeypatch):
+    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5)
+    mesh = pa.icosphere(1.0, 2)
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((60, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    targets = dirs * rng.uniform(0.2, 0.95, 60)[:, None]  # some near the surface
+    for sol in (
+        pa.solve_forward(mesh, salty, offcenter_charge),
+        pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=0),
+    ):
+        serial = pa.reaction_potential(sol, targets, threads=1)
+        assert np.array_equal(serial, pa.reaction_potential(sol, targets, threads=2))
+
+
 def test_charge_outside_rejected(salty):
     mesh = pa.icosphere(1.0, 1)
     charges = pa.ChargeSet(np.array([[0.0, 0.0, 2.0]]), np.array([1.0]))
