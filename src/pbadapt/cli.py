@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PbAdaptError,
     SolverError,
+    UsageError,
 )
 from .estimator import estimate_Ephi, estimate_Eu, effectivity
 from .mesh import SurfaceMesh, icosphere, load_msms, save_panel_values
@@ -56,28 +57,17 @@ def _read_config(path) -> configparser.ConfigParser:
     return cp
 
 
-def _getfloat(section, key, default=None):
+def _get(section, key, kind, default=None):
+    """``section[key]`` parsed by ``kind`` (float or int); ``default`` when absent."""
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing key {key!r} in [{section.name}]")
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad float for {key!r}: {raw!r}") from exc
-
-
-def _getint(section, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r} in [{section.name}]")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad int for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} for {key!r}: {raw!r}") from exc
 
 
 def _positive_int(text) -> int:
@@ -95,13 +85,20 @@ def _require_file(path, what):
     return path
 
 
+def _icosphere(sec, level_key, default_level=None) -> SurfaceMesh:
+    try:
+        return icosphere(_get(sec, "radius", float, 1.0), _get(sec, level_key, int, default_level))
+    except ValueError as exc:
+        raise ConfigError(f"[mesh] {exc}") from exc
+
+
 def _build_mesh(cp) -> SurfaceMesh:
     if "mesh" not in cp:
         raise ConfigError("missing [mesh] section")
     sec = cp["mesh"]
     kind = sec.get("type", "icosphere")
     if kind == "icosphere":
-        return icosphere(_getfloat(sec, "radius", 1.0), _getint(sec, "level", 3))
+        return _icosphere(sec, "level", 3)
     if kind == "msms":
         vert = _require_file(sec.get("vert"), "vert file")
         face = _require_file(sec.get("face"), "face file")
@@ -112,8 +109,7 @@ def _build_mesh(cp) -> SurfaceMesh:
 def _build_background(cp) -> SurfaceMesh | None:
     sec = cp["mesh"] if "mesh" in cp else {}
     if "background_level" in sec:
-        radius = _getfloat(cp["mesh"], "radius", 1.0)
-        return icosphere(radius, _getint(cp["mesh"], "background_level"))
+        return _icosphere(sec, "background_level")
     if "background_vert" in sec:
         return load_msms(
             _require_file(sec.get("background_vert"), "background vert file"),
@@ -149,33 +145,56 @@ def _build_physics(cp) -> BiePhysics:
     if "physics" not in cp:
         return BiePhysics()
     sec = cp["physics"]
-    return BiePhysics(
-        eps_m=_getfloat(sec, "eps_m", 4.0),
-        eps_w=_getfloat(sec, "eps_w", 80.0),
-        kappa=_getfloat(sec, "kappa", 0.125),
-    )
+    try:
+        return BiePhysics(
+            eps_m=_get(sec, "eps_m", float, 4.0),
+            eps_w=_get(sec, "eps_w", float, 80.0),
+            kappa=_get(sec, "kappa", float, 0.125),
+        )
+    except UsageError as exc:
+        raise ConfigError(f"[physics] {exc}") from exc
 
 
 def _adapt_settings(cp, args) -> dict:
-    sec = cp["adapt"] if "adapt" in cp else None
-    get = lambda key, default: (sec.get(key, None) if sec is not None else None) or default  # noqa: E731
+    """[adapt] values, each overridden by its command-line flag when given."""
+    sec = cp["adapt"] if "adapt" in cp else cp[cp.default_section]
+
+    def pick(flag, kind, key, default):
+        return flag if flag is not None else _get(sec, key, kind, default)
+
     settings = {
-        "estimator": args.estimator or get("estimator", "Eu"),
-        "fraction": args.fraction if args.fraction is not None else float(get("fraction", 0.10)),
-        "adjoint_levels": args.adjoint_levels
-        if args.adjoint_levels is not None
-        else int(get("adjoint_levels", 1)),
-        "mode": args.mode or get("mode", "flat"),
-        "iters": args.iters if args.iters is not None else int(get("iterations", 1)),
-        "gmres_tol": args.gmres_tol
-        if args.gmres_tol is not None
-        else float(get("gmres_tol", DEFAULT_GMRES_TOL)),
+        "estimator": args.estimator or sec.get("estimator", "Eu"),
+        "fraction": pick(args.fraction, float, "fraction", 0.10),
+        "adjoint_levels": pick(args.adjoint_levels, int, "adjoint_levels", 1),
+        "mode": args.mode or sec.get("mode", "flat"),
+        "iters": pick(args.iters, int, "iterations", 1),
+        "gmres_tol": pick(args.gmres_tol, float, "gmres_tol", DEFAULT_GMRES_TOL),
     }
     if settings["estimator"] not in ("Ephi", "Eu"):
         raise ConfigError(f"unknown estimator {settings['estimator']!r}")
     if settings["mode"] not in ("flat", "conforming"):
         raise ConfigError(f"unknown refinement mode {settings['mode']!r}")
+    for ok, what in (
+        (0.0 < settings["fraction"] <= 1.0, "fraction must lie in (0, 1]"),
+        (settings["adjoint_levels"] >= 0, "adjoint_levels must be >= 0"),
+        (settings["iters"] >= 1, "iterations must be >= 1"),
+        (settings["gmres_tol"] > 0.0, "gmres_tol must be > 0"),
+    ):
+        if not ok:
+            raise ConfigError(what)
     return settings
+
+
+def _load_run(args, background: bool = True):
+    """Everything solve, estimate and adapt read from the config file and flags.
+
+    Returns (cp, mesh, charges, physics, settings, background mesh or None);
+    ``background=False`` skips building a background mesh that is not used.
+    """
+    cp = _read_config(args.config)
+    mesh, charges, physics = _build_mesh(cp), _build_charges(cp), _build_physics(cp)
+    settings = _adapt_settings(cp, args)
+    return cp, mesh, charges, physics, settings, _build_background(cp) if background else None
 
 
 def _out_dir(args) -> Path:
@@ -184,7 +203,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _exact_reference(cp, mesh, charges, physics, settings, background) -> float | None:
+def _kirkwood_reference(cp, charges, physics) -> float:
+    if "mesh" not in cp or cp["mesh"].get("type", "icosphere") != "icosphere":
+        raise ConfigError("kirkwood reference needs an icosphere [mesh]")
+    radius = _get(cp["mesh"], "radius", float, 1.0)
+    n_terms = _get(cp["oracle"], "n_terms", int, 80) if "oracle" in cp else 80
+    return kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
+
+
+def _exact_reference(cp, mesh, charges, physics, settings, background, threads) -> float | None:
     """Reference energy for effectivity ratios.
 
     Analytic spheres use the multipole series; any mesh can opt into a
@@ -199,16 +226,12 @@ def _exact_reference(cp, mesh, charges, physics, settings, background) -> float 
     if mode == "none":
         return None
     if mode == "kirkwood":
-        if not is_sphere:
-            raise ConfigError("kirkwood reference needs an icosphere mesh")
-        radius = _getfloat(cp["mesh"], "radius", 1.0)
-        n_terms = _getint(cp["oracle"], "n_terms", 80) if "oracle" in cp else 80
-        return kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
+        return _kirkwood_reference(cp, charges, physics)
     if mode == "richardson":
         refine_mode = "conforming" if background is not None else "flat"
         history = uniform_loop(
             mesh, charges, physics, levels=3, mode=refine_mode, background=background,
-            gmres_tol=settings["gmres_tol"],
+            gmres_tol=settings["gmres_tol"], threads=threads,
         )
         value, _order = richardson([rec.energy.dG_solv for rec in history])
         return value
@@ -216,11 +239,7 @@ def _exact_reference(cp, mesh, charges, physics, settings, background) -> float 
 
 
 def cmd_solve(args) -> int:
-    cp = _read_config(args.config)
-    mesh = _build_mesh(cp)
-    charges = _build_charges(cp)
-    physics = _build_physics(cp)
-    settings = _adapt_settings(cp, args)
+    _cp, mesh, charges, physics, settings, _ = _load_run(args, background=False)
     start = time.perf_counter()
     solution = solve_forward(
         mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
@@ -238,16 +257,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cp = _read_config(args.config)
-    mesh = _build_mesh(cp)
-    charges = _build_charges(cp)
-    physics = _build_physics(cp)
-    settings = _adapt_settings(cp, args)
+    cp, mesh, charges, physics, settings, background = _load_run(args)
     forward = solve_forward(
         mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
     )
     energy = solvation_energy(forward, charges, physics, threads=args.threads)
-    background = _build_background(cp)
     adjoint = solve_adjoint(
         mesh,
         physics,
@@ -266,7 +280,7 @@ def cmd_estimate(args) -> int:
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
-    exact = _exact_reference(cp, mesh, charges, physics, settings, background)
+    exact = _exact_reference(cp, mesh, charges, physics, settings, background, args.threads)
     if exact is None:
         print("gamma_eff: omitted (no reference value; supply [oracle] mode = richardson)")
     else:
@@ -277,12 +291,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    cp = _read_config(args.config)
-    mesh = _build_mesh(cp)
-    charges = _build_charges(cp)
-    physics = _build_physics(cp)
-    settings = _adapt_settings(cp, args)
-    background = _build_background(cp)
+    _cp, mesh, charges, physics, settings, background = _load_run(args)
+    if settings["mode"] == "conforming" and background is None:
+        raise ConfigError("conforming refinement needs a background mesh in [mesh]")
     config = AdaptiveConfig(
         estimator_tag=settings["estimator"],
         marking_fraction=settings["fraction"],
@@ -306,17 +317,14 @@ def cmd_adapt(args) -> int:
 def cmd_oracle(args) -> int:
     cp = _read_config(args.config)
     if "oracle" in cp and cp["oracle"].get("values"):
-        vals = [float(v) for v in cp["oracle"]["values"].split()]
+        try:
+            vals = [float(v) for v in cp["oracle"]["values"].split()]
+        except ValueError as exc:
+            raise ConfigError(f"bad [oracle] values: {exc}") from exc
         extrapolated, order = richardson(vals)
         print(f"richardson = {extrapolated!r} (order {order:.4f})")
         return EXIT_OK
-    charges = _build_charges(cp)
-    physics = _build_physics(cp)
-    if "mesh" not in cp or cp["mesh"].get("type", "icosphere") != "icosphere":
-        raise ConfigError("oracle needs an icosphere [mesh] or [oracle] values")
-    radius = _getfloat(cp["mesh"], "radius", 1.0)
-    n_terms = _getint(cp["oracle"], "n_terms", 80) if "oracle" in cp else 80
-    value = kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
+    value = _kirkwood_reference(cp, _build_charges(cp), _build_physics(cp))
     print(f"kirkwood dG_solv = {value!r} kcal/mol")
     return EXIT_OK
 

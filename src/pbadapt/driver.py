@@ -78,35 +78,11 @@ def adaptive_loop(
 ) -> list[IterationRecord]:
     """Iteratively solve, estimate, mark and refine, recording every step.
 
+    Runs ``config.max_iterations`` solves and refines only between them.
     Any stage failure aborts with the partial history attached to the raised
     error. Deterministic for identical inputs.
     """
-    history: list[IterationRecord] = []
-    mesh = mesh0
-    for _ in range(config.max_iterations):
-        start = time.perf_counter()
-        try:
-            forward = solve_forward(
-                mesh, physics, charges, gmres_tol=config.gmres_tol, threads=config.threads
-            )
-            energy = solvation_energy(forward, charges, physics, threads=config.threads)
-            adjoint = solve_adjoint(
-                mesh,
-                physics,
-                charges,
-                refine_levels=config.adjoint_refine_levels,
-                background=config.background_mesh,
-                gmres_tol=config.gmres_tol,
-                threads=config.threads,
-            )
-            emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
-            marked = mark_elements(emap.per_panel, config.marking_fraction)
-            next_mesh = _refine(mesh, marked, config.refinement_mode, config.background_mesh)
-        except PbAdaptError as exc:
-            raise LoopAbortedError(f"adaptive loop aborted: {exc}", history) from exc
-        history.append(IterationRecord(mesh, energy, emap, time.perf_counter() - start))
-        mesh = next_mesh
-    return history
+    return _refinement_loop(mesh0, charges, physics, config, estimate=True)
 
 
 def uniform_loop(
@@ -119,25 +95,55 @@ def uniform_loop(
     gmres_tol: float = DEFAULT_GMRES_TOL,
     threads: int | None = None,
 ) -> list[IterationRecord]:
-    """Baseline: refine every panel each iteration, no error estimation."""
+    """Baseline: the adaptive loop marking every panel, with no error estimation."""
     if levels < 1:
         raise UsageError("levels must be >= 1")
-    if mode == "conforming" and background is None:
-        raise UsageError("conforming refinement needs a background mesh")
+    config = AdaptiveConfig(
+        marking_fraction=1.0,
+        refinement_mode=mode,
+        max_iterations=levels,
+        background_mesh=background,
+        gmres_tol=gmres_tol,
+        threads=threads,
+    )
+    return _refinement_loop(mesh0, charges, physics, config, estimate=False)
+
+
+def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: bool):
+    """Solve, then mark and refine before every further solve.
+
+    Without ``estimate`` every panel is marked and neither the adjoint nor
+    the estimator runs. An iteration's wall time includes the refinement
+    that produced its mesh.
+    """
     history: list[IterationRecord] = []
     mesh = mesh0
-    for level in range(levels):
+    for it in range(config.max_iterations):
         start = time.perf_counter()
         try:
-            forward = solve_forward(mesh, physics, charges, gmres_tol=gmres_tol, threads=threads)
-            energy = solvation_energy(forward, charges, physics, threads=threads)
-            if level + 1 < levels:
-                next_mesh = _refine(mesh, range(mesh.n_panels), mode, background)
+            if it:
+                mesh = _refine(mesh, marked, config.refinement_mode, config.background_mesh)
+            forward = solve_forward(
+                mesh, physics, charges, gmres_tol=config.gmres_tol, threads=config.threads
+            )
+            energy = solvation_energy(forward, charges, physics, threads=config.threads)
+            emap, marked = None, range(mesh.n_panels)
+            if estimate:
+                adjoint = solve_adjoint(
+                    mesh,
+                    physics,
+                    charges,
+                    refine_levels=config.adjoint_refine_levels,
+                    background=config.background_mesh,
+                    gmres_tol=config.gmres_tol,
+                    threads=config.threads,
+                )
+                emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
+                marked = mark_elements(emap.per_panel, config.marking_fraction)
         except PbAdaptError as exc:
-            raise LoopAbortedError(f"uniform loop aborted: {exc}", history) from exc
-        history.append(IterationRecord(mesh, energy, None, time.perf_counter() - start))
-        if level + 1 < levels:
-            mesh = next_mesh
+            kind = "adaptive" if estimate else "uniform"
+            raise LoopAbortedError(f"{kind} loop aborted: {exc}", history) from exc
+        history.append(IterationRecord(mesh, energy, emap, time.perf_counter() - start))
     return history
 
 

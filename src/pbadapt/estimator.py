@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EffectivityUndefinedError, UsageError
+from .kernels import panel_quad_points
 from .mesh import SurfaceMesh
 from .physics import BiePhysics, ChargeSet, coulomb_gradient, coulomb_potential
 from .quadrature import GAUSS3, QuadratureRule
@@ -43,8 +44,7 @@ class ErrorMap:
 
 def _panel_quadrature(mesh: SurfaceMesh, rule: QuadratureRule):
     """Flattened quadrature points, per-point normals and weights for a mesh."""
-    tris = mesh.triangles
-    pts = np.einsum("qk,tkx->tqx", rule.points, mesh.vertices[tris]).reshape(-1, 3)
+    pts = panel_quad_points(mesh, rule).reshape(-1, 3)
     nrm = np.repeat(mesh.normals, rule.n_points, axis=0)
     wts = (rule.weights[None, :] * mesh.areas[:, None]).ravel()
     return pts, nrm, wts

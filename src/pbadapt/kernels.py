@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import SingularityError, UsageError
@@ -268,26 +269,36 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq):
     return gl, klk, gy, kyk
 
 
+def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool):
+    """(shape, cols, n_cols): the two tables of a boundary basis and its column count.
+
+    ``shape`` holds the local shape functions at the rule points, ``cols``
+    each panel's global columns. P0: ones (nq,) and the panel index (T, 1);
+    P1: the barycentric rule points (nq, 3) and the panel's corners (T, 3).
+    Without a local axis in ``shape``, P0 integrals are plain panel integrals.
+    """
+    if shape_functions:
+        return rule.points, mesh.triangles, mesh.n_vertices
+    return np.ones(rule.n_points), np.arange(mesh.n_panels)[:, None], mesh.n_panels
+
+
 def kernel_row_blocks(
     targets,
     mesh: SurfaceMesh,
     rule: QuadratureRule,
     kappa: float,
-    yukawa: bool = True,
+    out,
     shape_functions: bool = False,
     threads: int | None = None,
-    scatter=None,
 ):
-    """Single- and double-layer panel integrals for a set of targets.
+    """Single- and double-layer integrals of the basis functions at a set of targets.
 
-    Returns (VL, KL, VY, KY). Without ``shape_functions`` each block is
-    (M, T): plain panel integrals (piecewise-constant columns). With it the
-    integrals run against the linear shape functions; pass ``scatter``, a
-    (3T, n_cols) sparse matrix, to fold the three per-panel columns into
-    global columns batch by batch (keeps memory at O(batch * T)). Entries
-    whose target coincides with a quadrature point come out zero and must be
-    fixed by the caller (self terms). Batches of targets run on ``threads``
-    workers (see ``run_parallel``).
+    Fills ``out`` = (VL, KL, VY, KY), (M, n_cols) arrays or views (see
+    ``basis_tables``); VY and KY may be None to skip the Yukawa kernel. P1
+    integrals are folded into vertex columns batch by batch (keeps memory
+    at O(batch * T)). Entries whose target coincides with a quadrature
+    point come out zero and must be fixed by the caller (self terms).
+    Batches of targets run on ``threads`` workers (see ``run_parallel``).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     T, nq = mesh.n_panels, rule.n_points
@@ -295,43 +306,27 @@ def kernel_row_blocks(
     xqf = np.ascontiguousarray(xq.reshape(T * nq, 3))
     xx = np.einsum("ij,ij->i", xqf, xqf)
     xn = np.einsum("tqx,tx->tq", xq, mesh.normals)
-    w_area = rule.weights[None, :] * mesh.areas[:, None]  # (T, nq)
+    shape, cols, n_cols = basis_tables(mesh, rule, shape_functions)
+    w = np.einsum("q...,t->tq...", np.einsum("q,q...->q...", rule.weights, shape), mesh.areas)
+    fold = None  # P0 columns are the panels: no fold
     if shape_functions:
-        w_shape = np.einsum("q,ql->ql", rule.weights, rule.points)  # (nq, 3)
-        if scatter is None:
-            raise UsageError("shape-function rows need a scatter matrix")
-    m = len(targets)
-    n_cols = scatter.shape[1] if shape_functions else T
-    vl = np.empty((m, n_cols))
-    kl = np.empty((m, n_cols))
-    vy = np.empty((m, n_cols)) if yukawa else None
-    ky = np.empty((m, n_cols)) if yukawa else None
+        fold = csr_matrix(
+            (np.ones(cols.size), (np.arange(cols.size), cols.ravel())), shape=(cols.size, n_cols)
+        )
+    yukawa = out[2] is not None
 
     # the budget is shared by the batches that can run at once; it depends on
     # the usable CPUs, never on ``threads``, so results do not either
     batch = max(1, int(ROW_BATCH_VALUES / _usable_cpus() / max(T * nq, 1)))
 
     def run(sl):
-        gl, klk, gy, kyk = _batch_kernels(
-            targets[sl], xqf, xx, xn, mesh.normals, kappa, yukawa, T, nq
-        )
-        if shape_functions:
-            areas = mesh.areas
-            nb = sl.stop - sl.start
-            for out, kern in ((vl, gl), (kl, klk), (vy, gy), (ky, kyk)):
-                if kern is None:
-                    continue
-                contrib = np.einsum("mtq,ql,t->mtl", kern, w_shape, areas)
-                out[sl] = contrib.reshape(nb, 3 * T) @ scatter
-        else:
-            vl[sl] = np.einsum("mtq,tq->mt", gl, w_area)
-            kl[sl] = np.einsum("mtq,tq->mt", klk, w_area)
-            if yukawa:
-                vy[sl] = np.einsum("mtq,tq->mt", gy, w_area)
-                ky[sl] = np.einsum("mtq,tq->mt", kyk, w_area)
+        kerns = _batch_kernels(targets[sl], xqf, xx, xn, mesh.normals, kappa, yukawa, T, nq)
+        for block, kern in zip(out, kerns):
+            if kern is not None:
+                rows = np.einsum("mtq,tq...->mt...", kern, w)
+                block[sl] = rows if fold is None else rows.reshape(len(rows), -1) @ fold
 
-    run_parallel(run, _chunks(m, batch), threads)
-    return vl, kl, vy, ky
+    run_parallel(run, _chunks(len(targets), batch), threads)
 
 
 def kernel_pair_entries(
@@ -355,20 +350,20 @@ def kernel_pair_entries(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
     n_pairs = len(panels)
-    shape = (n_pairs, 3) if shape_functions else (n_pairs,)
-    vl = np.zeros(shape)
-    kl = np.zeros(shape)
-    vy = np.zeros(shape) if yukawa else None
-    ky = np.zeros(shape) if yukawa else None
+    shape, _, _ = basis_tables(mesh, rule, shape_functions)
+    size = (n_pairs,) + shape.shape[1:]
+    vl = np.zeros(size)
+    kl = np.zeros(size)
+    vy = np.zeros(size) if yukawa else None
+    ky = np.zeros(size) if yukawa else None
     if n_pairs == 0:
         return vl, kl, vy, ky
     # each panel has many near targets: map its points once, gather per pair
     xq_all = panel_quad_points(mesh, rule)
-    if shape_functions:
-        wl = np.einsum("q,ql->ql", rule.weights, rule.points)
-        red = lambda k, area: np.einsum("pq,ql,p->pl", k, wl, area)  # noqa: E731
-    else:
-        red = lambda k, area: np.einsum("pq,q,p->p", k, rule.weights, area)  # noqa: E731
+    wl = np.einsum("q,q...->q...", rule.weights, shape)
+
+    def red(k, area):
+        return np.einsum("pq,q...,p->p...", k, wl, area)
 
     def run(sl):
         pid = panels[sl]
@@ -387,6 +382,76 @@ def kernel_pair_entries(
 
     run_parallel(run, _chunks(n_pairs, max(1, int(chunk * 7 / rule.n_points))), threads)
     return vl, kl, vy, ky
+
+
+def _add_pairs(block, ti, pair_cols, delta):
+    """block[ti, col] += delta for every pair and each of its local columns.
+
+    A row can reach one column through several panels, so duplicates
+    accumulate (np.add.at); local columns run in the outer loop.
+    """
+    np.add.at(block, (ti, pair_cols.T), delta.reshape(pair_cols.shape).T)
+
+
+def operator_blocks(
+    targets,
+    mesh: SurfaceMesh,
+    kappa: float,
+    out,
+    shape_functions: bool = False,
+    collocated: bool = False,
+    threads: int | None = None,
+):
+    """Laplace and Yukawa single- and double-layer operators of a basis at targets.
+
+    Fills ``out`` as ``kernel_row_blocks`` does: GAUSS7 panel integrals,
+    redone with NEAR_RULE for panels near the target. With ``collocated``
+    the targets are the basis's collocation points (P0: centroids, P1:
+    vertices) and all four blocks are given; pairs whose target lies on the
+    panel then get the singular integrals instead.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions)
+    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, shape_functions, threads)
+    ti, pj = near_pairs(targets, mesh)
+    if collocated:
+        off = ~(cols[pj] == ti[:, None]).any(axis=1)
+        ti, pj = ti[off], pj[off]
+    kw = dict(kappa=kappa, yukawa=out[2] is not None, shape_functions=shape_functions,
+              threads=threads)
+    coarse = kernel_pair_entries(targets[ti], mesh, pj, GAUSS7, **kw)
+    fine = kernel_pair_entries(targets[ti], mesh, pj, NEAR_RULE, **kw)
+    for block, c, f in zip(out, coarse, fine):
+        if block is not None:
+            _add_pairs(block, ti, cols[pj], f - c)
+    if collocated:
+        _singular_terms(out, targets, mesh, kappa, shape_functions, threads)
+
+
+def _singular_terms(out, targets, mesh: SurfaceMesh, kappa: float, shape_functions, threads):
+    """Polar single-layer integrals for the pairs whose target lies on the panel;
+    the flat-panel double layer vanishes there."""
+    if not shape_functions:
+        # a centroid lies on its own panel only: overwrite the diagonal
+        idx = np.arange(mesh.n_panels)
+        v_self = centroid_self_single_layer(mesh)
+        y_self = v_self + yukawa_regular_part(targets, mesh, idx, kappa, threads=threads)
+        for block, value in zip(out, (v_self, 0.0, y_self, 0.0)):
+            block[idx, idx] = value
+        return
+    # a vertex lies on each incident panel, whose other corners share its
+    # columns: subtract the regular-rule entries and add the corner integrals
+    inc_t = np.repeat(np.arange(mesh.n_panels), 3)
+    inc_v = mesh.triangles.ravel()
+    reg = kernel_pair_entries(
+        targets[inc_v], mesh, inc_t, GAUSS7, kappa, shape_functions=True, threads=threads
+    )
+    v_corner = corner_single_layer_linear(mesh, inc_t, np.tile(np.arange(3), mesh.n_panels))
+    y_corner = v_corner + yukawa_regular_part(
+        targets[inc_v], mesh, inc_t, kappa, shape_functions=True, threads=threads
+    )
+    for block, value, r in zip(out, (v_corner, 0.0, y_corner, 0.0), reg):
+        _add_pairs(block, inc_v, mesh.triangles[inc_t], value - r)
 
 
 def near_pairs(points, mesh: SurfaceMesh, factor: float = NEAR_FACTOR):
@@ -445,11 +510,12 @@ def yukawa_regular_part(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
     n_pairs = len(panels)
-    out = np.zeros((n_pairs, 3) if shape_functions else (n_pairs,))
+    shape, _, _ = basis_tables(mesh, rule, shape_functions)
+    out = np.zeros((n_pairs,) + shape.shape[1:])
     if n_pairs == 0 or kappa == 0.0:
         return out
     xq_all = panel_quad_points(mesh, rule)
-    wl = np.einsum("q,ql->ql", rule.weights, rule.points)
+    wl = np.einsum("q,q...->q...", rule.weights, shape)
 
     def run(sl):
         pid = panels[sl]
@@ -458,10 +524,7 @@ def yukawa_regular_part(
         rs = np.where(small, 1.0, r)
         vals = (np.exp(-kappa * rs) - 1.0) / (FOUR_PI * rs)
         vals = np.where(small, -kappa / FOUR_PI, vals)  # removable limit at r = 0
-        if shape_functions:
-            out[sl] = np.einsum("pq,ql,p->pl", vals, wl, mesh.areas[pid])
-        else:
-            out[sl] = np.einsum("pq,q,p->p", vals, rule.weights, mesh.areas[pid])
+        out[sl] = np.einsum("pq,q...,p->p...", vals, wl, mesh.areas[pid])
 
     run_parallel(run, _chunks(n_pairs, 2048), threads)
     return out

@@ -16,7 +16,6 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
 from .mesh import SurfaceMesh, points_inside
-from .quadrature import GAUSS7
 
 if TYPE_CHECKING:
     from .solver import PanelSolution
@@ -148,38 +147,10 @@ def reaction_potential(
     if not np.all(inside):
         bad = int(np.flatnonzero(~inside)[0])
         raise DomainError(f"target {bad} lies outside the surface")
-    p1 = solution.space == "P1"
-    scatter = None
-    if p1:
-        from scipy.sparse import csr_matrix
-
-        tris = mesh.triangles
-        n_pan = mesh.n_panels
-        scatter = csr_matrix(
-            (np.ones(3 * n_pan), (np.arange(3 * n_pan), tris.ravel())),
-            shape=(3 * n_pan, mesh.n_vertices),
-        )
-    vl, kl, _, _ = kernels.kernel_row_blocks(
-        targets, mesh, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1,
-        threads=threads, scatter=scatter,
+    vl, kl = (np.empty((len(targets), len(solution.u_trace))) for _ in range(2))
+    kernels.operator_blocks(
+        targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1", threads=threads
     )
-    ti, pj = kernels.near_pairs(targets, mesh)
-    if len(ti):
-        coarse = kernels.kernel_pair_entries(
-            targets[ti], mesh, pj, GAUSS7, kappa=0.0, yukawa=False, shape_functions=p1,
-            threads=threads,
-        )
-        fine = kernels.kernel_pair_entries(
-            targets[ti], mesh, pj, kernels.NEAR_RULE, kappa=0.0, yukawa=False,
-            shape_functions=p1, threads=threads,
-        )
-        if p1:
-            for l in range(3):
-                np.add.at(vl, (ti, mesh.triangles[pj, l]), fine[0][:, l] - coarse[0][:, l])
-                np.add.at(kl, (ti, mesh.triangles[pj, l]), fine[1][:, l] - coarse[1][:, l])
-        else:
-            vl[ti, pj] += fine[0] - coarse[0]
-            kl[ti, pj] += fine[1] - coarse[1]
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace
 
 

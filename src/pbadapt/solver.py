@@ -21,14 +21,12 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels
 from .errors import SolverError, UsageError
 from .mesh import SurfaceMesh, close_marking, refine_all, refine_conforming
 from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
-from .quadrature import GAUSS7
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
@@ -67,109 +65,27 @@ def assemble_system(
     Unknown ordering: [u-, du-/dn]; the second block row is homogeneous.
     """
     require_charges_inside(charges, mesh)
-    if space == "P0":
-        vl, kl, vy, ky = _p0_operators(mesh, physics.kappa, threads)
-        colloc = mesh.centroids
-        free_1 = np.full(mesh.n_panels, 0.5)
-        free_2 = np.full(mesh.n_panels, 0.5)
-    elif space == "P1":
-        vl, kl, vy, ky = _p1_operators(mesh, physics.kappa, threads)
-        colloc = mesh.vertices
-        c = -kl.sum(axis=1)  # interior solid-angle fraction at each vertex
-        free_1 = c
-        free_2 = 1.0 - c
-    else:
+    if space not in ("P0", "P1"):
         raise UsageError(f"unknown space {space!r}")
-
+    p1 = space == "P1"
+    colloc = mesh.vertices if p1 else mesh.centroids
     n = len(colloc)
     a = np.empty((2 * n, 2 * n))
-    a[:n, :n] = kl
-    a[:n, n:] = -vl
-    a[n:, :n] = -ky
-    a[n:, n:] = (physics.eps_m / physics.eps_w) * vy
+    kl, vl, ky, vy = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
+    kernels.operator_blocks(
+        colloc, mesh, physics.kappa, (vl, kl, vy, ky), p1, collocated=True, threads=threads
+    )
+    vl *= -1.0
+    ky *= -1.0
+    vy *= physics.eps_m / physics.eps_w
+    # P0: flat panels, c = 1/2; P1: c is the interior solid-angle fraction at
+    # each vertex, which the Laplace double layer's row sums give
+    c = -kl.sum(axis=1) if p1 else np.full(n, 0.5)
     idx = np.arange(n)
-    a[idx, idx] += free_1
-    a[n + idx, idx] += free_2
+    a[idx, idx] += c
+    a[n + idx, idx] += 1.0 - c
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
     return a, b
-
-
-def _p0_operators(mesh: SurfaceMesh, kappa: float, threads=None):
-    """Panel-to-centroid operator blocks with self and near-singular terms."""
-    cen = mesh.centroids
-    vl, kl, vy, ky = kernels.kernel_row_blocks(cen, mesh, GAUSS7, kappa, threads=threads)
-
-    ti, pj = kernels.near_pairs(cen, mesh)
-    off = ti != pj
-    ti, pj = ti[off], pj[off]
-    if len(ti):
-        coarse = kernels.kernel_pair_entries(cen[ti], mesh, pj, GAUSS7, kappa, threads=threads)
-        fine = kernels.kernel_pair_entries(
-            cen[ti], mesh, pj, kernels.NEAR_RULE, kappa, threads=threads
-        )
-        for block, c, f in zip((vl, kl, vy, ky), coarse, fine):
-            block[ti, pj] += f - c
-
-    idx = np.arange(mesh.n_panels)
-    v_self = kernels.centroid_self_single_layer(mesh)
-    vl[idx, idx] = v_self
-    vy[idx, idx] = v_self + kernels.yukawa_regular_part(cen, mesh, idx, kappa, threads=threads)
-    kl[idx, idx] = 0.0  # flat panel: principal value vanishes
-    ky[idx, idx] = 0.0
-    return vl, kl, vy, ky
-
-
-def _p1_operators(mesh: SurfaceMesh, kappa: float, threads=None):
-    """Vertex-collocated operator blocks for continuous linear elements."""
-    verts = mesh.vertices
-    n_vert, n_pan = mesh.n_vertices, mesh.n_panels
-    tris = mesh.triangles
-    scatter = csr_matrix(
-        (np.ones(3 * n_pan), (np.arange(3 * n_pan), tris.ravel())),
-        shape=(3 * n_pan, n_vert),
-    )
-    vl, kl, vy, ky = kernels.kernel_row_blocks(
-        verts, mesh, GAUSS7, kappa, shape_functions=True, threads=threads, scatter=scatter
-    )
-
-    def adjust(block, pair_targets, pair_panels, delta):
-        # one target row can hit the same vertex column through several
-        # panels, so accumulation must not collapse duplicates
-        for l in range(3):
-            np.add.at(block, (pair_targets, tris[pair_panels, l]), delta[:, l])
-
-    ti, pj = kernels.near_pairs(verts, mesh)
-    incident = (tris[pj] == ti[:, None]).any(axis=1)
-    near_t, near_p = ti[~incident], pj[~incident]
-    if len(near_t):
-        coarse = kernels.kernel_pair_entries(
-            verts[near_t], mesh, near_p, GAUSS7, kappa, shape_functions=True, threads=threads
-        )
-        fine = kernels.kernel_pair_entries(
-            verts[near_t], mesh, near_p, kernels.NEAR_RULE, kappa, shape_functions=True,
-            threads=threads,
-        )
-        for block, c, f in zip((vl, kl, vy, ky), coarse, fine):
-            adjust(block, near_t, near_p, f - c)
-
-    # Incident pairs (vertex on panel): replace the regular-rule contribution
-    # with the polar corner integral for the single layer; the flat-panel
-    # double layer vanishes for any vertex lying on the panel.
-    inc_t = np.repeat(np.arange(n_pan), 3)
-    inc_v = tris.ravel()
-    inc_local = np.tile(np.arange(3), n_pan)
-    reg = kernels.kernel_pair_entries(
-        verts[inc_v], mesh, inc_t, GAUSS7, kappa, shape_functions=True, threads=threads
-    )
-    v_corner = kernels.corner_single_layer_linear(mesh, inc_t, inc_local)
-    y_corner = v_corner + kernels.yukawa_regular_part(
-        verts[inc_v], mesh, inc_t, kappa, shape_functions=True, threads=threads
-    )
-    adjust(vl, inc_v, inc_t, v_corner - reg[0])
-    adjust(kl, inc_v, inc_t, -reg[1])
-    adjust(vy, inc_v, inc_t, y_corner - reg[2])
-    adjust(ky, inc_v, inc_t, -reg[3])
-    return vl, kl, vy, ky
 
 
 def _gmres_solve(a, b, tol: float, max_iters: int, diagonal_scaling: bool):

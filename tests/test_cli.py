@@ -93,6 +93,24 @@ def test_bad_estimator_is_config_error(tmp_path):
     assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("adapt", SPHERE_SMALL + "\n[adapt]\nfraction = abc\n", []),
+        ("adapt", SPHERE_SMALL + "\n[adapt]\nfraction = 0\n", []),
+        ("estimate", SPHERE_SMALL, ["--adjoint-levels", "-1"]),
+        ("adapt", SPHERE_SMALL, ["--mode", "conforming"]),  # no background mesh
+        ("solve", SPHERE_SMALL.replace("eps_m = 4.0", "eps_m = 0"), []),
+        ("solve", SPHERE_SMALL.replace("level = 1", "level = -1"), []),
+    ],
+    ids=["fraction-abc", "fraction-0", "adjoint-levels", "no-background", "eps_m", "level"],
+)
+def test_bad_settings_are_config_errors(tmp_path, capsys, command, text, flags):
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unreachable_tolerance_is_solver_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     code = main(["solve", "--config", cfg, "--gmres-tol", "1e-30"])

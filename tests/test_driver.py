@@ -94,6 +94,26 @@ def test_marking_fraction_one_matches_uniform(case):
         assert np.allclose(a.mesh.vertices, u.mesh.vertices)
 
 
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_loops_refine_only_between_iterations(case, monkeypatch, iterations):
+    real = driver_mod._refine
+    calls = []
+
+    def counting(mesh, *args):
+        calls.append(mesh.n_panels)
+        return real(mesh, *args)
+
+    monkeypatch.setattr(driver_mod, "_refine", counting)
+    hist = pa.adaptive_loop(
+        pa.icosphere(1.0, 1), case.charges, case.physics, small_config(max_iterations=iterations)
+    )
+    assert len(hist) == iterations
+    assert calls == [r.mesh.n_panels for r in hist[:-1]]
+    calls.clear()
+    pa.uniform_loop(pa.icosphere(1.0, 1), case.charges, case.physics, levels=iterations)
+    assert calls == [80 * 4**k for k in range(iterations - 1)]
+
+
 def test_histories_are_deterministic(case):
     runs = []
     for _ in range(2):
