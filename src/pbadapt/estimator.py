@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EffectivityUndefinedError, UsageError
 from .kernels import panel_quad_points
 from .mesh import SurfaceMesh
-from .physics import BiePhysics, ChargeSet, coulomb_gradient, coulomb_potential
+from .physics import BiePhysics, ChargeSet, coulomb_trace
 from .quadrature import GAUSS3, QuadratureRule
 from .solver import PanelSolution
 
@@ -75,8 +75,7 @@ def _estimate(
     # Terms carrying the dual traces live on the (possibly conforming) fine
     # mesh; the piecewise-constant forward data is spread over descendants.
     pts, nrm, wts = _panel_quadrature(fine, rule)
-    u_c = coulomb_potential(charges, physics, pts)
-    du_c = np.einsum("mx,mx->m", coulomb_gradient(charges, physics, pts), nrm)
+    u_c, du_c = coulomb_trace(charges, physics, pts, nrm)
     tris = fine.triangles
     phi = np.einsum("ql,tl->tq", rule.points, adjoint.u_trace[tris]).ravel()
     dphi = np.einsum("ql,tl->tq", rule.points, adjoint.dudn_trace[tris]).ravel()
@@ -97,8 +96,7 @@ def _estimate(
         # forward traces were solved on; there it regroups the discrete
         # energy exactly.
         pts_c, nrm_c, wts_c = _panel_quadrature(coarse, rule)
-        u_cc = coulomb_potential(charges, physics, pts_c)
-        du_cc = np.einsum("mx,mx->m", coulomb_gradient(charges, physics, pts_c), nrm_c)
+        u_cc, du_cc = coulomb_trace(charges, physics, pts_c, nrm_c)
         u_f = np.repeat(forward.u_trace, nq)
         du_f = np.repeat(forward.dudn_trace, nq)
         fwd_bracket = half_eps * (u_cc * du_f - du_cc * u_f)

@@ -15,6 +15,7 @@ Gaussian rule in angle.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,6 +33,7 @@ NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule for near panels
 SMOOTH_RULE = subdivided(GAUSS7, 2)
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 6.0e6           # values per kernel array, summed over concurrent row batches
+PAIR_CHUNK_POINTS = 4096 * 7       # quadrature points per chunk of (target, panel) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,12 @@ def run_parallel(fn, items, threads: int | None = None) -> None:
         list(pool.map(fn, items))  # re-raises the first worker exception
 
 
-def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq):
+def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq, near):
     """Kernel values for a batch of targets against all panel quad points.
+
+    ``near`` = (batch rows, panels) of the pairs integrated elsewhere: their
+    kernel values are zero. A target can only sit on a quadrature point of
+    its own panel, and that pair is always near.
 
     Every batch-sized array lives in one block allocated here: a block that
     large is mapped and unmapped as a whole, so batches run on worker
@@ -243,10 +249,7 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq):
     r += xx.reshape(1, T, nq)
     np.maximum(r, 0.0, out=r)
     np.sqrt(r, out=r)
-    zero = r < 1e-14
-    any_zero = np.any(zero)
-    if any_zero:
-        r[zero] = 1.0
+    r[near] = 1.0
     np.multiply(r, FOUR_PI, out=gl)
     np.divide(1.0, gl, out=gl)
     np.subtract((tb @ normals.T)[:, :, None], xn[None, :, :], out=klk)
@@ -262,11 +265,11 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq):
         kyk += 1.0
         kyk *= klk
         kyk *= ex
-    if any_zero:
-        for k in (gl, klk, gy, kyk):
-            if k is not None:
-                k[zero] = 0.0
-    return gl, klk, gy, kyk
+    kerns = (gl, klk, gy, kyk)
+    for k in kerns:
+        if k is not None:
+            k[near] = 0.0
+    return kerns
 
 
 def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool):
@@ -288,6 +291,7 @@ def kernel_row_blocks(
     rule: QuadratureRule,
     kappa: float,
     out,
+    near,
     shape_functions: bool = False,
     threads: int | None = None,
 ):
@@ -296,8 +300,8 @@ def kernel_row_blocks(
     Fills ``out`` = (VL, KL, VY, KY), (M, n_cols) arrays or views (see
     ``basis_tables``); VY and KY may be None to skip the Yukawa kernel. P1
     integrals are folded into vertex columns batch by batch (keeps memory
-    at O(batch * T)). Entries whose target coincides with a quadrature
-    point come out zero and must be fixed by the caller (self terms).
+    at O(batch * T)). ``near`` = (ti, pj), sorted by target as
+    ``near_pairs`` returns them: these (target, panel) pairs are left out.
     Batches of targets run on ``threads`` workers (see ``run_parallel``).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -319,14 +323,48 @@ def kernel_row_blocks(
     # the usable CPUs, never on ``threads``, so results do not either
     batch = max(1, int(ROW_BATCH_VALUES / _usable_cpus() / max(T * nq, 1)))
 
+    ti, pj = near
+
     def run(sl):
-        kerns = _batch_kernels(targets[sl], xqf, xx, xn, mesh.normals, kappa, yukawa, T, nq)
+        lo, hi = np.searchsorted(ti, (sl.start, sl.stop))
+        kerns = _batch_kernels(targets[sl], xqf, xx, xn, mesh.normals, kappa, yukawa, T, nq,
+                               (ti[lo:hi] - sl.start, pj[lo:hi]))
         for block, kern in zip(out, kerns):
             if kern is not None:
                 rows = np.einsum("mtq,tq...->mt...", kern, w)
                 block[sl] = rows if fold is None else rows.reshape(len(rows), -1) @ fold
 
     run_parallel(run, _chunks(len(targets), batch), threads)
+
+
+def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n_kernels,
+                     formula, threads):
+    """Integrals of ``n_kernels`` kernels against the basis for (point, panel) pairs.
+
+    ``formula(d, pid)`` returns the kernel values at the offsets ``d``
+    (point minus quadrature point, (P, nq, 3)) from the pairs' panels
+    ``pid``. Each panel's points are mapped once and gathered per pair;
+    chunks of pairs run on ``threads`` workers (see ``run_parallel``).
+    Returns a list of (P,) arrays, (P, 3) with ``shape_functions``.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    panels = np.asarray(panels, dtype=np.int64)
+    shape, _, _ = basis_tables(mesh, rule, shape_functions)
+    out = [np.zeros((len(panels),) + shape.shape[1:]) for _ in range(n_kernels)]
+    if len(panels) == 0:
+        return out
+    xq_all = panel_quad_points(mesh, rule)
+    wl = np.einsum("q,q...->q...", rule.weights, shape)
+
+    def run(sl):
+        pid = panels[sl]
+        area = mesh.areas[pid]
+        for o, k in zip(out, formula(points[sl][:, None, :] - xq_all[pid], pid)):
+            o[sl] = np.einsum("pq,q...,p->p...", k, wl, area)
+
+    chunk = max(1, PAIR_CHUNK_POINTS // rule.n_points)
+    run_parallel(run, _chunks(len(panels), chunk), threads)
+    return out
 
 
 def kernel_pair_entries(
@@ -337,51 +375,29 @@ def kernel_pair_entries(
     kappa: float,
     yukawa: bool = True,
     shape_functions: bool = False,
-    chunk: int = 4096,
     threads: int | None = None,
 ):
     """Panel integrals for explicit (target point, panel) pairs.
 
     Returns (VL, KL, VY, KY) with shape (P,) or (P, 3) when integrating
-    against the linear shape functions. Used to patch near-singular entries
-    with a finer rule. Chunks of pairs run on ``threads`` workers (see
-    ``run_parallel``).
+    against the linear shape functions; VY and KY are None without
+    ``yukawa``. The target must not lie on the panel.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    panels = np.asarray(panels, dtype=np.int64)
-    n_pairs = len(panels)
-    shape, _, _ = basis_tables(mesh, rule, shape_functions)
-    size = (n_pairs,) + shape.shape[1:]
-    vl = np.zeros(size)
-    kl = np.zeros(size)
-    vy = np.zeros(size) if yukawa else None
-    ky = np.zeros(size) if yukawa else None
-    if n_pairs == 0:
-        return vl, kl, vy, ky
-    # each panel has many near targets: map its points once, gather per pair
-    xq_all = panel_quad_points(mesh, rule)
-    wl = np.einsum("q,q...->q...", rule.weights, shape)
 
-    def red(k, area):
-        return np.einsum("pq,q...,p->p...", k, wl, area)
-
-    def run(sl):
-        pid = panels[sl]
-        d = points[sl][:, None, :] - xq_all[pid]
+    def layers(d, pid):
         r = np.linalg.norm(d, axis=-1)
         dotn = np.einsum("pqx,px->pq", d, mesh.normals[pid])
         gl = 1.0 / (FOUR_PI * r)
         klk = dotn * gl / (r * r)
-        area = mesh.areas[pid]
-        vl[sl] = red(gl, area)
-        kl[sl] = red(klk, area)
-        if yukawa:
-            ex = np.exp(-kappa * r)
-            vy[sl] = red(gl * ex, area)
-            ky[sl] = red(klk * (1.0 + kappa * r) * ex, area)
+        if not yukawa:
+            return gl, klk
+        ex = np.exp(-kappa * r)
+        return gl, klk, gl * ex, klk * (1.0 + kappa * r) * ex
 
-    run_parallel(run, _chunks(n_pairs, max(1, int(chunk * 7 / rule.n_points))), threads)
-    return vl, kl, vy, ky
+    vals = _pair_quadrature(
+        points, mesh, panels, rule, shape_functions, 4 if yukawa else 2, layers, threads
+    )
+    return tuple(vals) if yukawa else (*vals, None, None)
 
 
 def _add_pairs(block, ti, pair_cols, delta):
@@ -404,74 +420,58 @@ def operator_blocks(
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
-    Fills ``out`` as ``kernel_row_blocks`` does: GAUSS7 panel integrals,
-    redone with NEAR_RULE for panels near the target. With ``collocated``
-    the targets are the basis's collocation points (P0: centroids, P1:
-    vertices) and all four blocks are given; pairs whose target lies on the
-    panel then get the singular integrals instead.
+    Fills ``out`` as ``kernel_row_blocks`` does and integrates every
+    (target, panel) pair once: GAUSS7 for far pairs, NEAR_RULE for the
+    pairs of ``near_pairs``. With ``collocated`` the targets are the
+    basis's collocation points (P0: centroids, P1: vertices) and all four
+    blocks are given; a pair whose target lies on the panel gets the polar
+    single-layer integrals instead, and its flat-panel double layer vanishes.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions)
-    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, shape_functions, threads)
     ti, pj = near_pairs(targets, mesh)
-    if collocated:
-        off = ~(cols[pj] == ti[:, None]).any(axis=1)
-        ti, pj = ti[off], pj[off]
-    kw = dict(kappa=kappa, yukawa=out[2] is not None, shape_functions=shape_functions,
-              threads=threads)
-    coarse = kernel_pair_entries(targets[ti], mesh, pj, GAUSS7, **kw)
-    fine = kernel_pair_entries(targets[ti], mesh, pj, NEAR_RULE, **kw)
-    for block, c, f in zip(out, coarse, fine):
+    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions, threads)
+    pair_cols = cols[pj]
+    on_panel = pair_cols == ti[:, None]  # target is this local column's node
+    on = collocated & on_panel.any(axis=1)
+    off = ~on
+    fine = kernel_pair_entries(
+        targets[ti[off]], mesh, pj[off], NEAR_RULE, kappa, yukawa=out[2] is not None,
+        shape_functions=shape_functions, threads=threads,
+    )
+    for block, f in zip(out, fine):
         if block is not None:
-            _add_pairs(block, ti, cols[pj], f - c)
-    if collocated:
-        _singular_terms(out, targets, mesh, kappa, shape_functions, threads)
-
-
-def _singular_terms(out, targets, mesh: SurfaceMesh, kappa: float, shape_functions, threads):
-    """Polar single-layer integrals for the pairs whose target lies on the panel;
-    the flat-panel double layer vanishes there."""
-    if not shape_functions:
-        # a centroid lies on its own panel only: overwrite the diagonal
-        idx = np.arange(mesh.n_panels)
-        v_self = centroid_self_single_layer(mesh)
-        y_self = v_self + yukawa_regular_part(targets, mesh, idx, kappa, threads=threads)
-        for block, value in zip(out, (v_self, 0.0, y_self, 0.0)):
-            block[idx, idx] = value
+            _add_pairs(block, ti[off], pair_cols[off], f)
+    if not collocated:
         return
-    # a vertex lies on each incident panel, whose other corners share its
-    # columns: subtract the regular-rule entries and add the corner integrals
-    inc_t = np.repeat(np.arange(mesh.n_panels), 3)
-    inc_v = mesh.triangles.ravel()
-    reg = kernel_pair_entries(
-        targets[inc_v], mesh, inc_t, GAUSS7, kappa, shape_functions=True, threads=threads
+    if shape_functions:
+        # a vertex lies on each incident panel, at one of its corners
+        v = corner_single_layer_linear(mesh, pj[on], on_panel[on].argmax(axis=1))
+    else:
+        # a centroid lies on its own panel only
+        v = centroid_self_single_layer(mesh)[pj[on]]
+    y = v + yukawa_regular_part(
+        targets[ti[on]], mesh, pj[on], kappa, shape_functions=shape_functions, threads=threads
     )
-    v_corner = corner_single_layer_linear(mesh, inc_t, np.tile(np.arange(3), mesh.n_panels))
-    y_corner = v_corner + yukawa_regular_part(
-        targets[inc_v], mesh, inc_t, kappa, shape_functions=True, threads=threads
-    )
-    for block, value, r in zip(out, (v_corner, 0.0, y_corner, 0.0), reg):
-        _add_pairs(block, inc_v, mesh.triangles[inc_t], value - r)
+    for block, value in ((out[0], v), (out[2], y)):
+        _add_pairs(block, ti[on], pair_cols[on], value)
 
 
-def near_pairs(points, mesh: SurfaceMesh, factor: float = NEAR_FACTOR):
-    """(target, panel) index pairs with |point - centroid| < factor * diameter."""
+def near_pairs(points, mesh: SurfaceMesh):
+    """(target, panel) index pairs with |point - centroid| < NEAR_FACTOR * diameter,
+    sorted by target, then panel."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    radius = factor * float(mesh.diameters.max())
-    tree = cKDTree(mesh.centroids)
-    ti, pj = [], []
-    hits = tree.query_ball_point(points, r=radius)
-    for i, js in enumerate(hits):
-        if not js:
-            continue
-        js = np.sort(np.asarray(js, dtype=np.int64))
-        d = np.linalg.norm(points[i] - mesh.centroids[js], axis=1)
-        keep = js[d < factor * mesh.diameters[js]]
-        ti.append(np.full(len(keep), i, dtype=np.int64))
-        pj.append(keep)
-    if not ti:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(ti), np.concatenate(pj)
+    radius = NEAR_FACTOR * mesh.diameters
+    # the tree's test is inclusive and rounds its own way: a slightly wider
+    # ball finds every candidate, the strict test below decides
+    hits = cKDTree(points).query_ball_point(mesh.centroids, r=radius * (1.0 + 1e-12))
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    ti = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=counts.sum())
+    pj = np.repeat(np.arange(mesh.n_panels), counts)
+    keep = np.linalg.norm(points[ti] - mesh.centroids[pj], axis=1) < radius[pj]
+    ti, pj = ti[keep], pj[keep]
+    order = np.lexsort((pj, ti))
+    return ti[order], pj[order]
 
 
 def centroid_self_single_layer(mesh: SurfaceMesh, n_angles: int = 16) -> np.ndarray:
@@ -507,24 +507,14 @@ def yukawa_regular_part(
 
     Adding this to the Laplace self integral gives the Yukawa self integral.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    panels = np.asarray(panels, dtype=np.int64)
-    n_pairs = len(panels)
-    shape, _, _ = basis_tables(mesh, rule, shape_functions)
-    out = np.zeros((n_pairs,) + shape.shape[1:])
-    if n_pairs == 0 or kappa == 0.0:
-        return out
-    xq_all = panel_quad_points(mesh, rule)
-    wl = np.einsum("q,q...->q...", rule.weights, shape)
+    if kappa == 0.0:  # the remainder vanishes
+        return np.zeros((len(panels), 3) if shape_functions else len(panels))
 
-    def run(sl):
-        pid = panels[sl]
-        r = np.linalg.norm(points[sl][:, None, :] - xq_all[pid], axis=-1)
+    def remainder(d, _pid):
+        r = np.linalg.norm(d, axis=-1)
         small = r < 1e-12
         rs = np.where(small, 1.0, r)
         vals = (np.exp(-kappa * rs) - 1.0) / (FOUR_PI * rs)
-        vals = np.where(small, -kappa / FOUR_PI, vals)  # removable limit at r = 0
-        out[sl] = np.einsum("pq,q...,p->p...", vals, wl, mesh.areas[pid])
+        return (np.where(small, -kappa / FOUR_PI, vals),)  # removable limit at r = 0
 
-    run_parallel(run, _chunks(n_pairs, 2048), threads)
-    return out
+    return _pair_quadrature(points, mesh, panels, rule, shape_functions, 1, remainder, threads)[0]

@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import gmres
 
 from . import kernels
 from .errors import SolverError, UsageError
@@ -88,40 +88,43 @@ def assemble_system(
     return a, b
 
 
-def _gmres_solve(a, b, tol: float, max_iters: int, diagonal_scaling: bool):
+def _gmres_solve(a, b, tol: float, max_iters: int):
+    """GMRES, restarted from its iterate until the true relative residual is
+    at most ``tol``; scipy stops on its own residual estimate, which can end
+    slightly above ``tol``. Raises SolverError once ``max_iters`` iterations
+    are spent or a restart makes no progress."""
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), 0.0, 0
-    m = None
-    if diagonal_scaling:
-        d = np.abs(np.diag(a))
-        d[d == 0.0] = 1.0
-        m = LinearOperator((n, n), matvec=lambda x: x / d)
     iters = [0]
 
     def count(_residual):
         iters[0] += 1
 
-    x, _info = gmres(
-        a,
-        b,
-        rtol=tol,
-        atol=0.0,
-        restart=min(max_iters, n),
-        maxiter=1,
-        M=m,
-        callback=count,
-        callback_type="pr_norm",
-    )
-    residual = float(np.linalg.norm(b - a @ x)) / b_norm
-    if residual > tol:
-        raise SolverError(
-            f"GMRES stalled at relative residual {residual:.3e} after {iters[0]} iterations",
-            residual=residual,
-            iterations=iters[0],
+    x = np.zeros(n)
+    while True:
+        start = iters[0]
+        x, _info = gmres(
+            a,
+            b,
+            x0=x,
+            rtol=tol,
+            atol=0.0,
+            restart=min(max_iters - start, n),
+            maxiter=1,
+            callback=count,
+            callback_type="pr_norm",
         )
-    return x, residual, iters[0]
+        residual = float(np.linalg.norm(b - a @ x)) / b_norm
+        if residual <= tol:
+            return x, residual, iters[0]
+        if iters[0] >= max_iters or iters[0] == start:
+            raise SolverError(
+                f"GMRES stalled at relative residual {residual:.3e} after {iters[0]} iterations",
+                residual=residual,
+                iterations=iters[0],
+            )
 
 
 def solve_forward(
@@ -130,12 +133,11 @@ def solve_forward(
     charges: ChargeSet,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagonal_scaling: bool = False,
     threads: int | None = None,
 ) -> PanelSolution:
     """Piecewise-constant traces collocated at panel centroids."""
     a, b = assemble_system(mesh, physics, charges, space="P0", threads=threads)
-    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters, diagonal_scaling)
+    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = mesh.n_panels
     return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters)
 
@@ -148,7 +150,6 @@ def solve_adjoint(
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagonal_scaling: bool = False,
     threads: int | None = None,
 ) -> PanelSolution:
     """Dual traces on a uniformly refined mesh, continuous piecewise linear.
@@ -175,6 +176,6 @@ def solve_adjoint(
             refined, parent_map=fine.parent_map[refined.parent_map]
         )
     a, b = assemble_system(fine, physics, charges, space="P1", threads=threads)
-    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters, diagonal_scaling)
+    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = fine.n_vertices
     return PanelSolution("P1", x[:n], x[n:], fine, residual, iters)

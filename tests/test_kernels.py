@@ -284,6 +284,74 @@ def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions):
             assert np.array_equal(g, w)
 
 
+def test_near_pairs_match_brute_force_on_uneven_mesh():
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 1)
+    for _ in range(2):  # refine one cap twice: panel sizes differ by 4x
+        marked = np.flatnonzero(mesh.centroids[:, 2] > 0.4)
+        mesh = refine_flat(mesh, close_marking(mesh, marked))
+    rng = np.random.default_rng(5)
+    inner = rng.standard_normal((50, 3))
+    inner *= rng.uniform(0.5, 0.99, 50)[:, None] / np.linalg.norm(inner, axis=1)[:, None]
+    for points in (mesh.centroids, mesh.vertices, inner):
+        d = np.linalg.norm(points[:, None, :] - mesh.centroids[None, :, :], axis=-1)
+        want = np.nonzero(d < kn.NEAR_FACTOR * mesh.diameters[None, :])
+        got = kn.near_pairs(points, mesh)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_p0_operator_integrates_near_and_self_pairs_once():
+    import pbadapt as pa
+
+    mesh, kappa = pa.icosphere(1.0, 1), 0.125
+    n = mesh.n_panels
+    out = tuple(np.empty((n, n)) for _ in range(4))
+    kn.operator_blocks(mesh.centroids, mesh, kappa, out, collocated=True)
+    ti, pj = kn.near_pairs(mesh.centroids, mesh)
+    off = ti != pj
+    fine = kn.kernel_pair_entries(mesh.centroids[ti[off]], mesh, pj[off], kn.NEAR_RULE, kappa)
+    for block, f in zip(out, fine):
+        assert np.array_equal(block[ti[off], pj[off]], f)
+    idx = np.arange(n)
+    v_self = kn.centroid_self_single_layer(mesh)
+    y_self = v_self + kn.yukawa_regular_part(mesh.centroids, mesh, idx, kappa)
+    for block, value in zip(out, (v_self, 0.0, y_self, 0.0)):
+        assert np.array_equal(block[idx, idx], np.broadcast_to(value, n))
+
+
+def test_p1_operator_matches_per_pair_reference():
+    import pbadapt as pa
+
+    mesh, kappa = pa.icosphere(1.0, 1), 0.125
+    nv = mesh.n_vertices
+    out = tuple(np.empty((nv, nv)) for _ in range(4))
+    kn.operator_blocks(mesh.vertices, mesh, kappa, out, shape_functions=True, collocated=True)
+    # every (vertex, panel) pair gets one integral: GAUSS7 if far, NEAR_RULE
+    # if near, the corner integrals if the vertex is one of the panel's corners
+    ti, pj = np.divmod(np.arange(nv * mesh.n_panels), mesh.n_panels)
+    tris = mesh.triangles[pj]
+    on = (tris == ti[:, None]).any(axis=1)
+    d = np.linalg.norm(mesh.vertices[ti] - mesh.centroids[pj], axis=1)
+    near = d < kn.NEAR_FACTOR * mesh.diameters[pj]
+    vals = np.zeros((4, len(ti), 3))
+    for mask, rule in ((~near, GAUSS7), (near & ~on, kn.NEAR_RULE)):
+        vals[:, mask] = _pair_entries_mapped_per_pair(
+            mesh.vertices[ti[mask]], mesh, pj[mask], rule, kappa, True
+        )
+    corner = (tris[on] == ti[on, None]).argmax(axis=1)
+    vals[0, on] = kn.corner_single_layer_linear(mesh, pj[on], corner)
+    vals[2, on] = vals[0, on] + kn.yukawa_regular_part(
+        mesh.vertices[ti[on]], mesh, pj[on], kappa, shape_functions=True
+    )
+    for block, val in zip(out, vals):
+        want = np.zeros((nv, nv))
+        np.add.at(want, (ti[:, None], tris), val)
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_run_parallel_calls_each_item_once():
     import sys
 

@@ -152,6 +152,25 @@ def test_gmres_nonconvergence_raises(salty, offcenter_charge):
     assert err.value.residual is not None and err.value.residual > 1e-8
 
 
+def test_gmres_restarts_until_true_residual_meets_tol(salty, offcenter_charge, monkeypatch):
+    # the first GMRES call stops early, as scipy may on its own residual
+    # estimate; the solve restarts from the iterate instead of failing
+    real = pa.solver.gmres
+    restarts = []
+
+    def stops_early_once(a, b, **kwargs):
+        restarts.append(kwargs["restart"])
+        if len(restarts) == 1:
+            kwargs["restart"] = 3
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(pa.solver, "gmres", stops_early_once)
+    sol = pa.solve_forward(pa.icosphere(1.0, 1), salty, offcenter_charge)
+    assert len(restarts) >= 2
+    assert sol.gmres_residual <= 1e-8
+    assert sol.gmres_iters > 3  # both calls' iterations are counted
+
+
 def test_adjoint_dof_counts(salty, offcenter_charge):
     mesh = pa.icosphere(1.0, 1)
     adj0 = pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=0)
