@@ -56,7 +56,6 @@ def _estimate(
     charges: ChargeSet,
     physics: BiePhysics,
     tag: str,
-    rule: QuadratureRule,
 ) -> ErrorMap:
     if forward.space != "P0":
         raise UsageError("forward solution must be piecewise constant")
@@ -70,15 +69,15 @@ def _estimate(
     if parents.max() >= coarse.n_panels or len(np.unique(parents)) != coarse.n_panels:
         raise UsageError("adjoint mesh does not descend from the forward mesh")
     half_eps = 0.5 * physics.eps_m
-    nq = rule.n_points
+    nq = GAUSS3.n_points
 
     # Terms carrying the dual traces live on the (possibly conforming) fine
     # mesh; the piecewise-constant forward data is spread over descendants.
-    pts, nrm, wts = _panel_quadrature(fine, rule)
+    pts, nrm, wts = _panel_quadrature(fine, GAUSS3)
     u_c, du_c = coulomb_trace(charges, physics, pts, nrm)
     tris = fine.triangles
-    phi = np.einsum("ql,tl->tq", rule.points, adjoint.u_trace[tris]).ravel()
-    dphi = np.einsum("ql,tl->tq", rule.points, adjoint.dudn_trace[tris]).ravel()
+    phi = np.einsum("ql,tl->tq", GAUSS3.points, adjoint.u_trace[tris]).ravel()
+    dphi = np.einsum("ql,tl->tq", GAUSS3.points, adjoint.dudn_trace[tris]).ravel()
     dual_bracket = dphi * u_c - phi * du_c
     if tag == "Ephi":
         u_r = np.repeat(forward.u_trace[parents], nq) - u_c
@@ -95,7 +94,7 @@ def _estimate(
         # The bracket holding only forward data belongs to the mesh the
         # forward traces were solved on; there it regroups the discrete
         # energy exactly.
-        pts_c, nrm_c, wts_c = _panel_quadrature(coarse, rule)
+        pts_c, nrm_c, wts_c = _panel_quadrature(coarse, GAUSS3)
         u_cc, du_cc = coulomb_trace(charges, physics, pts_c, nrm_c)
         u_f = np.repeat(forward.u_trace, nq)
         du_f = np.repeat(forward.dudn_trace, nq)
@@ -111,10 +110,9 @@ def estimate_Ephi(
     adjoint: PanelSolution,
     charges: ChargeSet,
     physics: BiePhysics,
-    rule: QuadratureRule = GAUSS3,
 ) -> ErrorMap:
     """Estimator weighting the dual traces against the reaction-field traces."""
-    return _estimate(forward, adjoint, charges, physics, "Ephi", rule)
+    return _estimate(forward, adjoint, charges, physics, "Ephi")
 
 
 def estimate_Eu(
@@ -122,10 +120,9 @@ def estimate_Eu(
     adjoint: PanelSolution,
     charges: ChargeSet,
     physics: BiePhysics,
-    rule: QuadratureRule = GAUSS3,
 ) -> ErrorMap:
     """Estimator weighting the Coulomb trace against the full forward traces."""
-    return _estimate(forward, adjoint, charges, physics, "Eu", rule)
+    return _estimate(forward, adjoint, charges, physics, "Eu")
 
 
 def effectivity(estimate: float, dG_numeric: float, dG_exact: float) -> float:

@@ -34,6 +34,7 @@ SMOOTH_RULE = subdivided(GAUSS7, 2)
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 6.0e6           # values per kernel array, summed over concurrent row batches
 PAIR_CHUNK_POINTS = 4096 * 7       # quadrature points per chunk of (target, panel) pairs
+FAN_ANGLES = 16                    # Gauss points in angle per fan subtriangle
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +96,16 @@ def panel_integral(kernel, target, panel, rule: QuadratureRule) -> float:
 # singular fan quadrature
 
 
-def _fan_single_layer(targets, corners, n_angles, grads=None, psi_at_target=None):
+def _fan_single_layer(targets, corners, grads=None, psi_at_target=None):
     """Single-layer Laplace integral over triangles whose target lies on them.
 
     For each entry the triangle is fanned into subtriangles around the
     target; the radial integral is closed-form and the angle is integrated
-    with an ``n_angles``-point Gauss rule. With ``grads`` (per-entry shape
+    with a ``FAN_ANGLES``-point Gauss rule. With ``grads`` (per-entry shape
     function gradients, (P, 3, 3)) and ``psi_at_target`` (P, 3) the density
     is piecewise linear and the result has one column per shape function.
     """
-    gx, gw = np.polynomial.legendre.leggauss(n_angles)
+    gx, gw = np.polynomial.legendre.leggauss(FAN_ANGLES)
     targets = np.asarray(targets, dtype=float)
     n_entries = len(targets)
     linear = grads is not None
@@ -165,7 +166,7 @@ def _require_on_panel(panel, target):
         raise UsageError("target lies outside the panel")
 
 
-def singular_self_integral(panel, target, n_angles: int = 16) -> float:
+def singular_self_integral(panel, target) -> float:
     """Laplace single-layer self integral of a flat panel, unit density.
 
     The target must lie on the panel (typically its collocation point).
@@ -173,7 +174,7 @@ def singular_self_integral(panel, target, n_angles: int = 16) -> float:
     panel = np.asarray(panel, dtype=float)
     target = np.asarray(target, dtype=float)
     _require_on_panel(panel, target)
-    return float(_fan_single_layer(target[None, :], panel[None, :, :], n_angles)[0])
+    return float(_fan_single_layer(target[None, :], panel[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +475,13 @@ def near_pairs(points, mesh: SurfaceMesh):
     return ti[order], pj[order]
 
 
-def centroid_self_single_layer(mesh: SurfaceMesh, n_angles: int = 16) -> np.ndarray:
+def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:
     """Laplace single-layer self integral of every panel at its centroid."""
     corners = mesh.vertices[mesh.triangles]
-    return _fan_single_layer(mesh.centroids, corners, n_angles)
+    return _fan_single_layer(mesh.centroids, corners)
 
 
-def corner_single_layer_linear(
-    mesh: SurfaceMesh, panels, corner_local, n_angles: int = 16
-) -> np.ndarray:
+def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.ndarray:
     """(P, 3) Laplace single-layer integrals with linear density, target at a corner."""
     panels = np.asarray(panels, dtype=np.int64)
     corner_local = np.asarray(corner_local, dtype=np.int64)
@@ -491,7 +490,7 @@ def corner_single_layer_linear(
     grads = shape_gradients(mesh)[panels]
     psi_t = np.zeros((len(panels), 3))
     psi_t[np.arange(len(panels)), corner_local] = 1.0
-    return _fan_single_layer(targets, corners, n_angles, grads=grads, psi_at_target=psi_t)
+    return _fan_single_layer(targets, corners, grads=grads, psi_at_target=psi_t)
 
 
 def yukawa_regular_part(

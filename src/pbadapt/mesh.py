@@ -76,12 +76,11 @@ class SurfaceMesh:
             raise MeshInvariantError(f"triangle {bad} has (near) zero area")
         # Closed + consistently oriented: every undirected edge appears exactly
         # twice, once per direction.
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        und = np.sort(edges, axis=1)
-        _, counts = np.unique(und, axis=0, return_counts=True)
+        key, rev = _edge_keys(t, len(v))
+        _, counts = np.unique(np.minimum(key, rev), return_counts=True)
         if np.any(counts != 2):
             raise MeshInvariantError("surface is not a closed 2-manifold")
-        if len(np.unique(edges, axis=0)) != len(edges):
+        if len(np.unique(key)) != len(key):
             raise MeshInvariantError("inconsistent triangle orientation")
         if self.signed_volume <= 0.0:
             raise MeshInvariantError("normals do not point outward (signed volume <= 0)")
@@ -117,18 +116,15 @@ class SurfaceMesh:
         c.setflags(write=False)
         return c
 
+    def _edge_lengths(self) -> np.ndarray:
+        """(T, 3) length of local edge k = (v_k, v_{k+1})."""
+        p = self._corners
+        return np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
+
     @cached_property
     def diameters(self) -> np.ndarray:
         """Longest edge per triangle."""
-        p = self._corners
-        e = np.stack(
-            [
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            ]
-        )
-        d = e.max(axis=0)
+        d = self._edge_lengths().max(axis=1)
         d.setflags(write=False)
         return d
 
@@ -139,30 +135,15 @@ class SurfaceMesh:
 
     @cached_property
     def mean_edge_length(self) -> float:
-        p = self._corners
-        e = (
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-            + np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-            + np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-        )
-        return float(e.sum() / (3 * len(p)))
+        e = self._edge_lengths()
+        return float((e[:, 0] + e[:, 1] + e[:, 2]).sum() / e.size)
 
     @cached_property
     def neighbors(self) -> np.ndarray:
         """(T, 3) triangle adjacent across local edge k = (v_k, v_{k+1})."""
-        t = self.triangles
-        owner: dict[tuple[int, int], tuple[int, int]] = {}
-        nbr = np.full((len(t), 3), -1, dtype=np.int64)
-        for ti in range(len(t)):
-            for k in range(3):
-                a, b = int(t[ti, k]), int(t[ti, (k + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                if key in owner:
-                    tj, kj = owner.pop(key)
-                    nbr[ti, k] = tj
-                    nbr[tj, kj] = ti
-                else:
-                    owner[key] = (ti, k)
+        key, rev = _edge_keys(self.triangles, self.n_vertices)
+        order = np.argsort(key)  # _validate: every reversed key occurs exactly once
+        nbr = order[np.searchsorted(key, rev, sorter=order)].reshape(-1, 3) // 3
         nbr.setflags(write=False)
         return nbr
 
@@ -190,6 +171,16 @@ class MarkedSet:
         bad = self.refine4 & {t for t, _ in self.bisect}
         if bad:
             raise MeshInvariantError(f"triangles both 4-split and bisected: {sorted(bad)}")
+
+
+def _edge_keys(triangles: np.ndarray, n_vertices: int):
+    """Directed key ``a * V + b`` of every local edge k = (v_k, v_{k+1}).
+
+    Flattened in (triangle, k) order, so entry ``3 * t + k`` is edge k of
+    triangle t; the second array holds the key of each reversed edge.
+    """
+    a, b = triangles, np.roll(triangles, -1, axis=1)
+    return (a * n_vertices + b).ravel(), (b * n_vertices + a).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -371,83 +362,75 @@ def close_marking(mesh: SurfaceMesh, marked) -> MarkedSet:
     4-split set; one bordering exactly 1 is bisected across that edge.
     Promotion can create new borders, so this iterates to a fixpoint.
     """
-    marked = set(int(i) for i in marked)
-    if marked and (min(marked) < 0 or max(marked) >= mesh.n_panels):
+    idx = np.fromiter((int(i) for i in marked), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= mesh.n_panels):
         raise UsageError("marked triangle index out of range")
+    return _closure(mesh, idx)
+
+
+def _closure(mesh: SurfaceMesh, marked: np.ndarray) -> MarkedSet:
     nbr = mesh.neighbors
-    refine4 = set(marked)
-    candidates = set(range(mesh.n_panels)) - refine4
+    split = np.zeros(mesh.n_panels, dtype=bool)
+    split[marked] = True
     while True:
-        promoted = [
-            t for t in candidates
-            if sum(int(nbr[t, k]) in refine4 for k in range(3)) >= 2
-        ]
-        if not promoted:
+        promoted = ~split & (split[nbr].sum(axis=1) >= 2)
+        if not promoted.any():
             break
-        refine4.update(promoted)
-        candidates.difference_update(promoted)
-    bisect = set()
-    for t in sorted(candidates):
-        touching = [k for k in range(3) if int(nbr[t, k]) in refine4]
-        if len(touching) == 1:
-            bisect.add((t, touching[0]))
-    return MarkedSet(frozenset(refine4), frozenset(bisect))
+        split |= promoted
+    touching = split[nbr]
+    bisected = np.flatnonzero(~split & (touching.sum(axis=1) == 1))
+    bisect = zip(bisected.tolist(), touching[bisected].argmax(axis=1).tolist())
+    return MarkedSet(frozenset(np.flatnonzero(split).tolist()), frozenset(bisect))
 
 
 def _check_plan_closed(mesh: SurfaceMesh, plan: MarkedSet) -> None:
-    nbr = mesh.neighbors
-    bisect_by_tri = {t: k for t, k in plan.bisect}
-    if plan.refine4 and max(plan.refine4) >= mesh.n_panels:
+    named = [*plan.refine4, *(t for t, _ in plan.bisect)]
+    if any(not 0 <= t < mesh.n_panels for t in named):
         raise MeshInvariantError("plan references an unknown triangle")
-    for t in range(mesh.n_panels):
-        if t in plan.refine4:
-            continue
-        touching = [k for k in range(3) if int(nbr[t, k]) in plan.refine4]
-        if len(touching) >= 2:
-            raise MeshInvariantError(f"plan not closed: triangle {t} borders {len(touching)} split panels")
-        if len(touching) == 1 and bisect_by_tri.get(t) != touching[0]:
-            raise MeshInvariantError(f"plan not closed: triangle {t} misses its bisection edge")
-        if len(touching) == 0 and t in bisect_by_tri:
-            raise MeshInvariantError(f"plan not closed: triangle {t} bisected without a split neighbor")
+    # Not close_marking: the benchmark tracer wraps it to count plans made.
+    closed = _closure(mesh, np.fromiter(plan.refine4, dtype=np.int64))
+    if closed != plan:
+        wrong = closed.refine4 - plan.refine4 | {t for t, _ in closed.bisect ^ plan.bisect}
+        raise MeshInvariantError(f"plan not closed at triangles {sorted(wrong)}")
 
 
 # ---------------------------------------------------------------------------
 # refinement
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _build_children(mesh: SurfaceMesh, plan: MarkedSet, midpoint_of):
+def _build_children(mesh: SurfaceMesh, plan: MarkedSet):
     """Shared construction for flat and conforming refinement.
 
-    ``midpoint_of(a, b)`` supplies the index of the vertex replacing the
-    midpoint of edge (a, b), creating it on first use.
+    Returns the child triangles in panel order, the parent of each child,
+    and the (M, 3) midpoints of the split edges: new vertex
+    ``n_vertices + i`` replaces ``midpoints[i]``, numbered in order of
+    first use.
     """
-    tris = mesh.triangles
-    bisect_by_tri = {t: k for t, k in plan.bisect}
+    n = mesh.n_vertices
+    bisect_by_tri = dict(plan.bisect)
+    index: dict[tuple[int, int], int] = {}  # sorted split edge -> new vertex
     new_tris: list[list[int]] = []
     parents: list[int] = []
-    for t in range(mesh.n_panels):
-        a, b, c = (int(x) for x in tris[t])
+    for t, abc in enumerate(mesh.triangles.tolist()):
         if t in plan.refine4:
-            ab = midpoint_of(a, b)
-            bc = midpoint_of(b, c)
-            ca = midpoint_of(c, a)
+            a, b, c = abc
+            ab, bc, ca = (
+                index.setdefault((min(p, q), max(p, q)), n + len(index))
+                for p, q in ((a, b), (b, c), (c, a))
+            )
             children = [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
         elif t in bisect_by_tri:
             k = bisect_by_tri[t]
-            verts = [a, b, c]
-            p, q = verts[k], verts[(k + 1) % 3]
-            o = verts[(k + 2) % 3]
-            m = midpoint_of(p, q)
+            p, q, o = abc[k:] + abc[:k]
+            m = index.setdefault((min(p, q), max(p, q)), n + len(index))
             children = [[p, m, o], [m, q, o]]
         else:
-            children = [[a, b, c]]
+            children = [abc]
         new_tris += children
         parents += [t] * len(children)
-    return np.array(new_tris, dtype=np.int64), np.array(parents, dtype=np.int64)
+    ends = np.array(list(index), dtype=np.int64).reshape(-1, 2)
+    midpoints = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+    return np.array(new_tris, dtype=np.int64), np.array(parents, dtype=np.int64), midpoints
 
 
 def refine_flat(mesh: SurfaceMesh, plan: MarkedSet) -> SurfaceMesh:
@@ -457,18 +440,8 @@ def refine_flat(mesh: SurfaceMesh, plan: MarkedSet) -> SurfaceMesh:
     total area, and keeps the mesh conforming.
     """
     _check_plan_closed(mesh, plan)
-    verts = list(mesh.vertices)
-    cache: dict[tuple[int, int], int] = {}
-
-    def midpoint_of(a: int, b: int) -> int:
-        key = _edge_key(a, b)
-        if key not in cache:
-            cache[key] = len(verts)
-            verts.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-        return cache[key]
-
-    tris, parents = _build_children(mesh, plan, midpoint_of)
-    return SurfaceMesh(np.array(verts), tris, parent_map=parents)
+    tris, parents, midpoints = _build_children(mesh, plan)
+    return SurfaceMesh(np.vstack([mesh.vertices, midpoints]), tris, parent_map=parents)
 
 
 def refine_all(mesh: SurfaceMesh) -> SurfaceMesh:
@@ -496,34 +469,20 @@ def refine_conforming(
     dist, idx = tree.query(mesh.vertices)
     used: dict[int, int] = {int(b): int(v) for v, (d, b) in enumerate(zip(dist, idx)) if d <= DUPLICATE_TOL}
 
-    verts = list(mesh.vertices)
-    claims: dict[int, int] = {}  # new vertex index -> claimed background index
-    cache: dict[tuple[int, int], int] = {}
-    collisions = [0]
-
-    def snap(pos: np.ndarray, vertex_index: int) -> np.ndarray:
-        _, b = tree.query(pos)
-        b = int(b)
-        if used.get(b, vertex_index) != vertex_index:
-            collisions[0] += 1  # nearest background vertex taken: stay unsnapped
-            return pos
-        used[b] = vertex_index
-        claims[vertex_index] = b
-        return background.vertices[b].copy()
-
-    def midpoint_of(a: int, b: int) -> int:
-        key = _edge_key(a, b)
-        if key not in cache:
-            vi = len(verts)
-            cache[key] = vi
-            mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            verts.append(snap(mid, vi))
-        return cache[key]
-
-    tris, parents = _build_children(mesh, plan, midpoint_of)
-    coords = np.array(verts)
+    tris, parents, midpoints = _build_children(mesh, plan)
+    coords = np.vstack([mesh.vertices, midpoints])
     new_first = mesh.n_vertices
     new_indices = list(range(new_first, len(coords)))
+    claims: dict[int, int] = {}  # new vertex index -> claimed background index
+    collisions = 0
+    _, nearest = tree.query(midpoints)
+    for v, b in zip(new_indices, nearest.tolist()):
+        if b in used:
+            collisions += 1  # nearest background vertex taken: stay unsnapped
+            continue
+        used[b] = v
+        claims[v] = b
+        coords[v] = background.vertices[b]
 
     if new_indices and smoothing_passes > 0:
         ring: dict[int, set[int]] = {v: set() for v in new_indices}
@@ -554,11 +513,11 @@ def refine_conforming(
                     used.pop(prev, None)
                 used[b] = v
                 claims[v] = b
-    if collisions[0]:
+    if collisions:
         logger.warning(
             "%d new vertices kept their midpoint position (nearest background "
             "vertex already claimed); background resolution is locally exhausted",
-            collisions[0],
+            collisions,
         )
     return SurfaceMesh(coords, tris, parent_map=parents)
 
@@ -566,15 +525,12 @@ def refine_conforming(
 def _flips_or_degenerates(coords, tris, tri_ids, old_pos, moved_vertex) -> bool:
     """True if moving ``moved_vertex`` flipped or squashed an incident triangle."""
     for ti in tri_ids:
-        a, b, c = tris[ti]
-        p0, p1, p2 = coords[a], coords[b], coords[c]
-        new_n = np.cross(p1 - p0, p2 - p0)
+        p = coords[tris[ti]]
+        new_n = np.cross(p[1] - p[0], p[2] - p[0])
         if 0.5 * np.linalg.norm(new_n) < MIN_AREA:
             return True
-        save = coords[moved_vertex].copy()
-        coords[moved_vertex] = old_pos
-        old_n = np.cross(coords[b] - coords[a], coords[c] - coords[a])
-        coords[moved_vertex] = save
+        p[tris[ti] == moved_vertex] = old_pos
+        old_n = np.cross(p[1] - p[0], p[2] - p[0])
         if np.dot(new_n, old_n) <= 0.0:
             return True
     return False

@@ -18,7 +18,7 @@ from pbadapt.mesh import (
     winding_number,
 )
 
-from conftest import make_tetrahedron
+from conftest import imbalanced_sphere_start, make_tetrahedron
 
 
 # -- construction and invariants -------------------------------------------
@@ -69,6 +69,16 @@ def test_duplicate_vertices_rejected():
     tris = tet.triangles.copy()
     with pytest.raises(MeshInvariantError):
         pa.SurfaceMesh(verts, np.vstack([tris, [[4, 2, 1]]]))
+
+
+def test_edge_shared_by_four_triangles_rejected():
+    # two tetrahedra glued along the edge (0, 1); the second is the first
+    # turned half a turn about that edge
+    tet = make_tetrahedron()
+    verts = np.vstack([tet.vertices, [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]])
+    tris = np.vstack([tet.triangles, [[0, 4, 1], [0, 1, 5], [0, 5, 4], [1, 4, 5]]])
+    with pytest.raises(MeshInvariantError, match="closed 2-manifold"):
+        pa.SurfaceMesh(verts, tris)
 
 
 def test_inward_mesh_rejected():
@@ -214,6 +224,54 @@ def test_mark_elements_cumulative_rule(errors):
 # -- closure -----------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def uneven_mesh(background):
+    from pbadapt.oracle import offcenter_benchmark
+
+    return imbalanced_sphere_start(offcenter_benchmark(), background)
+
+
+def neighbors_reference(mesh):
+    """Triangle across each local edge, looked up by its reversed directed edge."""
+    tris = mesh.triangles.tolist()
+    owner = {(t[k], t[(k + 1) % 3]): i for i, t in enumerate(tris) for k in range(3)}
+    return np.array([[owner[(t[(k + 1) % 3], t[k])] for k in range(3)] for t in tris])
+
+
+def closure_reference(nbr, marked):
+    """Least fixpoint of the promotion rule by set iteration, then the bisections."""
+    refine4 = set(marked)
+    candidates = set(range(len(nbr))) - refine4
+    while True:
+        promoted = [t for t in candidates if sum(int(nbr[t, k]) in refine4 for k in range(3)) >= 2]
+        if not promoted:
+            break
+        refine4.update(promoted)
+        candidates.difference_update(promoted)
+    bisect = set()
+    for t in candidates:
+        touching = [k for k in range(3) if int(nbr[t, k]) in refine4]
+        if len(touching) == 1:
+            bisect.add((t, touching[0]))
+    return refine4, bisect
+
+
+def test_neighbors_match_directed_edge_lookup(uneven_mesh):
+    for mesh in (make_tetrahedron(), pa.icosphere(1.0, 2), uneven_mesh):
+        assert np.array_equal(mesh.neighbors, neighbors_reference(mesh))
+
+
+def test_close_marking_is_least_fixpoint(uneven_mesh):
+    nbr = neighbors_reference(uneven_mesh)
+    rng = np.random.default_rng(5)
+    for size in (1, 3, 10, 40, 150, 400):
+        marked = rng.choice(uneven_mesh.n_panels, size=size, replace=False).tolist()
+        refine4, bisect = closure_reference(nbr, marked)
+        plan = close_marking(uneven_mesh, marked)
+        assert plan.refine4 == refine4
+        assert plan.bisect == bisect
+
+
 def test_close_marking_one_edge_rule():
     tet = make_tetrahedron()
     plan = close_marking(tet, {0})
@@ -313,6 +371,19 @@ def test_refine_flat_rejects_non_closed_plan():
     m = pa.icosphere(1.0, 1)
     with pytest.raises(MeshInvariantError):
         refine_flat(m, MarkedSet(frozenset({0}), frozenset()))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [MarkedSet(frozenset({-1}), frozenset()), MarkedSet(frozenset(), frozenset({(500, 0)}))],
+    ids=["negative-split", "bisect-beyond-mesh"],
+)
+def test_refine_rejects_plan_naming_unknown_triangle(plan, background):
+    m = pa.icosphere(1.0, 1)
+    with pytest.raises(MeshInvariantError, match="unknown triangle"):
+        refine_flat(m, plan)
+    with pytest.raises(MeshInvariantError, match="unknown triangle"):
+        refine_conforming(m, plan, background)
 
 
 def test_parent_map_composes_over_levels():
