@@ -8,9 +8,10 @@ with respect to the *source* point along the source normal,
 so that with outward normals the double layer of a constant density over a
 closed surface sums to -1 for targets inside (Gauss identity).
 
-The singular self-integrals split the panel into a fan of subtriangles
-around the target and integrate the radial direction in closed form with a
-Gaussian rule in angle.
+Near and on-panel pairs use exact flat-triangle Laplace integrals: edge sums
+for constant density (Wilton, Rao, Glisson et al., IEEE TAP 32 (1984) 276),
+their ρ-moment forms for linear density (Graglia, IEEE TAP 41 (1993) 1448)
+and the van Oosterom–Strackee solid angle; Yukawa adds a bounded remainder.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import SingularityError, UsageError
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, half_solid_angles
 from .quadrature import GAUSS7, QuadratureRule, subdivided
 
 COINCIDENT_TOL = 1e-14
 NEAR_FACTOR = 2.0                  # targets within this many diameters are "near"
-NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule for near panels
+NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature reference for near pairs
 SMOOTH_RULE = subdivided(GAUSS7, 2)
+REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 6.0e6           # values per kernel array, summed over concurrent row batches
 PAIR_CHUNK_POINTS = 4096 * 7       # quadrature points per chunk of (target, panel) pairs
-FAN_ANGLES = 16                    # Gauss points in angle per fan subtriangle
 
 
 # ---------------------------------------------------------------------------
@@ -93,77 +94,58 @@ def panel_integral(kernel, target, panel, rule: QuadratureRule) -> float:
 
 
 # ---------------------------------------------------------------------------
-# singular fan quadrature
+# closed-form flat-panel integrals
 
 
-def _fan_single_layer(targets, corners, grads=None, psi_at_target=None):
-    """Single-layer Laplace integral over triangles whose target lies on them.
+def _edge_sum(r, l, r0sq):
+    """R + l at an edge end, as R0^2 / (R - l) where l < 0 so it does not cancel."""
+    neg = l < 0.0
+    return np.where(neg, r0sq / np.where(neg, r - l, 1.0), r + l)
 
-    For each entry the triangle is fanned into subtriangles around the
-    target; the radial integral is closed-form and the angle is integrated
-    with a ``FAN_ANGLES``-point Gauss rule. With ``grads`` (per-entry shape
-    function gradients, (P, 3, 3)) and ``psi_at_target`` (P, 3) the density
-    is piecewise linear and the result has one column per shape function.
+
+def _flat_panel_laplace(x, corners, normals, areas, linear):
+    """Exact Laplace single and double layer of flat triangles at points.
+
+    ``x`` (P, 3) targets; ``corners`` (P, 3, 3), unit ``normals`` and ``areas``
+    of the pairs' panels. Returns (V, K), (P,) for a unit density or (P, 3)
+    for the linear shape functions. Edge k runs from corner k to k + 1 with
+    unit tangent s and in-plane outward normal m; l-+ are its ends along s,
+    t0 the distance from its line to the target's projection, R-+ and R0 the
+    target's distances to the ends and the line, f2 = ln((R+ + l+)/(R- + l-)).
+    On an edge line (R0 = 0) f2 is set to 0: every term using it carries a
+    factor t0, h or R0^2, so that is the limit at a vertex. A target inside
+    the panel in its plane gets K = -+1/2, not the principal value 0.
     """
-    gx, gw = np.polynomial.legendre.leggauss(FAN_ANGLES)
-    targets = np.asarray(targets, dtype=float)
-    n_entries = len(targets)
-    linear = grads is not None
-    out = np.zeros((n_entries, 3)) if linear else np.zeros(n_entries)
-    for e in range(3):
-        a = corners[:, e] - targets
-        b = corners[:, (e + 1) % 3] - targets
-        cr = np.cross(a, b)
-        crn = np.linalg.norm(cr, axis=1)
-        la = np.linalg.norm(a, axis=1)
-        lb = np.linalg.norm(b, axis=1)
-        ok = crn > 1e-12 * np.maximum(la * lb, 1e-300)
-        if not np.any(ok):
-            continue
-        ai, bi = a[ok], b[ok]
-        e1 = ai / la[ok][:, None]
-        nhat = cr[ok] / crn[ok][:, None]
-        e2 = np.cross(nhat, e1)
-        a2x = la[ok]
-        b2x = np.einsum("ij,ij->i", bi, e1)
-        b2y = np.einsum("ij,ij->i", bi, e2)  # > 0 by construction of e2
-        alpha = np.arctan2(b2y, b2x)
-        theta = 0.5 * alpha[:, None] * (gx[None, :] + 1.0)
-        ct, st = np.cos(theta), np.sin(theta)
-        # distance to the line through the opposite edge, per angle
-        nlx, nly = b2y, a2x - b2x
-        rho = (a2x * nlx)[:, None] / (ct * nlx[:, None] + st * nly[:, None])
-        wt = 0.5 * alpha[:, None] * gw[None, :]
-        if not linear:
-            out[ok] += (wt * rho).sum(axis=1) / FOUR_PI
-        else:
-            omega = ct[:, :, None] * e1[:, None, :] + st[:, :, None] * e2[:, None, :]
-            for l in range(3):
-                gdot = np.einsum("pnx,px->pn", omega, grads[ok, l])
-                vals = psi_at_target[ok, l][:, None] * rho + 0.5 * gdot * rho**2
-                out[ok, l] += (wt * vals).sum(axis=1) / FOUR_PI
-    return out
-
-
-def _require_on_panel(panel, target):
-    p0, p1, p2 = panel
-    cr = np.cross(p1 - p0, p2 - p0)
-    area2 = np.linalg.norm(cr)
-    if area2 < 1e-300:
-        raise UsageError("degenerate panel")
-    n = cr / area2
-    diam = max(np.linalg.norm(p1 - p0), np.linalg.norm(p2 - p1), np.linalg.norm(p0 - p2))
-    if abs(np.dot(target - p0, n)) > 1e-9 * diam:
-        raise UsageError("target does not lie on the panel plane")
-    lam = np.array(
-        [
-            np.dot(np.cross(p1 - target, p2 - target), n),
-            np.dot(np.cross(p2 - target, p0 - target), n),
-            np.dot(np.cross(p0 - target, p1 - target), n),
-        ]
-    ) / area2
-    if np.any(lam < -1e-9):
-        raise UsageError("target lies outside the panel")
+    rel = corners - x[:, None, :]                      # corner k minus target
+    r = np.sqrt(np.einsum("pki,pki->pk", rel, rel))
+    edge = np.roll(corners, -1, axis=1) - corners
+    length = np.sqrt(np.einsum("pki,pki->pk", edge, edge))
+    tangent = edge / length[..., None]
+    m = np.cross(tangent, normals[:, None, :])
+    h = -np.einsum("pi,pi->p", rel[:, 0], normals)    # target height above the plane
+    t0 = np.einsum("pki,pki->pk", rel, m)
+    lm = np.einsum("pki,pki->pk", rel, tangent)
+    lp = np.einsum("pki,pki->pk", np.roll(rel, -1, axis=1), tangent)
+    rm, rp = r, np.roll(r, -1, axis=1)
+    r0sq = t0 * t0 + (h * h)[:, None]
+    sp, sm = _edge_sum(rp, lp, r0sq), _edge_sum(rm, lm, r0sq)
+    ok = (sp > 0.0) & (sm > 0.0)
+    f2 = np.log(np.where(ok, sp, 1.0) / np.where(ok, sm, 1.0))
+    omega = 2.0 * half_solid_angles(rel, r)
+    v = (np.einsum("pk,pk->p", t0, f2) + h * omega) / FOUR_PI
+    k = -omega / FOUR_PI
+    if not linear:
+        return v, k
+    # linear density psi(y) = psi(rho) + grad psi . (y - rho), rho the projection;
+    # the gradient of shape function k is -L m / (2A) of the opposite edge k + 1
+    two_a = 2.0 * areas[:, None]
+    psi = np.roll(t0 * length, -1, axis=1) / two_a
+    grads = -np.roll(length[..., None] * m, -1, axis=1) / two_a[..., None]
+    first = np.einsum("pj,pji->pi", r0sq * f2 + lp * rp - lm * rm, m)  # 2 * int (y - rho) / R
+    inverse = np.einsum("pj,pji->pi", f2, m)                          # -int (y - rho) / R^3
+    v = psi * v[:, None] + np.einsum("pki,pi->pk", grads, first) / (2.0 * FOUR_PI)
+    k = psi * k[:, None] - h[:, None] * np.einsum("pki,pi->pk", grads, inverse) / FOUR_PI
+    return v, k
 
 
 def singular_self_integral(panel, target) -> float:
@@ -173,8 +155,19 @@ def singular_self_integral(panel, target) -> float:
     """
     panel = np.asarray(panel, dtype=float)
     target = np.asarray(target, dtype=float)
-    _require_on_panel(panel, target)
-    return float(_fan_single_layer(target[None, :], panel[None, :, :])[0])
+    cr = np.cross(panel[1] - panel[0], panel[2] - panel[0])
+    area2 = np.linalg.norm(cr)
+    if area2 < 1e-300:
+        raise UsageError("degenerate panel")
+    n = cr / area2
+    diam = np.linalg.norm(panel - np.roll(panel, -1, axis=0), axis=1).max()
+    if abs(np.dot(target - panel[0], n)) > 1e-9 * diam:
+        raise UsageError("target does not lie on the panel plane")
+    rel = panel - target
+    if np.any(np.cross(rel[[1, 2, 0]], rel[[2, 0, 1]]) @ n < -1e-9 * area2):
+        raise UsageError("target lies outside the panel")
+    v, _ = _flat_panel_laplace(target[None], panel[None], n[None], np.array([0.5 * area2]), False)
+    return float(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +178,6 @@ def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule) -> np.ndarray:
     """(T, nq, 3) physical quadrature points for every panel."""
     corners = mesh.vertices[mesh.triangles]
     return np.einsum("qk,tkx->tqx", rule.points, corners)
-
-
-def shape_gradients(mesh: SurfaceMesh) -> np.ndarray:
-    """(T, 3, 3) in-plane gradients of the three linear shape functions."""
-    p = mesh.vertices[mesh.triangles]
-    n = mesh.normals
-    inv2a = 1.0 / (2.0 * mesh.areas)
-    g = np.empty((mesh.n_panels, 3, 3))
-    g[:, 0] = np.cross(n, p[:, 2] - p[:, 1]) * inv2a[:, None]
-    g[:, 1] = np.cross(n, p[:, 0] - p[:, 2]) * inv2a[:, None]
-    g[:, 2] = np.cross(n, p[:, 1] - p[:, 0]) * inv2a[:, None]
-    return g
 
 
 def _usable_cpus() -> int:
@@ -401,6 +382,53 @@ def kernel_pair_entries(
     return tuple(vals) if yukawa else (*vals, None, None)
 
 
+def _yukawa_remainder(mesh: SurfaceMesh, kappa: float):
+    """``_pair_quadrature`` formula of the bounded Yukawa remainders, (exp(-kappa r) - 1)
+    / (4 pi r) and (r - r').n' ((1 + kappa r) exp(-kappa r) - 1) / (4 pi r^3) on a flat
+    panel, with expm1 so that small kappa r does not cancel."""
+
+    def remainder(d, pid):
+        r = np.sqrt(np.einsum("pqx,pqx->pq", d, d))
+        small = r < 1e-12
+        rs = np.where(small, 1.0, r)
+        em = np.expm1(-kappa * rs)
+        g = np.where(small, -kappa / FOUR_PI, em / (FOUR_PI * rs))  # removable limit at r = 0
+        h = np.einsum("px,px->p", d[:, 0], mesh.normals[pid])  # (r - r').n' is the same at every point
+        return g, h[:, None] * (em + kappa * rs * (em + 1.0)) / (FOUR_PI * rs * rs * rs)
+
+    return remainder
+
+
+def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: bool = True,
+                      shape_functions: bool = False, threads: int | None = None):
+    """Single- and double-layer integrals for (target point, panel) pairs at any distance.
+
+    Returns (VL, KL, VY, KY) like ``kernel_pair_entries``. The Laplace parts
+    are exact (``_flat_panel_laplace``; on the panel the caller sets KL = 0);
+    the Yukawa parts add the bounded remainder integrated with
+    ``REMAINDER_RULE``. Chunks of pairs run on ``threads`` workers.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    panels = np.asarray(panels, dtype=np.int64)
+    vl, kl = (np.empty((len(panels), 3) if shape_functions else len(panels)) for _ in range(2))
+    corners = mesh.vertices[mesh.triangles]
+
+    def run(sl):
+        pid = panels[sl]
+        vl[sl], kl[sl] = _flat_panel_laplace(
+            points[sl], corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
+        )
+
+    run_parallel(run, _chunks(len(panels), 4096), threads)  # 4096 pairs per chunk
+    if not yukawa:
+        return vl, kl, None, None
+    if kappa == 0.0:  # the remainder vanishes
+        return vl, kl, vl.copy(), kl.copy()
+    vr, kr = _pair_quadrature(points, mesh, panels, REMAINDER_RULE, shape_functions, 2,
+                              _yukawa_remainder(mesh, kappa), threads)
+    return vl, kl, vl + vr, kl + kr
+
+
 def _add_pairs(block, ti, pair_cols, delta):
     """block[ti, col] += delta for every pair and each of its local columns.
 
@@ -422,40 +450,25 @@ def operator_blocks(
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
     Fills ``out`` as ``kernel_row_blocks`` does and integrates every
-    (target, panel) pair once: GAUSS7 for far pairs, NEAR_RULE for the
-    pairs of ``near_pairs``. With ``collocated`` the targets are the
+    (target, panel) pair once: GAUSS7 for far pairs, ``near_pair_entries``
+    for the pairs of ``near_pairs``. With ``collocated`` the targets are the
     basis's collocation points (P0: centroids, P1: vertices) and all four
-    blocks are given; a pair whose target lies on the panel gets the polar
-    single-layer integrals instead, and its flat-panel double layer vanishes.
+    blocks are given; a pair whose target lies on the panel gets the
+    principal value 0 of the flat-panel double layer.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions)
     ti, pj = near_pairs(targets, mesh)
     kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions, threads)
     pair_cols = cols[pj]
-    on_panel = pair_cols == ti[:, None]  # target is this local column's node
-    on = collocated & on_panel.any(axis=1)
-    off = ~on
-    fine = kernel_pair_entries(
-        targets[ti[off]], mesh, pj[off], NEAR_RULE, kappa, yukawa=out[2] is not None,
-        shape_functions=shape_functions, threads=threads,
-    )
-    for block, f in zip(out, fine):
+    near = near_pair_entries(targets[ti], mesh, pj, kappa, yukawa=out[2] is not None,
+                             shape_functions=shape_functions, threads=threads)
+    if collocated:  # a target that is a node of the panel lies on it: principal value K = 0
+        on = (pair_cols == ti[:, None]).any(axis=1)
+        near[1][on] = near[3][on] = 0.0
+    for block, value in zip(out, near):
         if block is not None:
-            _add_pairs(block, ti[off], pair_cols[off], f)
-    if not collocated:
-        return
-    if shape_functions:
-        # a vertex lies on each incident panel, at one of its corners
-        v = corner_single_layer_linear(mesh, pj[on], on_panel[on].argmax(axis=1))
-    else:
-        # a centroid lies on its own panel only
-        v = centroid_self_single_layer(mesh)[pj[on]]
-    y = v + yukawa_regular_part(
-        targets[ti[on]], mesh, pj[on], kappa, shape_functions=shape_functions, threads=threads
-    )
-    for block, value in ((out[0], v), (out[2], y)):
-        _add_pairs(block, ti[on], pair_cols[on], value)
+            _add_pairs(block, ti, pair_cols, value)
 
 
 def near_pairs(points, mesh: SurfaceMesh):
@@ -477,20 +490,14 @@ def near_pairs(points, mesh: SurfaceMesh):
 
 def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:
     """Laplace single-layer self integral of every panel at its centroid."""
-    corners = mesh.vertices[mesh.triangles]
-    return _fan_single_layer(mesh.centroids, corners)
+    return near_pair_entries(mesh.centroids, mesh, np.arange(mesh.n_panels), 0.0, yukawa=False)[0]
 
 
 def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.ndarray:
     """(P, 3) Laplace single-layer integrals with linear density, target at a corner."""
     panels = np.asarray(panels, dtype=np.int64)
-    corner_local = np.asarray(corner_local, dtype=np.int64)
-    corners = mesh.vertices[mesh.triangles[panels]]
-    targets = corners[np.arange(len(panels)), corner_local]
-    grads = shape_gradients(mesh)[panels]
-    psi_t = np.zeros((len(panels), 3))
-    psi_t[np.arange(len(panels)), corner_local] = 1.0
-    return _fan_single_layer(targets, corners, grads=grads, psi_at_target=psi_t)
+    targets = mesh.vertices[mesh.triangles[panels, np.asarray(corner_local, dtype=np.int64)]]
+    return near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
 
 
 def yukawa_regular_part(
@@ -506,14 +513,5 @@ def yukawa_regular_part(
 
     Adding this to the Laplace self integral gives the Yukawa self integral.
     """
-    if kappa == 0.0:  # the remainder vanishes
-        return np.zeros((len(panels), 3) if shape_functions else len(panels))
-
-    def remainder(d, _pid):
-        r = np.linalg.norm(d, axis=-1)
-        small = r < 1e-12
-        rs = np.where(small, 1.0, r)
-        vals = (np.exp(-kappa * rs) - 1.0) / (FOUR_PI * rs)
-        return (np.where(small, -kappa / FOUR_PI, vals),)  # removable limit at r = 0
-
-    return _pair_quadrature(points, mesh, panels, rule, shape_functions, 1, remainder, threads)[0]
+    return _pair_quadrature(points, mesh, panels, rule, shape_functions, 2,
+                            _yukawa_remainder(mesh, kappa), threads)[0]

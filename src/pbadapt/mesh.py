@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 
 DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
+WINDING_CHUNK_PAIRS = 65536  # (point, panel) pairs per winding-number chunk
 
 
 @dataclass(frozen=True)
@@ -219,24 +220,11 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
     faces = _ICO_FACES
     for _ in range(level):
-        verts_list = list(verts)
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = verts_list[a] + verts_list[b]
-                m = m / np.linalg.norm(m)
-                midpoint[key] = len(verts_list)
-                verts_list.append(m)
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        verts = np.array(verts_list)
-        faces = np.array(new_faces, dtype=np.int64)
+        all_panels = MarkedSet(frozenset(range(len(faces))), frozenset())
+        faces, _, midpoints = _build_children(verts, faces, all_panels)
+        # one dot product per row, as a 1-D np.linalg.norm takes it: same bits
+        lengths = np.sqrt(np.matmul(midpoints[:, None, :], midpoints[:, :, None]))[:, 0]
+        verts = np.vstack([verts, midpoints / lengths])
     return SurfaceMesh(verts * radius, faces)
 
 
@@ -398,39 +386,44 @@ def _check_plan_closed(mesh: SurfaceMesh, plan: MarkedSet) -> None:
 # refinement
 
 
-def _build_children(mesh: SurfaceMesh, plan: MarkedSet):
-    """Shared construction for flat and conforming refinement.
+def _build_children(vertices: np.ndarray, triangles: np.ndarray, plan: MarkedSet):
+    """Shared construction for flat and conforming refinement and the icosphere.
 
     Returns the child triangles in panel order, the parent of each child,
     and the (M, 3) midpoints of the split edges: new vertex
-    ``n_vertices + i`` replaces ``midpoints[i]``, numbered in order of
-    first use.
+    ``len(vertices) + i`` replaces ``midpoints[i]``, numbered in order of
+    first use (triangles in order, then local edges k = (v_k, v_{k+1})).
     """
-    n = mesh.n_vertices
-    bisect_by_tri = dict(plan.bisect)
-    index: dict[tuple[int, int], int] = {}  # sorted split edge -> new vertex
-    new_tris: list[list[int]] = []
-    parents: list[int] = []
-    for t, abc in enumerate(mesh.triangles.tolist()):
-        if t in plan.refine4:
-            a, b, c = abc
-            ab, bc, ca = (
-                index.setdefault((min(p, q), max(p, q)), n + len(index))
-                for p, q in ((a, b), (b, c), (c, a))
-            )
-            children = [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        elif t in bisect_by_tri:
-            k = bisect_by_tri[t]
-            p, q, o = abc[k:] + abc[:k]
-            m = index.setdefault((min(p, q), max(p, q)), n + len(index))
-            children = [[p, m, o], [m, q, o]]
-        else:
-            children = [abc]
-        new_tris += children
-        parents += [t] * len(children)
-    ends = np.array(list(index), dtype=np.int64).reshape(-1, 2)
-    midpoints = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
-    return np.array(new_tris, dtype=np.int64), np.array(parents, dtype=np.int64), midpoints
+    n_tris = len(triangles)
+    split = np.zeros(n_tris, dtype=bool)
+    split[np.fromiter(plan.refine4, dtype=np.int64, count=len(plan.refine4))] = True
+    side = np.full(n_tris, -1)  # bisected edge, or -1
+    side[[t for t, _ in plan.bisect]] = [k for _, k in plan.bisect]
+    used = np.flatnonzero(split[:, None] | (side[:, None] == np.arange(3)))
+    key, rev = _edge_keys(triangles, len(vertices))
+    _, first, which = np.unique(np.minimum(key, rev)[used], return_index=True,
+                                return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    mid = np.full((n_tris, 3), -1, dtype=np.int64)
+    mid.flat[used] = len(vertices) + rank[which]
+    ends = used[np.sort(first)]
+    midpoints = 0.5 * (vertices[triangles.ravel()[ends]]
+                       + vertices[np.roll(triangles, -1, axis=1).ravel()[ends]])
+
+    a, b, c = triangles.T
+    ab, bc, ca = mid.T
+    four = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)[split]
+    halves = np.flatnonzero(side >= 0)
+    k = side[halves]
+    p, q, o = (triangles[halves, (k + j) % 3] for j in range(3))
+    m = mid[halves, k]
+    two = np.stack([p, m, o, m, q, o], axis=1)
+    keep = np.flatnonzero(~split & (side < 0))
+    children = np.concatenate([four.reshape(-1, 3), two.reshape(-1, 3), triangles[keep]])
+    parents = np.concatenate([np.repeat(np.flatnonzero(split), 4), np.repeat(halves, 2), keep])
+    order = np.argsort(parents, kind="stable")  # panel order, children of one panel in order
+    return children[order], parents[order], midpoints
 
 
 def refine_flat(mesh: SurfaceMesh, plan: MarkedSet) -> SurfaceMesh:
@@ -440,7 +433,7 @@ def refine_flat(mesh: SurfaceMesh, plan: MarkedSet) -> SurfaceMesh:
     total area, and keeps the mesh conforming.
     """
     _check_plan_closed(mesh, plan)
-    tris, parents, midpoints = _build_children(mesh, plan)
+    tris, parents, midpoints = _build_children(mesh.vertices, mesh.triangles, plan)
     return SurfaceMesh(np.vstack([mesh.vertices, midpoints]), tris, parent_map=parents)
 
 
@@ -469,7 +462,7 @@ def refine_conforming(
     dist, idx = tree.query(mesh.vertices)
     used: dict[int, int] = {int(b): int(v) for v, (d, b) in enumerate(zip(dist, idx)) if d <= DUPLICATE_TOL}
 
-    tris, parents, midpoints = _build_children(mesh, plan)
+    tris, parents, midpoints = _build_children(mesh.vertices, mesh.triangles, plan)
     coords = np.vstack([mesh.vertices, midpoints])
     new_first = mesh.n_vertices
     new_indices = list(range(new_first, len(coords)))
@@ -540,30 +533,39 @@ def _flips_or_degenerates(coords, tris, tri_ids, old_pos, moved_vertex) -> bool:
 # point-in-volume test
 
 
+def half_solid_angles(rel, lens) -> np.ndarray:
+    """Half the signed solid angle each triangle subtends at a point.
+
+    ``rel`` (..., 3, 3) holds the triangle's corners minus the point and
+    ``lens`` (..., 3) their lengths. Van Oosterom and Strackee's formula,
+    positive for points on the side the normal points away from; a point in
+    the triangle's plane gets 0 outside it and +-pi inside it.
+    """
+    a, b, c = rel[..., 0, :], rel[..., 1, :], rel[..., 2, :]
+    la, lb, lc = lens[..., 0], lens[..., 1], lens[..., 2]
+    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    den = (
+        la * lb * lc
+        + np.einsum("...i,...i->...", a, b) * lc
+        + np.einsum("...i,...i->...", b, c) * la
+        + np.einsum("...i,...i->...", c, a) * lb
+    )
+    return np.arctan2(num, den)
+
+
 def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     """Fraction of the full solid angle each point sees (1 inside, 0 outside).
 
-    Uses the per-triangle solid angle formula of van Oosterom and Strackee.
+    Sums ``half_solid_angles`` over the panels for chunks of points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    p = mesh._corners
     out = np.empty(len(points))
-    for i, x in enumerate(points):
-        a = p[:, 0] - x
-        b = p[:, 1] - x
-        c = p[:, 2] - x
-        la = np.linalg.norm(a, axis=1)
-        lb = np.linalg.norm(b, axis=1)
-        lc = np.linalg.norm(c, axis=1)
-        num = np.einsum("ij,ij->i", a, np.cross(b, c))
-        den = (
-            la * lb * lc
-            + np.einsum("ij,ij->i", a, b) * lc
-            + np.einsum("ij,ij->i", b, c) * la
-            + np.einsum("ij,ij->i", c, a) * lb
-        )
-        out[i] = np.arctan2(num, den).sum() / (2.0 * np.pi)
-    return out
+    step = max(1, WINDING_CHUNK_PAIRS // mesh.n_panels)
+    for s in range(0, len(points), step):
+        rel = mesh._corners - points[s:s + step, None, None, :]
+        lens = np.sqrt(np.einsum("...i,...i->...", rel, rel))
+        out[s:s + step] = half_solid_angles(rel, lens).sum(axis=1)
+    return out / (2.0 * np.pi)
 
 
 def points_inside(mesh: SurfaceMesh, points) -> np.ndarray:

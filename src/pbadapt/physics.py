@@ -138,8 +138,8 @@ def reaction_potential(
     """Solvent reaction potential at interior points from the surface traces.
 
     Evaluates the interior representation with the Laplace kernel,
-    u_r = -K[u] + V[du/dn]; panels close to a target get the refined
-    near-singular rule. ``threads`` as in ``kernels.run_parallel``.
+    u_r = -K[u] + V[du/dn]; panels close to a target get the closed-form
+    flat-panel integrals. ``threads`` as in ``kernels.run_parallel``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     mesh = solution.mesh_ref

@@ -80,8 +80,8 @@ GAUSS7 = QuadratureRule(
 def subdivided(rule: QuadratureRule, depth: int) -> QuadratureRule:
     """Composite rule: ``rule`` applied on 4**depth congruent subtriangles.
 
-    Used for near-singular panels; the piecewise rule keeps the declared
-    polynomial degree while clustering points.
+    Used for the Yukawa remainder of near pairs and as a fine reference;
+    the piecewise rule keeps the declared polynomial degree.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -245,6 +245,122 @@ def test_yukawa_self_decomposition():
     assert np.all(lap + rem < lap)  # screening strictly reduces the potential
 
 
+# -- closed-form flat-panel integrals ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def brute_rule():
+    return subdivided(GAUSS7, 8)  # 458,752 points per panel
+
+
+def _targets_at(mesh, panel, dist):
+    """Points at distance ``dist`` from a panel: above and below an interior point,
+    in its plane beyond an edge, on the extension of an edge, and off a corner."""
+    p = mesh.vertices[mesh.triangles[panel]]
+    n = mesh.normals[panel]
+    inner = np.array([0.2, 0.3, 0.5]) @ p
+    edge = p[1] - p[0]
+    out = np.cross(edge, n) / np.linalg.norm(edge)  # in-plane, away from the panel
+    along = -edge / np.linalg.norm(edge)
+    corner = p[0] - p.mean(axis=0)
+    off = (corner / np.linalg.norm(corner) + n) / np.sqrt(2.0)
+    return np.array([
+        inner + dist * n,
+        inner - dist * n,
+        0.5 * (p[0] + p[1]) + dist * out,
+        p[0] + dist * along,
+        p[0] + dist * off,
+    ])
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+@pytest.mark.parametrize("d_over_h", [0.05, 0.5, 1.0, 2.0])
+def test_closed_form_matches_subdivided_rule(brute_rule, d_over_h, shape_functions):
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 1)
+    panels = np.repeat([3, 41], 5)
+    points = np.vstack([_targets_at(mesh, t, d_over_h * mesh.diameters[t]) for t in (3, 41)])
+    got = kn.near_pair_entries(points, mesh, panels, 0.125, shape_functions=shape_functions)
+    want = kn.kernel_pair_entries(points, mesh, panels, brute_rule, 0.125,
+                                  shape_functions=shape_functions)
+    # Laplace parts are exact; the Yukawa remainder has the 28-point rule's error
+    for g, w, tol in zip(got, want, (1e-10, 1e-10, 1e-5, 1e-5)):
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+
+def duffy_single_layer(panel, target, n_points=80):
+    """Linear-density single layer over a panel with the target on it.
+
+    Each subtriangle (target, p_k, p_k+1) is mapped from the unit square by
+    y = x + u (p_k - x + v (p_k+1 - p_k)); the Jacobian cancels 1/|y - x|,
+    the u integral of the linear density is exact and v gets Gauss-Legendre.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(n_points)
+    v, w = 0.5 * (gx + 1.0), 0.5 * gw
+    to_bary = np.linalg.pinv(np.vstack([panel.T, np.ones(3)]))  # exact on the plane
+    bary = lambda y: (to_bary @ np.vstack([y.T, np.ones(len(y))])).T  # noqa: E731
+    out = np.zeros(3)
+    for k in range(3):
+        a, b = panel[k] - target, panel[(k + 1) % 3] - target
+        area2 = np.linalg.norm(np.cross(a, b))
+        if area2 < 1e-12 * np.dot(a - b, a - b):
+            continue  # the target is on this edge
+        e = a + v[:, None] * (b - a)
+        mean = 0.5 * (bary(target[None]) + bary(target + e))  # mean density along u
+        out += area2 * np.einsum("q,q,ql->l", w, 1.0 / np.linalg.norm(e, axis=1), mean)
+    return out / FOUR_PI
+
+
+def test_closed_form_on_panel_matches_duffy_rule():
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 1)
+    for t in (0, 17, 55):
+        p = mesh.vertices[mesh.triangles[t]]
+        targets = np.vstack([p.mean(axis=0), p, np.array([0.5, 0.3, 0.2]) @ p])
+        panels = np.full(len(targets), t)
+        vl = kn.near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
+        want = np.array([duffy_single_layer(p, x) for x in targets])
+        assert np.abs(vl - want).max() <= 1e-10 * np.abs(want).max()
+        v0 = kn.near_pair_entries(targets, mesh, panels, 0.0, yukawa=False)[0]
+        assert np.abs(v0 - want.sum(axis=1)).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_closed_form_vertex_target_is_finite(recwarn):
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 1)
+    panels = np.repeat(np.arange(mesh.n_panels), 3)
+    corners = mesh.triangles[panels, np.tile([0, 1, 2], mesh.n_panels)]
+    vals = kn.near_pair_entries(mesh.vertices[corners], mesh, panels, 0.125, shape_functions=True)
+    assert all(np.isfinite(v).all() for v in vals)
+    assert len(recwarn) == 0
+
+
+def test_closed_form_double_layer_gauss_identity():
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 2)
+    everything = np.arange(mesh.n_panels)
+
+    def total(x, shape_functions=False):
+        points = np.broadcast_to(x, (mesh.n_panels, 3))
+        kl = kn.near_pair_entries(points, mesh, everything, 0.0, yukawa=False,
+                                  shape_functions=shape_functions)[1]
+        return kl, kl.sum()
+
+    for shape_functions in (False, True):
+        for x, want in (([0.0, 0.0, 0.0], -1.0), ([0.3, -0.2, 0.4], -1.0),
+                        ([0.0, 0.05, 0.97], -1.0), ([2.0, 0.0, 0.0], 0.0),
+                        ([0.0, 0.05, 1.03], 0.0)):
+            assert abs(total(np.array(x), shape_functions)[1] - want) < 1e-12
+    for t in (0, 111, 250):
+        kl, _ = total(mesh.centroids[t])
+        kl[t] = 0.0  # principal value on the target's own flat panel
+        assert abs(kl.sum() + 0.5) < 1e-12
+
+
 # -- pair quadrature and the worker pool ----------------------------------------
 
 
@@ -311,15 +427,12 @@ def test_p0_operator_integrates_near_and_self_pairs_once():
     out = tuple(np.empty((n, n)) for _ in range(4))
     kn.operator_blocks(mesh.centroids, mesh, kappa, out, collocated=True)
     ti, pj = kn.near_pairs(mesh.centroids, mesh)
-    off = ti != pj
-    fine = kn.kernel_pair_entries(mesh.centroids[ti[off]], mesh, pj[off], kn.NEAR_RULE, kappa)
+    fine = kn.near_pair_entries(mesh.centroids[ti], mesh, pj, kappa)
+    on = ti == pj  # a centroid lies on its own panel: principal-value double layer 0
+    for f in fine[1::2]:
+        f[on] = 0.0
     for block, f in zip(out, fine):
-        assert np.array_equal(block[ti[off], pj[off]], f)
-    idx = np.arange(n)
-    v_self = kn.centroid_self_single_layer(mesh)
-    y_self = v_self + kn.yukawa_regular_part(mesh.centroids, mesh, idx, kappa)
-    for block, value in zip(out, (v_self, 0.0, y_self, 0.0)):
-        assert np.array_equal(block[idx, idx], np.broadcast_to(value, n))
+        assert np.array_equal(block[ti, pj], f)
 
 
 def test_p1_operator_matches_per_pair_reference():
@@ -329,23 +442,20 @@ def test_p1_operator_matches_per_pair_reference():
     nv = mesh.n_vertices
     out = tuple(np.empty((nv, nv)) for _ in range(4))
     kn.operator_blocks(mesh.vertices, mesh, kappa, out, shape_functions=True, collocated=True)
-    # every (vertex, panel) pair gets one integral: GAUSS7 if far, NEAR_RULE
-    # if near, the corner integrals if the vertex is one of the panel's corners
+    # every (vertex, panel) pair gets one integral: GAUSS7 if far, the near-pair
+    # rule if near, with a zero double layer if the vertex is one of the panel's corners
     ti, pj = np.divmod(np.arange(nv * mesh.n_panels), mesh.n_panels)
     tris = mesh.triangles[pj]
     on = (tris == ti[:, None]).any(axis=1)
     d = np.linalg.norm(mesh.vertices[ti] - mesh.centroids[pj], axis=1)
     near = d < kn.NEAR_FACTOR * mesh.diameters[pj]
     vals = np.zeros((4, len(ti), 3))
-    for mask, rule in ((~near, GAUSS7), (near & ~on, kn.NEAR_RULE)):
-        vals[:, mask] = _pair_entries_mapped_per_pair(
-            mesh.vertices[ti[mask]], mesh, pj[mask], rule, kappa, True
-        )
-    corner = (tris[on] == ti[on, None]).argmax(axis=1)
-    vals[0, on] = kn.corner_single_layer_linear(mesh, pj[on], corner)
-    vals[2, on] = vals[0, on] + kn.yukawa_regular_part(
-        mesh.vertices[ti[on]], mesh, pj[on], kappa, shape_functions=True
+    vals[:, ~near] = _pair_entries_mapped_per_pair(
+        mesh.vertices[ti[~near]], mesh, pj[~near], GAUSS7, kappa, True
     )
+    vals[:, near] = kn.near_pair_entries(mesh.vertices[ti[near]], mesh, pj[near], kappa,
+                                         shape_functions=True)
+    vals[1::2, on] = 0.0
     for block, val in zip(out, vals):
         want = np.zeros((nv, nv))
         np.add.at(want, (ti[:, None], tris), val)

@@ -87,6 +87,72 @@ def test_inward_mesh_rejected():
         pa.SurfaceMesh(tet.vertices, tet.triangles[:, ::-1])
 
 
+def icosphere_reference(radius, level):
+    """Per-edge midpoint loop with one-vector norms, the construction's reference."""
+    from pbadapt.mesh import _ICO_FACES, _ICO_VERTS
+
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
+    faces = _ICO_FACES
+    for _ in range(level):
+        verts_list = list(verts)
+        midpoint = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                m = verts_list[a] + verts_list[b]
+                midpoint[key] = len(verts_list)
+                verts_list.append(m / np.linalg.norm(m))
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+        verts = np.array(verts_list)
+        faces = np.array(new_faces, dtype=np.int64)
+    return verts * radius, faces
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_icosphere_matches_midpoint_loop(level):
+    verts, faces = icosphere_reference(1.7, level)
+    m = pa.icosphere(1.7, level)
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.triangles, faces)
+
+
+def winding_reference(mesh, points):
+    """Solid-angle sum one point at a time."""
+    p = mesh.vertices[mesh.triangles]
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        a, b, c = p[:, 0] - x, p[:, 1] - x, p[:, 2] - x
+        la, lb, lc = (np.linalg.norm(v, axis=1) for v in (a, b, c))
+        num = np.einsum("ij,ij->i", a, np.cross(b, c))
+        den = (
+            la * lb * lc
+            + np.einsum("ij,ij->i", a, b) * lc
+            + np.einsum("ij,ij->i", b, c) * la
+            + np.einsum("ij,ij->i", c, a) * lb
+        )
+        out[i] = np.arctan2(num, den).sum() / (2.0 * np.pi)
+    return out
+
+
+def test_winding_number_matches_per_point_loop():
+    m = pa.icosphere(1.0, 2)
+    rng = np.random.default_rng(3)
+    charges = rng.standard_normal((1000, 3))
+    charges *= 0.7 * rng.uniform(0, 1, 1000)[:, None] ** (1 / 3) / np.linalg.norm(charges, axis=1)[:, None]
+    shell = rng.standard_normal((1000, 3))
+    shell *= rng.uniform(0.9, 1.1, 1000)[:, None] / np.linalg.norm(shell, axis=1)[:, None]
+    for points in (charges, shell):
+        want = winding_reference(m, points)
+        assert np.abs(winding_number(m, points) - want).max() <= 1e-14
+        assert np.array_equal(points_inside(m, points), want > 0.5)
+
+
 def test_winding_number_inside_outside():
     m = pa.icosphere(1.0, 2)
     w = winding_number(m, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -270,6 +336,45 @@ def test_close_marking_is_least_fixpoint(uneven_mesh):
         plan = close_marking(uneven_mesh, marked)
         assert plan.refine4 == refine4
         assert plan.bisect == bisect
+
+
+def children_reference(mesh, plan):
+    """Child triangles, parents and midpoints by a loop over the panels."""
+    n = mesh.n_vertices
+    bisect_by_tri = dict(plan.bisect)
+    index = {}  # sorted split edge -> new vertex, in order of first use
+    new_tris, parents = [], []
+    for t, abc in enumerate(mesh.triangles.tolist()):
+        if t in plan.refine4:
+            a, b, c = abc
+            ab, bc, ca = (
+                index.setdefault((min(p, q), max(p, q)), n + len(index))
+                for p, q in ((a, b), (b, c), (c, a))
+            )
+            children = [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+        elif t in bisect_by_tri:
+            k = bisect_by_tri[t]
+            p, q, o = abc[k:] + abc[:k]
+            m = index.setdefault((min(p, q), max(p, q)), n + len(index))
+            children = [[p, m, o], [m, q, o]]
+        else:
+            children = [abc]
+        new_tris += children
+        parents += [t] * len(children)
+    ends = np.array(list(index), dtype=np.int64).reshape(-1, 2)
+    midpoints = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+    return np.array(new_tris), np.array(parents), midpoints
+
+
+def test_refine_flat_matches_children_loop(uneven_mesh):
+    rng = np.random.default_rng(11)
+    for size in (1, 7, 60, 300, uneven_mesh.n_panels):
+        plan = close_marking(uneven_mesh, rng.choice(uneven_mesh.n_panels, size, replace=False))
+        tris, parents, midpoints = children_reference(uneven_mesh, plan)
+        fine = refine_flat(uneven_mesh, plan)
+        assert np.array_equal(fine.triangles, tris)
+        assert np.array_equal(fine.parent_map, parents)
+        assert np.array_equal(fine.vertices, np.vstack([uneven_mesh.vertices, midpoints]))
 
 
 def test_close_marking_one_edge_rule():
