@@ -70,13 +70,6 @@ def _get(section, key, kind, default=None):
         raise ConfigError(f"bad {kind.__name__} for {key!r}: {raw!r}") from exc
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _require_file(path, what):
     if path is None:
         raise ConfigError(f"missing {what}")
@@ -211,7 +204,7 @@ def _kirkwood_reference(cp, charges, physics) -> float:
     return kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
 
 
-def _exact_reference(cp, mesh, charges, physics, settings, background, threads) -> float | None:
+def _exact_reference(cp, mesh, charges, physics, settings, background) -> float | None:
     """Reference energy for effectivity ratios.
 
     Analytic spheres use the multipole series; any mesh can opt into a
@@ -231,7 +224,7 @@ def _exact_reference(cp, mesh, charges, physics, settings, background, threads) 
         refine_mode = "conforming" if background is not None else "flat"
         history = uniform_loop(
             mesh, charges, physics, levels=3, mode=refine_mode, background=background,
-            gmres_tol=settings["gmres_tol"], threads=threads,
+            gmres_tol=settings["gmres_tol"],
         )
         value, _order = richardson([rec.energy.dG_solv for rec in history])
         return value
@@ -241,10 +234,8 @@ def _exact_reference(cp, mesh, charges, physics, settings, background, threads) 
 def cmd_solve(args) -> int:
     _cp, mesh, charges, physics, settings, _ = _load_run(args, background=False)
     start = time.perf_counter()
-    solution = solve_forward(
-        mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
-    )
-    energy = solvation_energy(solution, charges, physics, threads=args.threads)
+    solution = solve_forward(mesh, physics, charges, gmres_tol=settings["gmres_tol"])
+    energy = solvation_energy(solution, charges, physics)
     wall = time.perf_counter() - start
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol")
     print(f"N_panels = {mesh.n_panels}")
@@ -258,10 +249,8 @@ def cmd_solve(args) -> int:
 
 def cmd_estimate(args) -> int:
     cp, mesh, charges, physics, settings, background = _load_run(args)
-    forward = solve_forward(
-        mesh, physics, charges, gmres_tol=settings["gmres_tol"], threads=args.threads
-    )
-    energy = solvation_energy(forward, charges, physics, threads=args.threads)
+    forward = solve_forward(mesh, physics, charges, gmres_tol=settings["gmres_tol"])
+    energy = solvation_energy(forward, charges, physics)
     adjoint = solve_adjoint(
         mesh,
         physics,
@@ -269,7 +258,6 @@ def cmd_estimate(args) -> int:
         refine_levels=settings["adjoint_levels"],
         background=background,
         gmres_tol=settings["gmres_tol"],
-        threads=args.threads,
     )
     out = _out_dir(args)
     maps = {
@@ -280,7 +268,7 @@ def cmd_estimate(args) -> int:
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
-    exact = _exact_reference(cp, mesh, charges, physics, settings, background, args.threads)
+    exact = _exact_reference(cp, mesh, charges, physics, settings, background)
     if exact is None:
         print("gamma_eff: omitted (no reference value; supply [oracle] mode = richardson)")
     else:
@@ -302,7 +290,6 @@ def cmd_adapt(args) -> int:
         max_iterations=settings["iters"],
         background_mesh=background,
         gmres_tol=settings["gmres_tol"],
-        threads=args.threads,
     )
     history = adaptive_loop(mesh, charges, physics, config)
     out = _out_dir(args)
@@ -350,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("flat", "conforming"), default=None)
         p.add_argument("--iters", type=int, default=None)
         p.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=None)
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: every CPU this process may use)")
         p.set_defaults(handler=fn)
     return parser
 

@@ -36,7 +36,6 @@ class AdaptiveConfig:
     max_iterations: int = 1
     background_mesh: SurfaceMesh | None = None
     gmres_tol: float = DEFAULT_GMRES_TOL
-    threads: int | None = None
 
     def __post_init__(self):
         if self.estimator_tag not in _ESTIMATORS:
@@ -93,7 +92,6 @@ def uniform_loop(
     mode: str = "flat",
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
-    threads: int | None = None,
 ) -> list[IterationRecord]:
     """Baseline: the adaptive loop marking every panel, with no error estimation."""
     if levels < 1:
@@ -104,7 +102,6 @@ def uniform_loop(
         max_iterations=levels,
         background_mesh=background,
         gmres_tol=gmres_tol,
-        threads=threads,
     )
     return _refinement_loop(mesh0, charges, physics, config, estimate=False)
 
@@ -123,10 +120,8 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
         try:
             if it:
                 mesh = _refine(mesh, marked, config.refinement_mode, config.background_mesh)
-            forward = solve_forward(
-                mesh, physics, charges, gmres_tol=config.gmres_tol, threads=config.threads
-            )
-            energy = solvation_energy(forward, charges, physics, threads=config.threads)
+            forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
+            energy = solvation_energy(forward, charges, physics)
             emap, marked = None, range(mesh.n_panels)
             if estimate:
                 adjoint = solve_adjoint(
@@ -136,7 +131,6 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
                     refine_levels=config.adjoint_refine_levels,
                     background=config.background_mesh,
                     gmres_tol=config.gmres_tol,
-                    threads=config.threads,
                 )
                 emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
                 marked = mark_elements(emap.per_panel, config.marking_fraction)

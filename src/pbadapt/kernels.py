@@ -148,28 +148,6 @@ def _flat_panel_laplace(x, corners, normals, areas, linear):
     return v, k
 
 
-def singular_self_integral(panel, target) -> float:
-    """Laplace single-layer self integral of a flat panel, unit density.
-
-    The target must lie on the panel (typically its collocation point).
-    """
-    panel = np.asarray(panel, dtype=float)
-    target = np.asarray(target, dtype=float)
-    cr = np.cross(panel[1] - panel[0], panel[2] - panel[0])
-    area2 = np.linalg.norm(cr)
-    if area2 < 1e-300:
-        raise UsageError("degenerate panel")
-    n = cr / area2
-    diam = np.linalg.norm(panel - np.roll(panel, -1, axis=0), axis=1).max()
-    if abs(np.dot(target - panel[0], n)) > 1e-9 * diam:
-        raise UsageError("target does not lie on the panel plane")
-    rel = panel - target
-    if np.any(np.cross(rel[[1, 2, 0]], rel[[2, 0, 1]]) @ n < -1e-9 * area2):
-        raise UsageError("target lies outside the panel")
-    v, _ = _flat_panel_laplace(target[None], panel[None], n[None], np.array([0.5 * area2]), False)
-    return float(v[0])
-
-
 # ---------------------------------------------------------------------------
 # vectorized mesh machinery (assembly and potential evaluation)
 
@@ -190,18 +168,15 @@ def _chunks(n: int, size: int) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
-def run_parallel(fn, items, threads: int | None = None) -> None:
-    """Call ``fn(item)`` for every item on a pool of worker threads.
+def run_parallel(fn, items) -> None:
+    """Call ``fn(item)`` for every item, one worker thread per usable CPU.
 
-    ``threads=None`` uses every usable CPU, ``threads=1`` runs serially in
-    the caller; more threads than usable CPUs are capped. The items are
-    fixed by the caller independently of the worker count and each call
-    writes its own output slice, so results do not depend on ``threads``.
-    The numpy kernels release the interpreter lock, so the workers overlap.
+    With one usable CPU (``taskset -c 0``) or one item the calls run serially
+    in the caller. Each call writes its own output slice, so results do not
+    depend on how many workers share the items. The numpy kernels release
+    the interpreter lock, so the workers overlap.
     """
-    if threads is not None and threads < 1:
-        raise UsageError("threads must be >= 1")
-    workers = min(threads or _usable_cpus(), _usable_cpus(), len(items))
+    workers = min(_usable_cpus(), len(items))
     if workers <= 1:
         for item in items:
             fn(item)
@@ -275,7 +250,6 @@ def kernel_row_blocks(
     out,
     near,
     shape_functions: bool = False,
-    threads: int | None = None,
 ):
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
@@ -284,7 +258,7 @@ def kernel_row_blocks(
     integrals are folded into vertex columns batch by batch (keeps memory
     at O(batch * T)). ``near`` = (ti, pj), sorted by target as
     ``near_pairs`` returns them: these (target, panel) pairs are left out.
-    Batches of targets run on ``threads`` workers (see ``run_parallel``).
+    Batches of targets run on ``run_parallel``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     T, nq = mesh.n_panels, rule.n_points
@@ -301,8 +275,8 @@ def kernel_row_blocks(
         )
     yukawa = out[2] is not None
 
-    # the budget is shared by the batches that can run at once; it depends on
-    # the usable CPUs, never on ``threads``, so results do not either
+    # the budget is shared by the batches that can run at once; the batch size
+    # can move the last bit of the BLAS distance product in ``_batch_kernels``
     batch = max(1, int(ROW_BATCH_VALUES / _usable_cpus() / max(T * nq, 1)))
 
     ti, pj = near
@@ -316,17 +290,17 @@ def kernel_row_blocks(
                 rows = np.einsum("mtq,tq...->mt...", kern, w)
                 block[sl] = rows if fold is None else rows.reshape(len(rows), -1) @ fold
 
-    run_parallel(run, _chunks(len(targets), batch), threads)
+    run_parallel(run, _chunks(len(targets), batch))
 
 
 def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n_kernels,
-                     formula, threads):
+                     formula):
     """Integrals of ``n_kernels`` kernels against the basis for (point, panel) pairs.
 
     ``formula(d, pid)`` returns the kernel values at the offsets ``d``
     (point minus quadrature point, (P, nq, 3)) from the pairs' panels
     ``pid``. Each panel's points are mapped once and gathered per pair;
-    chunks of pairs run on ``threads`` workers (see ``run_parallel``).
+    chunks of pairs run on ``run_parallel``.
     Returns a list of (P,) arrays, (P, 3) with ``shape_functions``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -345,7 +319,7 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
             o[sl] = np.einsum("pq,q...,p->p...", k, wl, area)
 
     chunk = max(1, PAIR_CHUNK_POINTS // rule.n_points)
-    run_parallel(run, _chunks(len(panels), chunk), threads)
+    run_parallel(run, _chunks(len(panels), chunk))
     return out
 
 
@@ -357,7 +331,6 @@ def kernel_pair_entries(
     kappa: float,
     yukawa: bool = True,
     shape_functions: bool = False,
-    threads: int | None = None,
 ):
     """Panel integrals for explicit (target point, panel) pairs.
 
@@ -377,7 +350,7 @@ def kernel_pair_entries(
         return gl, klk, gl * ex, klk * (1.0 + kappa * r) * ex
 
     vals = _pair_quadrature(
-        points, mesh, panels, rule, shape_functions, 4 if yukawa else 2, layers, threads
+        points, mesh, panels, rule, shape_functions, 4 if yukawa else 2, layers
     )
     return tuple(vals) if yukawa else (*vals, None, None)
 
@@ -400,13 +373,13 @@ def _yukawa_remainder(mesh: SurfaceMesh, kappa: float):
 
 
 def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: bool = True,
-                      shape_functions: bool = False, threads: int | None = None):
+                      shape_functions: bool = False):
     """Single- and double-layer integrals for (target point, panel) pairs at any distance.
 
     Returns (VL, KL, VY, KY) like ``kernel_pair_entries``. The Laplace parts
     are exact (``_flat_panel_laplace``; on the panel the caller sets KL = 0);
     the Yukawa parts add the bounded remainder integrated with
-    ``REMAINDER_RULE``. Chunks of pairs run on ``threads`` workers.
+    ``REMAINDER_RULE``. Chunks of pairs run on ``run_parallel``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
@@ -419,13 +392,13 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
             points[sl], corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
         )
 
-    run_parallel(run, _chunks(len(panels), 4096), threads)  # 4096 pairs per chunk
+    run_parallel(run, _chunks(len(panels), 4096))  # 4096 pairs per chunk
     if not yukawa:
         return vl, kl, None, None
     if kappa == 0.0:  # the remainder vanishes
         return vl, kl, vl.copy(), kl.copy()
     vr, kr = _pair_quadrature(points, mesh, panels, REMAINDER_RULE, shape_functions, 2,
-                              _yukawa_remainder(mesh, kappa), threads)
+                              _yukawa_remainder(mesh, kappa))
     return vl, kl, vl + vr, kl + kr
 
 
@@ -445,7 +418,6 @@ def operator_blocks(
     out,
     shape_functions: bool = False,
     collocated: bool = False,
-    threads: int | None = None,
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
@@ -459,10 +431,10 @@ def operator_blocks(
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions)
     ti, pj = near_pairs(targets, mesh)
-    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions, threads)
+    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions)
     pair_cols = cols[pj]
     near = near_pair_entries(targets[ti], mesh, pj, kappa, yukawa=out[2] is not None,
-                             shape_functions=shape_functions, threads=threads)
+                             shape_functions=shape_functions)
     if collocated:  # a target that is a node of the panel lies on it: principal value K = 0
         on = (pair_cols == ti[:, None]).any(axis=1)
         near[1][on] = near[3][on] = 0.0
@@ -507,11 +479,10 @@ def yukawa_regular_part(
     kappa: float,
     rule: QuadratureRule = SMOOTH_RULE,
     shape_functions: bool = False,
-    threads: int | None = None,
 ):
     """Integrals of (exp(-kappa*r) - 1) / (4*pi*r), the bounded Yukawa remainder.
 
     Adding this to the Laplace self integral gives the Yukawa self integral.
     """
     return _pair_quadrature(points, mesh, panels, rule, shape_functions, 2,
-                            _yukawa_remainder(mesh, kappa), threads)[0]
+                            _yukawa_remainder(mesh, kappa))[0]

@@ -81,7 +81,8 @@ class SurfaceMesh:
         _, counts = np.unique(np.minimum(key, rev), return_counts=True)
         if np.any(counts != 2):
             raise MeshInvariantError("surface is not a closed 2-manifold")
-        if len(np.unique(key)) != len(key):
+        sorted_key = np.sort(key)
+        if np.any(sorted_key[1:] == sorted_key[:-1]):
             raise MeshInvariantError("inconsistent triangle orientation")
         if self.signed_volume <= 0.0:
             raise MeshInvariantError("normals do not point outward (signed volume <= 0)")

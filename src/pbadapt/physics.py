@@ -85,61 +85,59 @@ class EnergyResult:
     per_charge: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def as_text(self) -> str:
-        lines = [f"dG_solv_kcal_mol = {self.dG_solv!r}"]
-        for key, val in self.diagnostics.items():
-            lines.append(f"{key} = {val!r}")
-        return "\n".join(lines)
-
-    def as_csv_row(self) -> str:
-        return ",".join([repr(self.dG_solv)] + [repr(float(v)) for v in self.per_charge])
-
 
 # ---------------------------------------------------------------------------
 # Coulomb field of the solute charges
 
 
-def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
-    """u_c = (1/eps_m) sum_k q_k / (4*pi*|r - r_k|)."""
+def _charge_offsets(charges: ChargeSet, points):
+    """Offsets point minus charge, (M, N, 3), and their lengths, (M, N)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points[:, None, :] - charges.positions[None, :, :]
     r = np.linalg.norm(d, axis=-1)
     if np.any(r < CHARGE_CLEARANCE):
         raise SingularityError("evaluation point coincides with a charge")
+    return d, r
+
+
+def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
     return (charges.charges[None, :] / (kernels.FOUR_PI * r)).sum(axis=1) / physics.eps_m
+
+
+def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
+    g = -(charges.charges[None, :, None] * d / (kernels.FOUR_PI * r[:, :, None] ** 3)).sum(axis=1)
+    return g / physics.eps_m
+
+
+def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
+    """u_c = (1/eps_m) sum_k q_k / (4*pi*|r - r_k|)."""
+    return _potential(charges, physics, _charge_offsets(charges, points)[1])
 
 
 def coulomb_gradient(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
     """Gradient of the Coulomb potential at the given points, (M, 3)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = points[:, None, :] - charges.positions[None, :, :]
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r < CHARGE_CLEARANCE):
-        raise SingularityError("evaluation point coincides with a charge")
-    g = -(charges.charges[None, :, None] * d / (kernels.FOUR_PI * r[:, :, None] ** 3)).sum(axis=1)
-    return g / physics.eps_m
+    return _gradient(charges, physics, *_charge_offsets(charges, points))
 
 
 def coulomb_trace(charges: ChargeSet, physics: BiePhysics, points, normals):
     """Coulomb potential and its normal derivative at surface points."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    u = coulomb_potential(charges, physics, points)
-    dudn = np.einsum("mx,mx->m", coulomb_gradient(charges, physics, points), normals)
-    return u, dudn
+    d, r = _charge_offsets(charges, points)
+    dudn = np.einsum("mx,mx->m", _gradient(charges, physics, d, r), normals)
+    return _potential(charges, physics, r), dudn
 
 
 # ---------------------------------------------------------------------------
 # reaction potential and energy
 
 
-def reaction_potential(
-    solution: "PanelSolution", targets, threads: int | None = None
-) -> np.ndarray:
+def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     """Solvent reaction potential at interior points from the surface traces.
 
     Evaluates the interior representation with the Laplace kernel,
     u_r = -K[u] + V[du/dn]; panels close to a target get the closed-form
-    flat-panel integrals. ``threads`` as in ``kernels.run_parallel``.
+    flat-panel integrals. The kernel layer runs one worker per usable CPU
+    (``kernels.run_parallel``).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     mesh = solution.mesh_ref
@@ -148,17 +146,15 @@ def reaction_potential(
         bad = int(np.flatnonzero(~inside)[0])
         raise DomainError(f"target {bad} lies outside the surface")
     vl, kl = (np.empty((len(targets), len(solution.u_trace))) for _ in range(2))
-    kernels.operator_blocks(
-        targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1", threads=threads
-    )
+    kernels.operator_blocks(targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1")
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace
 
 
 def solvation_energy(
-    solution: "PanelSolution", charges: ChargeSet, physics: BiePhysics, threads: int | None = None
+    solution: "PanelSolution", charges: ChargeSet, physics: BiePhysics
 ) -> EnergyResult:
     """Electrostatic solvation free energy (1/2) sum_k q_k u_r(r_k), in kcal/mol."""
-    ur = reaction_potential(solution, charges.positions, threads=threads)
+    ur = reaction_potential(solution, charges.positions)
     per_charge = physics.energy_unit * 0.5 * charges.charges * ur
     diag = {
         "n_panels": solution.mesh_ref.n_panels,

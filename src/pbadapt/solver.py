@@ -58,7 +58,6 @@ def assemble_system(
     physics: BiePhysics,
     charges: ChargeSet,
     space: str = "P0",
-    threads: int | None = None,
 ):
     """Dense 2N x 2N collocation matrix and right-hand side.
 
@@ -72,9 +71,7 @@ def assemble_system(
     n = len(colloc)
     a = np.empty((2 * n, 2 * n))
     kl, vl, ky, vy = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
-    kernels.operator_blocks(
-        colloc, mesh, physics.kappa, (vl, kl, vy, ky), p1, collocated=True, threads=threads
-    )
+    kernels.operator_blocks(colloc, mesh, physics.kappa, (vl, kl, vy, ky), p1, collocated=True)
     vl *= -1.0
     ky *= -1.0
     vy *= physics.eps_m / physics.eps_w
@@ -133,10 +130,9 @@ def solve_forward(
     charges: ChargeSet,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    threads: int | None = None,
 ) -> PanelSolution:
     """Piecewise-constant traces collocated at panel centroids."""
-    a, b = assemble_system(mesh, physics, charges, space="P0", threads=threads)
+    a, b = assemble_system(mesh, physics, charges, space="P0")
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = mesh.n_panels
     return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters)
@@ -150,7 +146,6 @@ def solve_adjoint(
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    threads: int | None = None,
 ) -> PanelSolution:
     """Dual traces on a uniformly refined mesh, continuous piecewise linear.
 
@@ -175,7 +170,7 @@ def solve_adjoint(
         fine = dataclasses.replace(
             refined, parent_map=fine.parent_map[refined.parent_map]
         )
-    a, b = assemble_system(fine, physics, charges, space="P1", threads=threads)
+    a, b = assemble_system(fine, physics, charges, space="P1")
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = fine.n_vertices
     return PanelSolution("P1", x[:n], x[n:], fine, residual, iters)

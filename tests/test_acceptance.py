@@ -32,7 +32,7 @@ def test_criterion_1_born_convergence(born_setup):
     values = []
     for level in (2, 3, 4):
         mesh = pa.icosphere(1.0, level)
-        sol = pa.solve_forward(mesh, physics, charges, threads=2)
+        sol = pa.solve_forward(mesh, physics, charges)
         values.append(pa.solvation_energy(sol, charges, physics).dG_solv)
     elapsed = time.perf_counter() - start
     _, order = pa.richardson(values)

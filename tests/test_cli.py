@@ -80,14 +80,6 @@ def test_missing_pqr_is_input_error(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == EXIT_INPUT
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
-    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--config", cfg, "--threads", "0"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
 def test_bad_estimator_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL + "\n[adapt]\nestimator = Emagic\n")
     assert main(["estimate", "--config", cfg]) == EXIT_CONFIG

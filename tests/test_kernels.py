@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pbadapt.kernels as kn
-from pbadapt.errors import SingularityError, UsageError
+from pbadapt.errors import SingularityError
 from pbadapt.quadrature import CENTROID, GAUSS7, subdivided
 
 from conftest import make_tetrahedron
@@ -191,10 +191,19 @@ def brute_single_layer(panel, target, psi_corner=None, eps_fracs=(0.1, 0.05), ma
     return (f1**2 * np.asarray(v2) - f2**2 * np.asarray(v1)) / (f1**2 - f2**2)
 
 
+def _tetrahedron_on(tri):
+    """Closed mesh whose panel 0 is the counter-clockwise triangle ``tri`` in z = 0."""
+    import pbadapt as pa
+
+    apex = tri.mean(axis=0) - [0.0, 0.0, 1.0]
+    tris = np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]])
+    return pa.SurfaceMesh(np.vstack([tri, apex]), tris)
+
+
 def test_singular_self_integral_scaling():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3) / 2, 0.0]])
-    v1 = kn.singular_self_integral(tri, tri.mean(axis=0))
-    v2 = kn.singular_self_integral(2 * tri, 2 * tri.mean(axis=0))
+    v1 = kn.centroid_self_single_layer(_tetrahedron_on(tri))[0]
+    v2 = kn.centroid_self_single_layer(_tetrahedron_on(2 * tri))[0]
     assert v2 == pytest.approx(2 * v1, rel=1e-13)
 
 
@@ -203,9 +212,8 @@ def test_singular_self_integral_against_brute_force():
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3) / 2, 0.0]]),
         np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.3, 0.9, 0.0]]),
     ):
-        target = tri.mean(axis=0)
-        mine = kn.singular_self_integral(tri, target)
-        brute = brute_single_layer(tri, target)
+        mine = kn.centroid_self_single_layer(_tetrahedron_on(tri))[0]
+        brute = brute_single_layer(tri, tri.mean(axis=0))
         assert abs(mine - brute) / abs(brute) < 1e-6
 
 
@@ -215,14 +223,6 @@ def test_corner_single_layer_against_brute_force():
     panel = mesh.vertices[mesh.triangles[3]]
     brute = brute_single_layer(panel, panel[0], psi_corner=0)
     assert np.all(np.abs(vals - brute) / np.abs(brute) < 5e-6)
-
-
-def test_singular_self_integral_rejects_off_panel_target():
-    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(UsageError):
-        kn.singular_self_integral(tri, np.array([0.3, 0.3, 0.5]))
-    with pytest.raises(UsageError):
-        kn.singular_self_integral(tri, np.array([2.0, 2.0, 0.0]))
 
 
 def test_flat_panel_double_layer_self_is_zero():
@@ -383,7 +383,7 @@ def _pair_entries_mapped_per_pair(points, mesh, panels, rule, kappa, shape_funct
 
 
 @pytest.mark.parametrize("shape_functions", [False, True])
-def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions):
+def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions, monkeypatch):
     import pbadapt as pa
 
     mesh = pa.icosphere(1.0, 1)
@@ -391,10 +391,10 @@ def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions):
     off = ti != pj
     points, panels = mesh.centroids[ti[off]], pj[off]
     want = _pair_entries_mapped_per_pair(points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions)
-    for threads in (1, 2):
+    for cpus in (1, 2):
+        monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
         got = kn.kernel_pair_entries(
-            points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions=shape_functions,
-            threads=threads,
+            points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions=shape_functions
         )
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -462,7 +462,7 @@ def test_p1_operator_matches_per_pair_reference():
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_run_parallel_calls_each_item_once():
+def test_run_parallel_calls_each_item_once(monkeypatch):
     import sys
 
     seen = np.zeros(500, dtype=int)
@@ -473,22 +473,22 @@ def test_run_parallel_calls_each_item_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for threads in (None, 1, 2, 64):
-            kn.run_parallel(bump, range(len(seen)), threads)
+        for cpus in (1, 2):
+            monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
+            kn.run_parallel(bump, range(len(seen)))
     finally:
         sys.setswitchinterval(interval)
-    assert np.all(seen == 4)
+    assert np.all(seen == 2)
 
 
-def test_run_parallel_raises_worker_errors_and_rejects_zero_threads():
+def test_run_parallel_raises_worker_errors(monkeypatch):
     def fail(i):
         if i == 7:
             raise SingularityError("boom")
 
+    monkeypatch.setattr(kn, "_usable_cpus", lambda: 2)
     with pytest.raises(SingularityError):
-        kn.run_parallel(fail, range(20), threads=2)
-    with pytest.raises(UsageError):
-        kn.run_parallel(fail, range(20), threads=0)
+        kn.run_parallel(fail, range(20))
 
 
 # -- Gauss identity -----------------------------------------------------------

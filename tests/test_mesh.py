@@ -59,7 +59,7 @@ def test_flipped_triangle_rejected():
     tet = make_tetrahedron()
     tris = tet.triangles.copy()
     tris[0] = tris[0][::-1]
-    with pytest.raises(MeshInvariantError):
+    with pytest.raises(MeshInvariantError, match="inconsistent triangle orientation"):
         pa.SurfaceMesh(tet.vertices, tris)
 
 

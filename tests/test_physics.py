@@ -56,6 +56,13 @@ def test_coulomb_trace_normal_projection(unit_charge):
     u, dudn = pa.coulomb_trace(unit_charge, phys, pts, normals)
     assert u[0] == pytest.approx(1.0 / FOUR_PI)
     assert dudn[0] == pytest.approx(-1.0 / FOUR_PI, rel=1e-13)  # d/dr of 1/(4 pi r) at r=1
+    rng = np.random.default_rng(4)
+    charges = pa.ChargeSet(rng.uniform(-0.5, 0.5, (200, 3)), rng.uniform(-1.0, 1.0, 200))
+    pts, normals = rng.standard_normal((300, 3)), rng.standard_normal((300, 3))
+    u, dudn = pa.coulomb_trace(charges, phys, pts, normals)
+    assert np.array_equal(u, coulomb_potential(charges, phys, pts))
+    grad = coulomb_gradient(charges, phys, pts)
+    assert np.array_equal(dudn, np.einsum("mx,mx->m", grad, normals))
 
 
 def test_coulomb_singularity_guard(unit_charge):

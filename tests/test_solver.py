@@ -65,19 +65,29 @@ def test_single_layer_kernel_symmetry(born_setup):
     assert np.linalg.norm(vl - vl.T) / np.linalg.norm(vl) < 1e-2
 
 
+def _use_cpus(monkeypatch, cpus):
+    """Make the kernel layer see ``cpus`` usable CPUs at one fixed row batch size.
+
+    The batch is ROW_BATCH_VALUES / usable CPUs, and a different batch size
+    may change the last bits of the BLAS products; this small one splits the
+    rows into many batches for the workers.
+    """
+    monkeypatch.setattr(pa.kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5 * cpus)
+
+
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_assembly_independent_of_threads(salty, offcenter_charge, space, monkeypatch):
-    # a small budget splits the rows into many batches for the workers
-    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5)
     mesh = pa.icosphere(1.0, 2)
-    a1, b1 = pa.assemble_system(mesh, salty, offcenter_charge, space=space, threads=1)
-    a2, b2 = pa.assemble_system(mesh, salty, offcenter_charge, space=space, threads=2)
+    _use_cpus(monkeypatch, 1)
+    a1, b1 = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
+    _use_cpus(monkeypatch, 2)
+    a2, b2 = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
     assert np.array_equal(a1, a2)
     assert np.array_equal(b1, b2)
 
 
 def test_reaction_potential_independent_of_threads(salty, offcenter_charge, monkeypatch):
-    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5)
     mesh = pa.icosphere(1.0, 2)
     rng = np.random.default_rng(3)
     dirs = rng.standard_normal((60, 3))
@@ -87,8 +97,10 @@ def test_reaction_potential_independent_of_threads(salty, offcenter_charge, monk
         pa.solve_forward(mesh, salty, offcenter_charge),
         pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=0),
     ):
-        serial = pa.reaction_potential(sol, targets, threads=1)
-        assert np.array_equal(serial, pa.reaction_potential(sol, targets, threads=2))
+        _use_cpus(monkeypatch, 1)
+        serial = pa.reaction_potential(sol, targets)
+        _use_cpus(monkeypatch, 2)
+        assert np.array_equal(serial, pa.reaction_potential(sol, targets))
 
 
 def test_charge_outside_rejected(salty):
