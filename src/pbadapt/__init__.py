@@ -25,7 +25,13 @@ from .physics import (
     reaction_potential,
     solvation_energy,
 )
-from .solver import PanelSolution, assemble_system, solve_adjoint, solve_forward
+from .solver import (
+    PanelSolution,
+    SystemCache,
+    assemble_system,
+    solve_adjoint,
+    solve_forward,
+)
 
 __all__ = [
     "AdaptiveConfig",
@@ -38,6 +44,7 @@ __all__ = [
     "PanelSolution",
     "SphereCase",
     "SurfaceMesh",
+    "SystemCache",
     "adaptive_loop",
     "assemble_system",
     "born_energy",

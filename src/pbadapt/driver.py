@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,9 @@ from .mesh import (
     save_panel_values,
 )
 from .physics import BiePhysics, ChargeSet, EnergyResult, solvation_energy
-from .solver import DEFAULT_GMRES_TOL, solve_adjoint, solve_forward
+from .solver import DEFAULT_GMRES_TOL, SystemCache, solve_adjoint, solve_forward
+
+logger = logging.getLogger(__name__)
 
 _ESTIMATORS = {"Ephi": estimate_Ephi, "Eu": estimate_Eu}
 
@@ -106,21 +109,32 @@ def uniform_loop(
     return _refinement_loop(mesh0, charges, physics, config, estimate=False)
 
 
+def _log_reuse(it: int, space: str, cache: SystemCache) -> None:
+    logger.debug(
+        "iteration %d %s system: %d rows and %d columns reused, %d rows and %d columns computed",
+        it, space, *cache.reused, *cache.computed,
+    )
+
+
 def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: bool):
     """Solve, then mark and refine before every further solve.
 
     Without ``estimate`` every panel is marked and neither the adjoint nor
     the estimator runs. An iteration's wall time includes the refinement
-    that produced its mesh.
+    that produced its mesh. The forward and adjoint systems are kept for the
+    next iteration, which copies their unchanged rows and columns.
     """
     history: list[IterationRecord] = []
     mesh = mesh0
+    caches = {"P0": SystemCache(), "P1": SystemCache()}
     for it in range(config.max_iterations):
         start = time.perf_counter()
         try:
             if it:
                 mesh = _refine(mesh, marked, config.refinement_mode, config.background_mesh)
-            forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
+            forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol,
+                                    cache=caches["P0"])
+            _log_reuse(it, "P0", caches["P0"])
             energy = solvation_energy(forward, charges, physics)
             emap, marked = None, range(mesh.n_panels)
             if estimate:
@@ -131,7 +145,9 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
                     refine_levels=config.adjoint_refine_levels,
                     background=config.background_mesh,
                     gmres_tol=config.gmres_tol,
+                    cache=caches["P1"],
                 )
+                _log_reuse(it, "P1", caches["P1"])
                 emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
                 marked = mark_elements(emap.per_panel, config.marking_fraction)
         except PbAdaptError as exc:

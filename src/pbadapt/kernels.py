@@ -16,7 +16,6 @@ and the van Oosterom–Strackee solid angle; Yukawa adds a bounded remainder.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -152,9 +151,14 @@ def _flat_panel_laplace(x, corners, normals, areas, linear):
 # vectorized mesh machinery (assembly and potential evaluation)
 
 
-def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule) -> np.ndarray:
-    """(T, nq, 3) physical quadrature points for every panel."""
-    corners = mesh.vertices[mesh.triangles]
+def _panel_index(panels):
+    """Index of a panel subset into per-panel arrays; every panel when None."""
+    return slice(None) if panels is None else np.asarray(panels, dtype=np.int64)
+
+
+def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule, panels=None) -> np.ndarray:
+    """(T, nq, 3) physical quadrature points for every panel, or for ``panels``."""
+    corners = mesh.vertices[mesh.triangles[_panel_index(panels)]]
     return np.einsum("qk,tkx->tqx", rule.points, corners)
 
 
@@ -229,17 +233,31 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq, near):
     return kerns
 
 
-def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool):
+def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool, panels=None):
     """(shape, cols, n_cols): the two tables of a boundary basis and its column count.
 
     ``shape`` holds the local shape functions at the rule points, ``cols``
     each panel's global columns. P0: ones (nq,) and the panel index (T, 1);
     P1: the barycentric rule points (nq, 3) and the panel's corners (T, 3).
     Without a local axis in ``shape``, P0 integrals are plain panel integrals.
+    With ``panels`` the tables cover those panels only, and column k is the
+    k-th entry of ``basis_columns(mesh, shape_functions, panels)``.
     """
+    if panels is not None:
+        columns = basis_columns(mesh, shape_functions, panels)
+        if shape_functions:
+            return rule.points, np.searchsorted(columns, mesh.triangles[panels]), len(columns)
+        return np.ones(rule.n_points), np.arange(len(panels))[:, None], len(panels)
     if shape_functions:
         return rule.points, mesh.triangles, mesh.n_vertices
     return np.ones(rule.n_points), np.arange(mesh.n_panels)[:, None], mesh.n_panels
+
+
+def basis_columns(mesh: SurfaceMesh, shape_functions: bool, panels) -> np.ndarray:
+    """Global columns that ``panels`` reach, ascending: the panels themselves
+    for P0 (given ascending), their corners for P1."""
+    panels = np.asarray(panels, dtype=np.int64)
+    return np.unique(mesh.triangles[panels]) if shape_functions else panels
 
 
 def kernel_row_blocks(
@@ -250,6 +268,7 @@ def kernel_row_blocks(
     out,
     near,
     shape_functions: bool = False,
+    panels=None,
 ):
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
@@ -258,16 +277,20 @@ def kernel_row_blocks(
     integrals are folded into vertex columns batch by batch (keeps memory
     at O(batch * T)). ``near`` = (ti, pj), sorted by target as
     ``near_pairs`` returns them: these (target, panel) pairs are left out.
-    Batches of targets run on ``run_parallel``.
+    With ``panels`` (ascending) only those panels are integrated, ``pj``
+    counts positions in ``panels`` and the columns are those of
+    ``basis_columns``. Batches of targets run on ``run_parallel``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    T, nq = mesh.n_panels, rule.n_points
-    xq = panel_quad_points(mesh, rule)
+    sel = _panel_index(panels)
+    normals = mesh.normals[sel]
+    T, nq = len(normals), rule.n_points
+    xq = panel_quad_points(mesh, rule, panels)
     xqf = np.ascontiguousarray(xq.reshape(T * nq, 3))
     xx = np.einsum("ij,ij->i", xqf, xqf)
-    xn = np.einsum("tqx,tx->tq", xq, mesh.normals)
-    shape, cols, n_cols = basis_tables(mesh, rule, shape_functions)
-    w = np.einsum("q...,t->tq...", np.einsum("q,q...->q...", rule.weights, shape), mesh.areas)
+    xn = np.einsum("tqx,tx->tq", xq, normals)
+    shape, cols, n_cols = basis_tables(mesh, rule, shape_functions, panels)
+    w = np.einsum("q...,t->tq...", np.einsum("q,q...->q...", rule.weights, shape), mesh.areas[sel])
     fold = None  # P0 columns are the panels: no fold
     if shape_functions:
         fold = csr_matrix(
@@ -283,7 +306,7 @@ def kernel_row_blocks(
 
     def run(sl):
         lo, hi = np.searchsorted(ti, (sl.start, sl.stop))
-        kerns = _batch_kernels(targets[sl], xqf, xx, xn, mesh.normals, kappa, yukawa, T, nq,
+        kerns = _batch_kernels(targets[sl], xqf, xx, xn, normals, kappa, yukawa, T, nq,
                                (ti[lo:hi] - sl.start, pj[lo:hi]))
         for block, kern in zip(out, kerns):
             if kern is not None:
@@ -418,46 +441,62 @@ def operator_blocks(
     out,
     shape_functions: bool = False,
     collocated: bool = False,
+    panels=None,
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
     Fills ``out`` as ``kernel_row_blocks`` does and integrates every
     (target, panel) pair once: GAUSS7 for far pairs, ``near_pair_entries``
-    for the pairs of ``near_pairs``. With ``collocated`` the targets are the
-    basis's collocation points (P0: centroids, P1: vertices) and all four
-    blocks are given; a pair whose target lies on the panel gets the
-    principal value 0 of the flat-panel double layer.
+    for the pairs of ``near_pairs``. With ``collocated`` the targets are
+    collocation points of the basis (P0: centroids, P1: vertices; any of
+    them, in any order) and all four blocks are given; a pair whose target
+    is a node of the panel lies on it and gets the principal value 0 of the
+    flat-panel double layer. With ``panels`` (ascending) only those panels
+    are integrated and ``out`` has the columns of ``basis_columns``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions)
-    ti, pj = near_pairs(targets, mesh)
-    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions)
-    pair_cols = cols[pj]
-    near = near_pair_entries(targets[ti], mesh, pj, kappa, yukawa=out[2] is not None,
+    _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions, panels)
+    ti, pj = near_pairs(targets, mesh, panels)
+    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions, panels)
+    pid = pj if panels is None else np.asarray(panels, dtype=np.int64)[pj]
+    near = near_pair_entries(targets[ti], mesh, pid, kappa, yukawa=out[2] is not None,
                              shape_functions=shape_functions)
     if collocated:  # a target that is a node of the panel lies on it: principal value K = 0
-        on = (pair_cols == ti[:, None]).any(axis=1)
+        nodes = mesh.vertices[mesh.triangles[pid]] if shape_functions else mesh.centroids[pid, None]
+        on = (nodes == targets[ti, None]).all(axis=2).any(axis=1)
         near[1][on] = near[3][on] = 0.0
+    pair_cols = cols[pj]
     for block, value in zip(out, near):
         if block is not None:
             _add_pairs(block, ti, pair_cols, value)
 
 
-def near_pairs(points, mesh: SurfaceMesh):
+def near_pairs(points, mesh: SurfaceMesh, panels=None):
     """(target, panel) index pairs with |point - centroid| < NEAR_FACTOR * diameter,
-    sorted by target, then panel."""
+    sorted by target, then panel. With ``panels`` only those panels are
+    tested, and the panel index is the position in ``panels``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    radius = NEAR_FACTOR * mesh.diameters
-    # the tree's test is inclusive and rounds its own way: a slightly wider
-    # ball finds every candidate, the strict test below decides
-    hits = cKDTree(points).query_ball_point(mesh.centroids, r=radius * (1.0 + 1e-12))
-    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-    ti = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=counts.sum())
-    pj = np.repeat(np.arange(mesh.n_panels), counts)
-    keep = np.linalg.norm(points[ti] - mesh.centroids[pj], axis=1) < radius[pj]
-    ti, pj = ti[keep], pj[keep]
-    order = np.lexsort((pj, ti))
-    return ti[order], pj[order]
+    sel = _panel_index(panels)
+    centroids, radius = mesh.centroids[sel], NEAR_FACTOR * mesh.diameters[sel]
+    T = len(radius)
+    if T == 0 or len(points) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    tree = cKDTree(points)
+    # one dual-tree query per group of panels whose radii lie within a factor
+    # sqrt(2); the tree's test is inclusive and rounds its own way, so a
+    # slightly wider ball finds every candidate and the strict test decides
+    group = np.floor(2.0 * np.log2(radius / radius.min())).astype(np.int64)
+    keys = []
+    for g in np.unique(group):
+        members = np.flatnonzero(group == g)
+        found = tree.sparse_distance_matrix(
+            cKDTree(centroids[members]), radius[members].max() * (1.0 + 1e-12),
+            output_type="ndarray",
+        )
+        ti, pj = found["i"].astype(np.int64), members[found["j"]]
+        keep = np.linalg.norm(points[ti] - centroids[pj], axis=1) < radius[pj]
+        keys.append(ti[keep] * T + pj[keep])
+    return np.divmod(np.sort(np.concatenate(keys)), T)
 
 
 def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:

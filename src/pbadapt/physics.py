@@ -94,7 +94,7 @@ def _charge_offsets(charges: ChargeSet, points):
     """Offsets point minus charge, (M, N, 3), and their lengths, (M, N)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points[:, None, :] - charges.positions[None, :, :]
-    r = np.linalg.norm(d, axis=-1)
+    r = np.sqrt(np.einsum("mnx,mnx->mn", d, d))
     if np.any(r < CHARGE_CLEARANCE):
         raise SingularityError("evaluation point coincides with a charge")
     return d, r
@@ -105,7 +105,7 @@ def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
 
 
 def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
-    g = -(charges.charges[None, :, None] * d / (kernels.FOUR_PI * r[:, :, None] ** 3)).sum(axis=1)
+    g = -np.einsum("mn,mnx->mx", charges.charges[None, :] / (kernels.FOUR_PI * r**3), d)
     return g / physics.eps_m
 
 

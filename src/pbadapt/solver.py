@@ -13,12 +13,19 @@ the free term c is exactly 1/2 and the double-layer diagonal vanishes
 collocated at mesh vertices the surface has corners, so c is the interior
 solid-angle fraction; it is recovered from the assembled Laplace
 double-layer row sums, which annihilates constants exactly.
+
+An adaptive loop changes a few panels per step. Assembly through a
+``SystemCache`` copies every entry whose row and column geometry is
+unchanged from the system the cache holds and integrates only the rest.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import gmres
@@ -30,6 +37,9 @@ from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_i
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
+COPY_ROWS = 256  # matrix rows per fancy-indexed copy from a held system
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @dataclass(frozen=True)
@@ -53,15 +63,132 @@ class PanelSolution:
             raise UsageError("trace length does not match the discretization")
 
 
+class _Held(NamedTuple):
+    space: str
+    physics: BiePhysics
+    mesh: SurfaceMesh
+    matrix: np.ndarray
+    diagonal: np.ndarray  # (2, N): the KL and KY diagonals without the free term
+
+
+class SystemCache:
+    """The last system assembled through it, kept for the next mesh.
+
+    ``assemble_system(..., cache=...)`` copies from the held system every
+    entry whose row and column are unchanged, integrates the others, and
+    then holds the new system in place of the old one. The held matrix is
+    the one ``assemble_system`` returned, so callers must not modify it.
+    ``reused`` and ``computed`` count that assembly's (rows, columns) of
+    each N x N block.
+    """
+
+    def __init__(self):
+        self._held: _Held | None = None
+        self.reused = (0, 0)
+        self.computed = (0, 0)
+
+
+def _match(old, new) -> np.ndarray:
+    """Index of the row of ``old`` equal bit for bit to each row of ``new``, -1 if none."""
+    index = {row.tobytes(): i for i, row in enumerate(old)}
+    return np.array([index.get(row.tobytes(), -1) for row in new], dtype=np.int64)
+
+
+def _unchanged(old: SurfaceMesh, mesh: SurfaceMesh, p1: bool):
+    """(rows, cols): the old row and column each new one equals, -1 where it changed.
+
+    A P0 row or column is its panel's operator; it is unchanged when the
+    panel's three corners are. A P1 row is unchanged when its vertex is,
+    a P1 column when in addition every panel of the vertex's star is.
+    """
+    panels = _match(old.vertices[old.triangles].reshape(-1, 9),
+                    mesh.vertices[mesh.triangles].reshape(-1, 9))
+    if not p1:
+        return panels, panels
+    rows = _match(old.vertices, mesh.vertices)
+    star = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
+    kept = np.bincount(mesh.triangles[panels >= 0].ravel(), minlength=mesh.n_vertices)
+    old_star = np.bincount(old.triangles.ravel(), minlength=old.n_vertices)
+    same = (rows >= 0) & (kept == star) & (old_star[rows] == star)
+    return rows, np.where(same, rows, -1)
+
+
+def _runs(dst, src) -> list[tuple[slice, slice]]:
+    """(dst, src) slice pairs over the maximal stretches where both indices step by one."""
+    if len(dst) == 0:
+        return []
+    cut = np.flatnonzero((np.diff(dst) != 1) | (np.diff(src) != 1)) + 1
+    return [(slice(dst[i], dst[j - 1] + 1), slice(src[i], src[j - 1] + 1))
+            for i, j in zip(np.r_[0, cut], np.r_[cut, len(dst)])]
+
+
+def _copy(a, old, dst_rows, src_rows, dst_cols, src_cols) -> None:
+    """a[dst_rows x dst_cols] = old[src_rows x src_cols].
+
+    One slice copy per pair of stretches (``_runs``) while there are no more
+    pairs than rows; otherwise fancy-indexed copies of COPY_ROWS rows each.
+    """
+    row_runs, col_runs = _runs(dst_rows, src_rows), _runs(dst_cols, src_cols)
+    if len(row_runs) * len(col_runs) <= len(dst_rows):
+        for rd, rs in row_runs:
+            for cd, cs in col_runs:
+                a[rd, cd] = old[rs, cs]
+        return
+    for k in range(0, len(dst_rows), COPY_ROWS):
+        part = slice(k, k + COPY_ROWS)
+        a[dst_rows[part, None], dst_cols] = old[src_rows[part, None], src_cols]
+
+
+def _memory_budget() -> int:
+    """Bytes a new allocation may take: physical memory, or less if the
+    process's cgroup (v2) limit leaves less. Only reads system files."""
+    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        entry = next(line for line in _PROC_CGROUP.read_text().splitlines()
+                     if line.startswith("0::"))
+        group = _CGROUP_ROOT / entry[3:].lstrip("/")
+        limit = (group / "memory.max").read_text().strip()
+        if limit != "max":
+            budget = min(budget, int(limit) - int((group / "memory.current").read_text()))
+    except (OSError, StopIteration, ValueError):
+        pass  # no cgroup v2 memory limit: physical memory is the bound
+    return budget
+
+
+def _scaled(blocks, physics):
+    vl, _, vy, ky = blocks
+    vl *= -1.0
+    ky *= -1.0
+    vy *= physics.eps_m / physics.eps_w
+    return blocks
+
+
+def _operator_rows(colloc, mesh, physics, p1, targets, panels=None):
+    """Scaled (VL, KL, VY, KY) blocks at the collocation points ``targets``,
+    with every column, or the columns of ``kernels.basis_columns`` for ``panels``."""
+    n_cols = len(colloc) if panels is None else len(kernels.basis_columns(mesh, p1, panels))
+    out = tuple(np.empty((len(targets), n_cols)) for _ in range(4))
+    kernels.operator_blocks(colloc[targets], mesh, physics.kappa, out, p1, collocated=True,
+                            panels=panels)
+    return _scaled(out, physics)
+
+
 def assemble_system(
     mesh: SurfaceMesh,
     physics: BiePhysics,
     charges: ChargeSet,
     space: str = "P0",
+    cache: SystemCache | None = None,
 ):
     """Dense 2N x 2N collocation matrix and right-hand side.
 
     Unknown ordering: [u-, du-/dn]; the second block row is homogeneous.
+    With a ``cache`` that holds a system of the same space and physics, the
+    entries of unchanged rows and columns (``_unchanged``) are copied from
+    it; the cache then holds the new system. Freshly integrated far entries
+    can differ from the copied ones in the last bit, as between row batches
+    of different sizes (``kernels.kernel_row_blocks``). Raises SolverError
+    when the matrix would not fit in memory.
     """
     require_charges_inside(charges, mesh)
     if space not in ("P0", "P1"):
@@ -69,19 +196,55 @@ def assemble_system(
     p1 = space == "P1"
     colloc = mesh.vertices if p1 else mesh.centroids
     n = len(colloc)
+    need, budget = 32 * n * n, _memory_budget()
+    if need > budget:
+        raise SolverError(
+            f"the dense {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, "
+            f"more than the {budget / 1e9:.2f} GB available"
+        )
+    held = None if cache is None else cache._held
+    rows = cols = np.full(n, -1)
+    if held is not None and (held.space, held.physics) == (space, physics):
+        rows, cols = _unchanged(held.mesh, mesh, p1)
+    new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)
+    new_cols, kept_cols = np.flatnonzero(cols < 0), np.flatnonzero(cols >= 0)
     a = np.empty((2 * n, 2 * n))
-    kl, vl, ky, vy = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
-    kernels.operator_blocks(colloc, mesh, physics.kappa, (vl, kl, vy, ky), p1, collocated=True)
-    vl *= -1.0
-    ky *= -1.0
-    vy *= physics.eps_m / physics.eps_w
+    blocks = (a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n])  # VL, KL, VY, KY
+    if len(kept_rows) == 0:  # nothing to copy: write straight into the matrix
+        kernels.operator_blocks(colloc, mesh, physics.kappa, blocks, p1, collocated=True)
+        _scaled(blocks, physics)
+    else:
+        old_n = held.diagonal.shape[1]
+        _copy(a, held.matrix,
+              np.r_[kept_rows, kept_rows + n], np.r_[rows[kept_rows], rows[kept_rows] + old_n],
+              np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
+        # the copied diagonal carries the old free term: take the one without it
+        a[kept_cols, kept_cols] = held.diagonal[0, cols[kept_cols]]
+        a[n + kept_cols, kept_cols] = held.diagonal[1, cols[kept_cols]]
+        if len(new_rows):
+            for block, value in zip(blocks, _operator_rows(colloc, mesh, physics, p1, new_rows)):
+                block[new_rows] = value
+        if len(new_cols):
+            # every panel that reaches a new column; its other columns are dropped
+            panels = new_cols
+            if p1:
+                panels = np.flatnonzero(np.isin(mesh.triangles, new_cols).any(axis=1))
+            pick = np.searchsorted(kernels.basis_columns(mesh, p1, panels), new_cols)
+            values = _operator_rows(colloc, mesh, physics, p1, kept_rows, panels)
+            for block, value in zip(blocks, values):
+                block[kept_rows[:, None], new_cols] = value[:, pick]
+    idx = np.arange(n)
+    diagonal = np.stack([a[idx, idx], a[n + idx, idx]])
     # P0: flat panels, c = 1/2; P1: c is the interior solid-angle fraction at
     # each vertex, which the Laplace double layer's row sums give
-    c = -kl.sum(axis=1) if p1 else np.full(n, 0.5)
-    idx = np.arange(n)
+    c = -a[:n, :n].sum(axis=1) if p1 else np.full(n, 0.5)
     a[idx, idx] += c
     a[n + idx, idx] += 1.0 - c
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
+    if cache is not None:
+        cache._held = _Held(space, physics, mesh, a, diagonal)
+        cache.reused = (len(kept_rows), len(kept_cols))
+        cache.computed = (len(new_rows), len(new_cols))
     return a, b
 
 
@@ -130,9 +293,11 @@ def solve_forward(
     charges: ChargeSet,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
+    cache: SystemCache | None = None,
 ) -> PanelSolution:
-    """Piecewise-constant traces collocated at panel centroids."""
-    a, b = assemble_system(mesh, physics, charges, space="P0")
+    """Piecewise-constant traces collocated at panel centroids; ``cache`` as
+    in ``assemble_system``."""
+    a, b = assemble_system(mesh, physics, charges, space="P0", cache=cache)
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = mesh.n_panels
     return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters)
@@ -146,6 +311,7 @@ def solve_adjoint(
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
+    cache: SystemCache | None = None,
 ) -> PanelSolution:
     """Dual traces on a uniformly refined mesh, continuous piecewise linear.
 
@@ -155,7 +321,7 @@ def solve_adjoint(
     mesh the splits are surface-conforming (new vertices snapped onto it),
     which lets the dual solution resolve the geometric part of the error,
     not just the discretization part. The returned solution's mesh carries a
-    parent map back to the input mesh.
+    parent map back to the input mesh. ``cache`` as in ``assemble_system``.
     """
     if refine_levels < 0:
         raise UsageError("refine_levels must be >= 0")
@@ -170,7 +336,7 @@ def solve_adjoint(
         fine = dataclasses.replace(
             refined, parent_map=fine.parent_map[refined.parent_map]
         )
-    a, b = assemble_system(fine, physics, charges, space="P1")
+    a, b = assemble_system(fine, physics, charges, space="P1", cache=cache)
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = fine.n_vertices
     return PanelSolution("P1", x[:n], x[n:], fine, residual, iters)

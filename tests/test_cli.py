@@ -110,6 +110,15 @@ def test_unreachable_tolerance_is_solver_error(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_system_too_large_for_memory_is_solver_error(tmp_path, capsys, monkeypatch):
+    from pbadapt import solver
+
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 0)
+    assert main(["solve", "--config", cfg]) == EXIT_SOLVER
+    assert "needs" in capsys.readouterr().err
+
+
 def test_estimate_sphere_reports_gamma_both_estimators(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     out_dir = tmp_path / "est"

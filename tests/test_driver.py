@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,23 @@ def test_save_history_layout(tmp_path, case):
     first = rows[1].split(",")
     assert first[0] == "0" and int(first[1]) == 80
     assert float(first[2]) == pytest.approx(hist[0].energy.dG_solv)
+
+
+def test_loop_logs_reused_and_computed_rows_and_columns(case, caplog):
+    config = small_config(max_iterations=2)
+    with caplog.at_level(logging.DEBUG, logger="pbadapt.driver"):
+        hist = pa.adaptive_loop(pa.icosphere(1.0, 1), case.charges, case.physics, config)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pbadapt.driver"]
+    assert len(lines) == 4  # P0 and P1 of each iteration
+    pattern = re.compile(
+        r"iteration (\d) (P[01]) system: (\d+) rows and (\d+) columns reused, "
+        r"(\d+) rows and (\d+) columns computed"
+    )
+    for line, (it, space) in zip(lines, [(0, "P0"), (0, "P1"), (1, "P0"), (1, "P1")]):
+        m = pattern.fullmatch(line)
+        assert m and (int(m[1]), m[2]) == (it, space)
+        mesh = hist[it].mesh
+        n = mesh.n_panels if space == "P0" else mesh.n_vertices
+        rows_reused, cols_reused, rows_new, cols_new = map(int, m.groups()[2:])
+        assert rows_reused + rows_new == n and cols_reused + cols_new == n
+        assert (rows_reused > 0) == (it > 0) and (cols_reused > 0) == (it > 0)

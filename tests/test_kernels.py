@@ -510,3 +510,50 @@ def test_gauss_identity_interior_targets():
             for i in range(mesh.n_panels)
         )
         assert abs(total - (-1.0)) < 1e-2
+
+
+def _uneven_mesh():
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 1)
+    marked = np.flatnonzero(mesh.centroids[:, 2] > 0.4)
+    return refine_flat(mesh, close_marking(mesh, marked))
+
+
+def test_near_pairs_on_panel_subset_are_the_subset_of_all_pairs():
+    mesh = _uneven_mesh()
+    panels = np.flatnonzero(mesh.centroids[:, 0] > 0.2)
+    for points in (mesh.centroids, mesh.vertices):
+        ti, pj = kn.near_pairs(points, mesh)
+        keep = np.isin(pj, panels)
+        sub_ti, sub_pos = kn.near_pairs(points, mesh, panels)
+        assert np.array_equal(sub_ti, ti[keep])
+        assert np.array_equal(panels[sub_pos], pj[keep])
+    empty = kn.near_pairs(mesh.centroids, mesh, np.empty(0, dtype=np.int64))
+    assert all(len(e) == 0 for e in empty)
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_operator_on_panel_subset_matches_full_columns(shape_functions):
+    mesh, kappa = _uneven_mesh(), 0.125
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    n = len(colloc)
+    full = tuple(np.empty((n, n)) for _ in range(4))
+    kn.operator_blocks(colloc, mesh, kappa, full, shape_functions, collocated=True)
+    targets = np.arange(0, n, 3)
+    if shape_functions:  # the stars of some vertices: their columns are complete
+        wanted = np.arange(1, n, 5)
+        panels = np.flatnonzero(np.isin(mesh.triangles, wanted).any(axis=1))
+    else:
+        wanted = panels = np.arange(2, n, 4)
+    columns = kn.basis_columns(mesh, shape_functions, panels)
+    pick = np.searchsorted(columns, wanted)
+    assert np.array_equal(columns[pick], wanted)
+    sub = tuple(np.empty((len(targets), len(columns))) for _ in range(4))
+    kn.operator_blocks(colloc[targets], mesh, kappa, sub, shape_functions, collocated=True,
+                       panels=panels)
+    for f, s in zip(full, sub):
+        want = f[np.ix_(targets, wanted)]
+        # the far entries' BLAS distance products may differ in the last bits
+        assert np.allclose(s[:, pick], want, rtol=1e-13, atol=1e-15 * np.abs(f).max())

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -229,3 +231,121 @@ def test_bad_space_rejected(salty, offcenter_charge):
         pa.assemble_system(mesh, salty, offcenter_charge, space="P2")
     with pytest.raises(UsageError):
         pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=-1)
+
+
+# -- reuse of a held system across an adaptive loop ----------------------------
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+def test_incremental_assembly_matches_scratch(background, levels, monkeypatch):
+    """Each reusing assembly of a short conforming loop against one from scratch:
+    copied entries equal the held ones bit for bit, whole matrices agree to
+    1e-13 max|A| and right-hand sides exactly; the loop's energies agree with
+    a loop that never reuses to 1e-12 and its panel trajectory is the same."""
+    from pbadapt import solver
+    from pbadapt.oracle import offcenter_benchmark
+
+    case = offcenter_benchmark()
+    mesh0 = pa.icosphere(1.0, 1)
+    config = pa.AdaptiveConfig(
+        marking_fraction=0.10,
+        adjoint_refine_levels=levels,
+        refinement_mode="conforming",
+        max_iterations=4,
+        background_mesh=background,
+    )
+    real = solver.assemble_system
+    reused = []
+
+    def checked(mesh, physics, charges, space="P0", cache=None):
+        held = cache._held
+        a, b = real(mesh, physics, charges, space, cache)
+        a0, b0 = real(mesh, physics, charges, space)
+        assert np.abs(a - a0).max() <= 1e-13 * np.abs(a0).max()
+        assert np.array_equal(b, b0)
+        n = len(b) // 2
+        if held is not None:
+            rows, cols = solver._unchanged(held.mesh, mesh, space == "P1")
+            assert cache.reused == (np.count_nonzero(rows >= 0), np.count_nonzero(cols >= 0))
+            assert cache.computed == (np.count_nonzero(rows < 0), np.count_nonzero(cols < 0))
+            old_n = len(held.diagonal[0])
+            r, c = np.flatnonzero(rows >= 0), np.flatnonzero(cols >= 0)
+            off_diagonal = r[:, None] != c[None, :]  # the diagonal carries the new free term
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                new = a[np.ix_(r + i * n, c + j * n)]
+                old = held.matrix[np.ix_(rows[r] + i * old_n, cols[c] + j * old_n)]
+                assert np.array_equal(new[off_diagonal], old[off_diagonal])
+            reused.append(min(cache.reused))
+        return a, b
+
+    monkeypatch.setattr(solver, "assemble_system", checked)
+    incremental = pa.adaptive_loop(mesh0, case.charges, case.physics, config)
+    monkeypatch.setattr(solver, "assemble_system",
+                        lambda *args, cache=None, **kwargs: real(*args, **kwargs))
+    scratch = pa.adaptive_loop(mesh0, case.charges, case.physics, config)
+
+    assert len(reused) == 2 * (config.max_iterations - 1) and min(reused) > 0
+    assert [r.mesh.n_panels for r in incremental] == [r.mesh.n_panels for r in scratch]
+    for inc, ref in zip(incremental, scratch):
+        assert np.array_equal(inc.mesh.vertices, ref.mesh.vertices)
+        assert np.array_equal(inc.mesh.triangles, ref.mesh.triangles)
+        assert inc.energy.dG_solv == pytest.approx(ref.energy.dG_solv, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space):
+    mesh = pa.icosphere(1.0, 1)
+    fresh, _ = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
+    n = len(fresh) // 2
+    cache = pa.SystemCache()
+    pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
+    assert cache.reused == (0, 0) and cache.computed == (n, n)
+    again, _ = pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
+    assert cache.reused == (n, n) and cache.computed == (0, 0)
+    assert np.array_equal(again, fresh)
+    for physics in (
+        pa.BiePhysics(eps_m=salty.eps_m, eps_w=salty.eps_w, kappa=0.25),
+        pa.BiePhysics(eps_m=2.0, eps_w=salty.eps_w, kappa=salty.kappa),
+        pa.BiePhysics(eps_m=salty.eps_m, eps_w=40.0, kappa=salty.kappa),
+    ):
+        pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
+        got, _ = pa.assemble_system(mesh, physics, offcenter_charge, space=space, cache=cache)
+        assert cache.reused == (0, 0)
+        assert np.array_equal(got, pa.assemble_system(mesh, physics, offcenter_charge, space=space)[0])
+    other = "P1" if space == "P0" else "P0"
+    pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
+    pa.assemble_system(mesh, salty, offcenter_charge, space=other, cache=cache)
+    assert cache.reused == (0, 0)
+
+
+def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monkeypatch):
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 1)
+    n = mesh.n_panels
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n - 1)
+    with pytest.raises(SolverError, match="needs"):
+        pa.assemble_system(mesh, salty, offcenter_charge)
+    with pytest.raises(SolverError):
+        pa.solve_forward(mesh, salty, offcenter_charge)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n)
+    pa.assemble_system(mesh, salty, offcenter_charge)
+
+
+def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
+    from pbadapt import solver
+
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    proc = tmp_path / "cgroup"
+    proc.write_text("0::/jobs/one\n")
+    group = tmp_path / "fs" / "jobs" / "one"
+    group.mkdir(parents=True)
+    monkeypatch.setattr(solver, "_PROC_CGROUP", proc)
+    monkeypatch.setattr(solver, "_CGROUP_ROOT", tmp_path / "fs")
+    (group / "memory.max").write_text("5000000\n")
+    (group / "memory.current").write_text("1200000\n")
+    assert solver._memory_budget() == min(physical, 3800000)
+    (group / "memory.max").write_text("max\n")
+    assert solver._memory_budget() == physical
+    proc.write_text("4:memory:/jobs/one\n")  # cgroup v1 only: physical memory
+    assert solver._memory_budget() == physical
