@@ -25,6 +25,7 @@ from .driver import (
 )
 from .errors import (
     ConfigError,
+    ExtrapolationError,
     MeshInvariantError,
     ParseError,
     PbAdaptError,
@@ -35,7 +36,7 @@ from .estimator import estimate_Ephi, estimate_Eu, effectivity
 from .mesh import SurfaceMesh, icosphere, load_msms, save_panel_values
 from .oracle import SphereCase, kirkwood_energy, richardson
 from .physics import BiePhysics, ChargeSet, load_pqr, solvation_energy
-from .solver import DEFAULT_GMRES_TOL, solve_adjoint, solve_forward
+from .solver import solve_adjoint, solve_forward
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,13 +44,24 @@ EXIT_INPUT = 3
 EXIT_SOLVER = 4
 EXIT_INTERNAL = 5
 
+# (key in [adapt], command-line flag, AdaptiveConfig field, type); a flag
+# overrides its key, and AdaptiveConfig supplies defaults and checks ranges
+RUN_SETTINGS = (
+    ("estimator", "--estimator", "estimator_tag", str),
+    ("fraction", "--fraction", "marking_fraction", float),
+    ("adjoint_levels", "--adjoint-levels", "adjoint_refine_levels", int),
+    ("mode", "--mode", "refinement_mode", str),
+    ("iterations", "--iters", "max_iterations", int),
+    ("gmres_tol", "--gmres-tol", "gmres_tol", float),
+)
+
 
 def _read_config(path) -> configparser.ConfigParser:
     if path is None:
         raise ConfigError("--config is required")
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -148,46 +160,26 @@ def _build_physics(cp) -> BiePhysics:
         raise ConfigError(f"[physics] {exc}") from exc
 
 
-def _adapt_settings(cp, args) -> dict:
-    """[adapt] values, each overridden by its command-line flag when given."""
-    sec = cp["adapt"] if "adapt" in cp else cp[cp.default_section]
-
-    def pick(flag, kind, key, default):
-        return flag if flag is not None else _get(sec, key, kind, default)
-
-    settings = {
-        "estimator": args.estimator or sec.get("estimator", "Eu"),
-        "fraction": pick(args.fraction, float, "fraction", 0.10),
-        "adjoint_levels": pick(args.adjoint_levels, int, "adjoint_levels", 1),
-        "mode": args.mode or sec.get("mode", "flat"),
-        "iters": pick(args.iters, int, "iterations", 1),
-        "gmres_tol": pick(args.gmres_tol, float, "gmres_tol", DEFAULT_GMRES_TOL),
-    }
-    if settings["estimator"] not in ("Ephi", "Eu"):
-        raise ConfigError(f"unknown estimator {settings['estimator']!r}")
-    if settings["mode"] not in ("flat", "conforming"):
-        raise ConfigError(f"unknown refinement mode {settings['mode']!r}")
-    for ok, what in (
-        (0.0 < settings["fraction"] <= 1.0, "fraction must lie in (0, 1]"),
-        (settings["adjoint_levels"] >= 0, "adjoint_levels must be >= 0"),
-        (settings["iters"] >= 1, "iterations must be >= 1"),
-        (settings["gmres_tol"] > 0.0, "gmres_tol must be > 0"),
-    ):
-        if not ok:
-            raise ConfigError(what)
-    return settings
-
-
-def _load_run(args, background: bool = True):
+def _load_run(args):
     """Everything solve, estimate and adapt read from the config file and flags.
 
-    Returns (cp, mesh, charges, physics, settings, background mesh or None);
-    ``background=False`` skips building a background mesh that is not used.
+    Returns (cp, mesh, charges, physics, config); ``config`` holds the
+    ``RUN_SETTINGS`` the file or the flags set and any background mesh.
     """
     cp = _read_config(args.config)
     mesh, charges, physics = _build_mesh(cp), _build_charges(cp), _build_physics(cp)
-    settings = _adapt_settings(cp, args)
-    return cp, mesh, charges, physics, settings, _build_background(cp) if background else None
+    sec = cp["adapt"] if "adapt" in cp else cp[cp.default_section]
+    settings = {}
+    for key, _flag, field, kind in RUN_SETTINGS:
+        if getattr(args, field) is not None:
+            settings[field] = getattr(args, field)
+        elif key in sec:
+            settings[field] = _get(sec, key, kind)
+    try:
+        config = AdaptiveConfig(background_mesh=_build_background(cp), **settings)
+    except UsageError as exc:
+        raise ConfigError(f"[adapt] {exc}") from exc
+    return cp, mesh, charges, physics, config
 
 
 def _out_dir(args) -> Path:
@@ -204,7 +196,7 @@ def _kirkwood_reference(cp, charges, physics) -> float:
     return kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
 
 
-def _exact_reference(cp, mesh, charges, physics, settings, background) -> float | None:
+def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
     """Reference energy for effectivity ratios.
 
     Analytic spheres use the multipole series; any mesh can opt into a
@@ -221,10 +213,11 @@ def _exact_reference(cp, mesh, charges, physics, settings, background) -> float 
     if mode == "kirkwood":
         return _kirkwood_reference(cp, charges, physics)
     if mode == "richardson":
+        background = config.background_mesh
         refine_mode = "conforming" if background is not None else "flat"
         history = uniform_loop(
             mesh, charges, physics, levels=3, mode=refine_mode, background=background,
-            gmres_tol=settings["gmres_tol"],
+            gmres_tol=config.gmres_tol,
         )
         value, _order = richardson([rec.energy.dG_solv for rec in history])
         return value
@@ -232,15 +225,15 @@ def _exact_reference(cp, mesh, charges, physics, settings, background) -> float 
 
 
 def cmd_solve(args) -> int:
-    _cp, mesh, charges, physics, settings, _ = _load_run(args, background=False)
+    _cp, mesh, charges, physics, config = _load_run(args)
     start = time.perf_counter()
-    solution = solve_forward(mesh, physics, charges, gmres_tol=settings["gmres_tol"])
+    solution = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
     energy = solvation_energy(solution, charges, physics)
     wall = time.perf_counter() - start
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol")
     print(f"N_panels = {mesh.n_panels}")
     print(f"gmres_iters = {solution.gmres_iters}")
-    print(f"gmres_tol = {settings['gmres_tol']:g}")
+    print(f"gmres_tol = {config.gmres_tol:g}")
     out = _out_dir(args)
     row = f"0,{mesh.n_panels},{energy.dG_solv!r},,,{solution.gmres_iters},{wall!r}"
     (out / "energy.csv").write_text(ENERGY_CSV_HEADER + "\n" + row + "\n")
@@ -248,16 +241,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cp, mesh, charges, physics, settings, background = _load_run(args)
-    forward = solve_forward(mesh, physics, charges, gmres_tol=settings["gmres_tol"])
+    cp, mesh, charges, physics, config = _load_run(args)
+    forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
     energy = solvation_energy(forward, charges, physics)
     adjoint = solve_adjoint(
         mesh,
         physics,
         charges,
-        refine_levels=settings["adjoint_levels"],
-        background=background,
-        gmres_tol=settings["gmres_tol"],
+        refine_levels=config.adjoint_refine_levels,
+        background=config.background_mesh,
+        gmres_tol=config.gmres_tol,
     )
     out = _out_dir(args)
     maps = {
@@ -268,7 +261,7 @@ def cmd_estimate(args) -> int:
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
-    exact = _exact_reference(cp, mesh, charges, physics, settings, background)
+    exact = _exact_reference(cp, mesh, charges, physics, config)
     if exact is None:
         print("gamma_eff: omitted (no reference value; supply [oracle] mode = richardson)")
     else:
@@ -279,18 +272,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    _cp, mesh, charges, physics, settings, background = _load_run(args)
-    if settings["mode"] == "conforming" and background is None:
-        raise ConfigError("conforming refinement needs a background mesh in [mesh]")
-    config = AdaptiveConfig(
-        estimator_tag=settings["estimator"],
-        marking_fraction=settings["fraction"],
-        adjoint_refine_levels=settings["adjoint_levels"],
-        refinement_mode=settings["mode"],
-        max_iterations=settings["iters"],
-        background_mesh=background,
-        gmres_tol=settings["gmres_tol"],
-    )
+    _cp, mesh, charges, physics, config = _load_run(args)
     history = adaptive_loop(mesh, charges, physics, config)
     out = _out_dir(args)
     save_history(history, out)
@@ -305,10 +287,9 @@ def cmd_oracle(args) -> int:
     cp = _read_config(args.config)
     if "oracle" in cp and cp["oracle"].get("values"):
         try:
-            vals = [float(v) for v in cp["oracle"]["values"].split()]
-        except ValueError as exc:
+            extrapolated, order = richardson(cp["oracle"]["values"].split())
+        except (ValueError, UsageError, ExtrapolationError) as exc:
             raise ConfigError(f"bad [oracle] values: {exc}") from exc
-        extrapolated, order = richardson(vals)
         print(f"richardson = {extrapolated!r} (order {order:.4f})")
         return EXIT_OK
     value = _kirkwood_reference(cp, _build_charges(cp), _build_physics(cp))
@@ -329,15 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle", cmd_oracle),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=False)
-        p.add_argument("--out", default=None)
-        p.add_argument("--estimator", choices=("Ephi", "Eu"), default=None)
-        p.add_argument("--fraction", type=float, default=None)
-        p.add_argument("--adjoint-levels", dest="adjoint_levels", type=int, default=None)
-        p.add_argument("--mode", choices=("flat", "conforming"), default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=None)
         p.set_defaults(handler=fn)
+        p.add_argument("--config")
+        if fn is cmd_oracle:  # reads no run setting
+            continue
+        p.add_argument("--out")
+        for _key, flag, field, kind in RUN_SETTINGS:
+            p.add_argument(flag, dest=field, type=kind)
     return parser
 
 

@@ -53,6 +53,8 @@ class AdaptiveConfig:
             raise UsageError(f"unknown refinement mode {self.refinement_mode!r}")
         if self.refinement_mode == "conforming" and self.background_mesh is None:
             raise UsageError("conforming refinement needs a background mesh")
+        if not self.gmres_tol > 0.0:
+            raise UsageError("gmres_tol must be > 0")
 
 
 @dataclass(frozen=True)

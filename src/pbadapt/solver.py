@@ -68,7 +68,6 @@ class _Held(NamedTuple):
     physics: BiePhysics
     mesh: SurfaceMesh
     matrix: np.ndarray
-    diagonal: np.ndarray  # (2, N): the KL and KY diagonals without the free term
 
 
 class SystemCache:
@@ -214,13 +213,10 @@ def assemble_system(
         kernels.operator_blocks(colloc, mesh, physics.kappa, blocks, p1, collocated=True)
         _scaled(blocks, physics)
     else:
-        old_n = held.diagonal.shape[1]
+        old_n = len(held.matrix) // 2
         _copy(a, held.matrix,
               np.r_[kept_rows, kept_rows + n], np.r_[rows[kept_rows], rows[kept_rows] + old_n],
               np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
-        # the copied diagonal carries the old free term: take the one without it
-        a[kept_cols, kept_cols] = held.diagonal[0, cols[kept_cols]]
-        a[n + kept_cols, kept_cols] = held.diagonal[1, cols[kept_cols]]
         if len(new_rows):
             for block, value in zip(blocks, _operator_rows(colloc, mesh, physics, p1, new_rows)):
                 block[new_rows] = value
@@ -233,16 +229,18 @@ def assemble_system(
             values = _operator_rows(colloc, mesh, physics, p1, kept_rows, panels)
             for block, value in zip(blocks, values):
                 block[kept_rows[:, None], new_cols] = value[:, pick]
+    # the KL and KY diagonals are 0, the principal value on the target's own
+    # panels; a copied KL diagonal still carries the old free term
     idx = np.arange(n)
-    diagonal = np.stack([a[idx, idx], a[n + idx, idx]])
+    a[idx, idx] = 0.0
     # P0: flat panels, c = 1/2; P1: c is the interior solid-angle fraction at
     # each vertex, which the Laplace double layer's row sums give
     c = -a[:n, :n].sum(axis=1) if p1 else np.full(n, 0.5)
-    a[idx, idx] += c
-    a[n + idx, idx] += 1.0 - c
+    a[idx, idx] = c
+    a[n + idx, idx] = 1.0 - c
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
     if cache is not None:
-        cache._held = _Held(space, physics, mesh, a, diagonal)
+        cache._held = _Held(space, physics, mesh, a)
         cache.reused = (len(kept_rows), len(kept_cols))
         cache.computed = (len(new_rows), len(new_cols))
     return a, b

@@ -1,8 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pbadapt as pa
-from pbadapt.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from pbadapt.cli import (
+    EXIT_CONFIG,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_SOLVER,
+    _load_run,
+    build_parser,
+    main,
+)
 
 from conftest import make_tetrahedron
 
@@ -232,3 +243,43 @@ def test_born_config_oracle_closed_form(tmp_path, capsys):
     value = float(capsys.readouterr().out.split("=")[1].split()[0])
     phys = pa.BiePhysics(eps_m=1.0, eps_w=80.0, kappa=0.0)
     assert value == pytest.approx(pa.born_energy(1.0, 1.0, phys), rel=1e-10)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = write_config(tmp_path / "readme.ini", block)
+    assert main(["oracle", "--config", cfg]) == EXIT_OK
+    args = build_parser().parse_args(["adapt", "--config", cfg])
+    _cp, mesh, charges, _physics, config = _load_run(args)
+    assert mesh.n_panels == 320 and len(charges.charges) == 1
+    assert (config.estimator_tag, config.marking_fraction, config.adjoint_refine_levels,
+            config.refinement_mode, config.max_iterations, config.gmres_tol) == (
+        "Eu", 0.10, 1, "conforming", 20, 1e-8)
+    assert config.background_mesh.n_panels == 20 * 4**6
+
+
+@pytest.mark.parametrize("values", ["1 2", "1 1 1", "-4 -4.5 -4.0"],
+                         ids=["count", "equal", "non-monotone"])
+def test_bad_oracle_values_are_config_errors(tmp_path, capsys, values):
+    cfg = write_config(tmp_path / "r.ini", f"[oracle]\nvalues = {values}\n")
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "adapt"])
+@pytest.mark.parametrize(
+    "setting", ["mode = conforming", "gmres_tol = 0", "estimator = Emagic"],
+    ids=["no-background", "gmres-tol-0", "estimator"],
+)
+def test_every_run_command_rejects_the_same_file(tmp_path, capsys, command, setting):
+    cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL + f"\n[adapt]\n{setting}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_oracle_takes_no_run_flags(tmp_path, capsys):
+    cfg = write_config(tmp_path / "r.ini", "[oracle]\nvalues = -4.0 -4.75 -4.9375\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", cfg, "--iters", "2"])
+    assert exc.value.code == EXIT_CONFIG

@@ -38,6 +38,12 @@ def test_config_validation():
         pa.AdaptiveConfig(refinement_mode="conforming")  # background missing
 
 
+def test_config_rejects_nonpositive_gmres_tol():
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(UsageError):
+            pa.AdaptiveConfig(gmres_tol=tol)
+
+
 def test_single_iteration_history(case):
     hist = pa.adaptive_loop(
         pa.icosphere(1.0, 1), case.charges, case.physics, small_config(max_iterations=1)

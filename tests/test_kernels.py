@@ -557,3 +557,21 @@ def test_operator_on_panel_subset_matches_full_columns(shape_functions):
         want = f[np.ix_(targets, wanted)]
         # the far entries' BLAS distance products may differ in the last bits
         assert np.allclose(s[:, pick], want, rtol=1e-13, atol=1e-15 * np.abs(f).max())
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_collocated_double_layer_diagonals_are_zero(shape_functions):
+    """Assembly writes the free term over the KL and KY diagonals: both are
+    the principal value 0 on the target's own panels."""
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_conforming
+
+    mesh = pa.icosphere(1.0, 1)
+    marked = np.flatnonzero(mesh.centroids[:, 2] > 0.4)
+    mesh = refine_conforming(mesh, close_marking(mesh, marked), pa.icosphere(1.0, 4))
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    n = len(colloc)
+    blocks = tuple(np.empty((n, n)) for _ in range(4))
+    kn.operator_blocks(colloc, mesh, 0.125, blocks, shape_functions, collocated=True)
+    assert np.all(np.diag(blocks[1]) == 0.0)
+    assert np.all(np.diag(blocks[3]) == 0.0)

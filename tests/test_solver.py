@@ -268,7 +268,7 @@ def test_incremental_assembly_matches_scratch(background, levels, monkeypatch):
             rows, cols = solver._unchanged(held.mesh, mesh, space == "P1")
             assert cache.reused == (np.count_nonzero(rows >= 0), np.count_nonzero(cols >= 0))
             assert cache.computed == (np.count_nonzero(rows < 0), np.count_nonzero(cols < 0))
-            old_n = len(held.diagonal[0])
+            old_n = len(held.matrix) // 2
             r, c = np.flatnonzero(rows >= 0), np.flatnonzero(cols >= 0)
             off_diagonal = r[:, None] != c[None, :]  # the diagonal carries the new free term
             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
