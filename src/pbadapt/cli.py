@@ -55,6 +55,31 @@ RUN_SETTINGS = (
     ("gmres_tol", "--gmres-tol", "gmres_tol", float),
 )
 
+# the keys each section may hold; any other key is a configuration error
+SECTION_KEYS = {
+    "mesh": {"type", "radius", "level", "vert", "face",
+             "background_level", "background_vert", "background_face"},
+    "charges": {"pqr", "inline"},
+    "physics": {"eps_m", "eps_w", "kappa"},
+    "adapt": {key for key, *_ in RUN_SETTINGS},
+    "oracle": {"mode", "n_terms", "values"},
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Reject keys no section knows, so a misspelt setting cannot run with its default.
+
+    [DEFAULT] keys show up in every section; each must be known to some section.
+    """
+    defaults = set(cp.defaults())
+    checks = [(cp.default_section, defaults, set().union(*SECTION_KEYS.values()))]
+    checks += [(name, set(cp[name]) - defaults, known)
+               for name, known in SECTION_KEYS.items() if name in cp]
+    for name, keys, known in checks:
+        unknown = sorted(keys - known)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+
 
 def _read_config(path) -> configparser.ConfigParser:
     if path is None:
@@ -66,6 +91,7 @@ def _read_config(path) -> configparser.ConfigParser:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
+    _check_keys(cp)
     return cp
 
 

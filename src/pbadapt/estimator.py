@@ -74,17 +74,18 @@ def _estimate(
     # Terms carrying the dual traces live on the (possibly conforming) fine
     # mesh; the piecewise-constant forward data is spread over descendants.
     pts, nrm, wts = _panel_quadrature(fine, GAUSS3)
-    u_c, du_c = coulomb_trace(charges, physics, pts, nrm)
     tris = fine.triangles
     phi = np.einsum("ql,tl->tq", GAUSS3.points, adjoint.u_trace[tris]).ravel()
     dphi = np.einsum("ql,tl->tq", GAUSS3.points, adjoint.dudn_trace[tris]).ravel()
-    dual_bracket = dphi * u_c - phi * du_c
     if tag == "Ephi":
-        u_r = np.repeat(forward.u_trace[parents], nq) - u_c
-        du_r = np.repeat(forward.dudn_trace[parents], nq) - du_c
-        integrand = half_eps * (dual_bracket + dphi * u_r - phi * du_r)
+        # the dual bracket of the Coulomb traces plus that of the reaction-field
+        # traces u_f - u_c: the Coulomb traces cancel, leaving the forward ones
+        u_f = np.repeat(forward.u_trace[parents], nq)
+        du_f = np.repeat(forward.dudn_trace[parents], nq)
+        integrand = half_eps * (dphi * u_f - phi * du_f)
     elif tag == "Eu":
-        integrand = half_eps * dual_bracket
+        u_c, du_c = coulomb_trace(charges, physics, pts, nrm)
+        integrand = half_eps * (dphi * u_c - phi * du_c)
     else:
         raise UsageError(f"unknown estimator tag {tag!r}")
     per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)

@@ -33,7 +33,7 @@ NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature refe
 SMOOTH_RULE = subdivided(GAUSS7, 2)
 REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
-ROW_BATCH_VALUES = 6.0e6           # values per kernel array, summed over concurrent row batches
+ROW_BATCH_VALUES = 1.2e5           # values per kernel array in one row batch (~1 MB, cache-sized)
 PAIR_CHUNK_POINTS = 4096 * 7       # quadrature points per chunk of (target, panel) pairs
 
 
@@ -296,11 +296,13 @@ def kernel_row_blocks(
         fold = csr_matrix(
             (np.ones(cols.size), (np.arange(cols.size), cols.ravel())), shape=(cols.size, n_cols)
         )
-    yukawa = out[2] is not None
+    # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): copy them
+    copy_laplace = out[2] is not None and kappa == 0.0
+    yukawa = out[2] is not None and not copy_laplace
 
-    # the budget is shared by the batches that can run at once; the batch size
-    # can move the last bit of the BLAS distance product in ``_batch_kernels``
-    batch = max(1, int(ROW_BATCH_VALUES / _usable_cpus() / max(T * nq, 1)))
+    # a fixed budget per batch, whatever the CPU count: the batch size can move
+    # the last bit of the BLAS distance product in ``_batch_kernels``
+    batch = max(1, int(ROW_BATCH_VALUES / max(T * nq, 1)))
 
     ti, pj = near
 
@@ -312,6 +314,8 @@ def kernel_row_blocks(
             if kern is not None:
                 rows = np.einsum("mtq,tq...->mt...", kern, w)
                 block[sl] = rows if fold is None else rows.reshape(len(rows), -1) @ fold
+        if copy_laplace:
+            out[2][sl], out[3][sl] = out[0][sl], out[1][sl]
 
     run_parallel(run, _chunks(len(targets), batch))
 

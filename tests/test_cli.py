@@ -259,6 +259,24 @@ def test_readme_example_config_loads(tmp_path):
     assert config.background_mesh.n_panels == 20 * 4**6
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (SPHERE_SMALL.replace("level = 1", "levle = 1"), "levle"),
+        (SPHERE_SMALL.replace("inline =", "pqr_file = x.pqr\ninline ="), "pqr_file"),
+        (SPHERE_SMALL.replace("kappa =", "kapa ="), "kapa"),
+        (SPHERE_SMALL + "\n[adapt]\niters = 20\nfracton = 0.3\n", "fracton"),
+        (SPHERE_SMALL + "\n[oracle]\nnterms = 40\n", "nterms"),
+        ("[DEFAULT]\nkapa = 0.1\n" + SPHERE_SMALL, "kapa"),
+    ],
+    ids=["mesh", "charges", "physics", "adapt", "oracle", "default"],
+)
+def test_unknown_keys_are_config_errors(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", ["1 2", "1 1 1", "-4 -4.5 -4.0"],
                          ids=["count", "equal", "non-monotone"])
 def test_bad_oracle_values_are_config_errors(tmp_path, capsys, values):

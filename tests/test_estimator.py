@@ -85,6 +85,31 @@ def test_signed_total_matches_ungrouped_sum(small_problem):
     assert emap.signed_total == pytest.approx(phys.energy_unit * flat_ephi, rel=1e-12)
 
 
+def test_ephi_per_panel_matches_coulomb_split_formula(small_problem):
+    """Ephi without the Coulomb trace equals the dual bracket of the Coulomb
+    traces plus that of the reaction-field traces, panel by panel."""
+    case, mesh, forward, adjoint = small_problem
+    phys, charges = case.physics, case.charges
+    fine = adjoint.mesh_ref
+    rule, nq = GAUSS3, GAUSS3.n_points
+    tris = fine.triangles
+    pts = np.einsum("qk,tkx->tqx", rule.points, fine.vertices[tris]).reshape(-1, 3)
+    nrm = np.repeat(fine.normals, nq, axis=0)
+    wts = (rule.weights[None, :] * fine.areas[:, None]).ravel()
+    u_c = coulomb_potential(charges, phys, pts)
+    du_c = np.einsum("mx,mx->m", coulomb_gradient(charges, phys, pts), nrm)
+    phi = np.einsum("ql,tl->tq", rule.points, adjoint.u_trace[tris]).ravel()
+    dphi = np.einsum("ql,tl->tq", rule.points, adjoint.dudn_trace[tris]).ravel()
+    u_r = np.repeat(forward.u_trace[fine.parent_map], nq) - u_c
+    du_r = np.repeat(forward.dudn_trace[fine.parent_map], nq) - du_c
+    integrand = 0.5 * phys.eps_m * ((dphi * u_c - phi * du_c) + dphi * u_r - phi * du_r)
+    per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)
+    want = phys.energy_unit * np.bincount(fine.parent_map, weights=per_fine,
+                                          minlength=mesh.n_panels)
+    got = pa.estimate_Ephi(forward, adjoint, charges, phys).signed_per_panel
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).sum()
+
+
 def test_estimators_linear_in_adjoint(small_problem):
     case, mesh, forward, adjoint = small_problem
     phys, charges = case.physics, case.charges

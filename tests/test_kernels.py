@@ -462,6 +462,43 @@ def test_p1_operator_matches_per_pair_reference():
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _row_blocks(mesh, shape_functions, kappa):
+    """Far-field (VL, KL, VY, KY) rows of the collocation points of a basis."""
+    targets = mesh.vertices if shape_functions else mesh.centroids
+    n_cols = mesh.n_vertices if shape_functions else mesh.n_panels
+    out = tuple(np.zeros((len(targets), n_cols)) for _ in range(4))
+    kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, kn.near_pairs(targets, mesh),
+                         shape_functions)
+    return out
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_row_blocks_at_kappa_zero_are_the_laplace_rows(shape_functions):
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 2)
+    vl, kl, vy, ky = _row_blocks(mesh, shape_functions, 0.0)
+    assert np.array_equal(vy, vl) and np.array_equal(ky, kl)
+    # a kappa this small takes the exponential path and rounds to the same kernels
+    for got, want in zip(_row_blocks(mesh, shape_functions, 1e-300), (vl, kl, vy, ky)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_row_blocks_independent_of_cpu_count(shape_functions, monkeypatch):
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 2)
+    n_targets = mesh.n_vertices if shape_functions else mesh.n_panels
+    assert kn.ROW_BATCH_VALUES / (mesh.n_panels * GAUSS7.n_points) < n_targets / 2  # many batches
+    blocks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
+        blocks.append(_row_blocks(mesh, shape_functions, 0.125))
+    for a, b in zip(*blocks):
+        assert np.array_equal(a, b)
+
+
 def test_run_parallel_calls_each_item_once(monkeypatch):
     import sys
 

@@ -68,14 +68,12 @@ def test_single_layer_kernel_symmetry(born_setup):
 
 
 def _use_cpus(monkeypatch, cpus):
-    """Make the kernel layer see ``cpus`` usable CPUs at one fixed row batch size.
+    """Make the kernel layer see ``cpus`` usable CPUs.
 
-    The batch is ROW_BATCH_VALUES / usable CPUs, and a different batch size
-    may change the last bits of the BLAS products; this small one splits the
-    rows into many batches for the workers.
+    The row batch size does not depend on the CPU count, and on these
+    meshes the production size splits the rows into many batches.
     """
     monkeypatch.setattr(pa.kernels, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pa.kernels, "ROW_BATCH_VALUES", 1.0e5 * cpus)
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
