@@ -67,10 +67,14 @@ SECTION_KEYS = {
 
 
 def _check_keys(cp: configparser.ConfigParser) -> None:
-    """Reject keys no section knows, so a misspelt setting cannot run with its default.
+    """Reject sections and keys the config does not know, so a misspelt name
+    cannot run with its default.
 
     [DEFAULT] keys show up in every section; each must be known to some section.
     """
+    sections = sorted(set(cp.sections()) - set(SECTION_KEYS))
+    if sections:
+        raise ConfigError(f"unknown section(s): {', '.join(f'[{s}]' for s in sections)}")
     defaults = set(cp.defaults())
     checks = [(cp.default_section, defaults, set().union(*SECTION_KEYS.values()))]
     checks += [(name, set(cp[name]) - defaults, known)

@@ -268,8 +268,9 @@ def test_readme_example_config_loads(tmp_path):
         (SPHERE_SMALL + "\n[adapt]\niters = 20\nfracton = 0.3\n", "fracton"),
         (SPHERE_SMALL + "\n[oracle]\nnterms = 40\n", "nterms"),
         ("[DEFAULT]\nkapa = 0.1\n" + SPHERE_SMALL, "kapa"),
+        (SPHERE_SMALL + "\n[adpat]\niterations = 20\n", "[adpat]"),
     ],
-    ids=["mesh", "charges", "physics", "adapt", "oracle", "default"],
+    ids=["mesh", "charges", "physics", "adapt", "oracle", "default", "section"],
 )
 def test_unknown_keys_are_config_errors(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path / "c.ini", text)

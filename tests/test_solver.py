@@ -183,6 +183,50 @@ def test_gmres_restarts_until_true_residual_meets_tol(salty, offcenter_charge, m
     assert sol.gmres_iters > 3  # both calls' iterations are counted
 
 
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_preconditioned_solve_matches_direct_solve(salty, offcenter_charge, space):
+    mesh = pa.icosphere(1.0, 1)
+    a, b = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
+    if space == "P0":
+        sol = pa.solve_forward(mesh, salty, offcenter_charge, gmres_tol=1e-8)
+    else:
+        sol = pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=0, gmres_tol=1e-8)
+    x = np.concatenate([sol.u_trace, sol.dudn_trace])
+    residual = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+    assert sol.gmres_residual == pytest.approx(residual, rel=1e-12)
+    assert residual <= 1e-8
+    direct = np.linalg.solve(a, b)
+    # relative error <= cond(A) * relative residual
+    assert np.linalg.norm(x - direct) <= np.linalg.cond(a) * 1e-8 * np.linalg.norm(direct)
+
+
+def test_born_solve_needs_one_gmres_call(born_setup, monkeypatch):
+    # GMRES on the right-preconditioned system stops on the true residual, so
+    # even at 1e-12 one call converges; left preconditioning (scipy's M=)
+    # stops short and restarts, and no preconditioning takes about 38 iterations
+    phys, charges = born_setup
+    real = pa.solver.gmres
+    calls = []
+
+    def counted(a, b, **kwargs):
+        calls.append(kwargs["restart"])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(pa.solver, "gmres", counted)
+    sol = pa.solve_forward(pa.icosphere(1.0, 3), phys, charges, gmres_tol=1e-12)
+    assert len(calls) == 1
+    assert sol.gmres_residual <= 1e-12
+    assert sol.gmres_iters <= 25
+
+
+@pytest.mark.parametrize("corner", [4.0, np.nan], ids=["zero-determinant", "nan"])
+def test_singular_point_block_is_solver_error(corner):
+    a = np.eye(6) + 0.1 * np.ones((6, 6))  # three collocation points
+    a[1, 1], a[1, 4], a[4, 1], a[4, 4] = 1.0, 2.0, 2.0, corner  # point 1's block
+    with pytest.raises(SolverError, match="collocation point 1"):
+        pa.solver._gmres_solve(a, np.ones(6), 1e-8, 100)
+
+
 def test_adjoint_dof_counts(salty, offcenter_charge):
     mesh = pa.icosphere(1.0, 1)
     adj0 = pa.solve_adjoint(mesh, salty, offcenter_charge, refine_levels=0)
