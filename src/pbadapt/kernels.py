@@ -189,8 +189,15 @@ def run_parallel(fn, items) -> None:
         list(pool.map(fn, items))  # re-raises the first worker exception
 
 
-def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq, near):
+def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, T, nq, near):
     """Kernel values for a batch of targets against all panel quad points.
+
+    Every batch-sized array is laid out (rows, rule point, panel): the
+    quadrature points ``xq`` are (3, nq * T), ``xn`` is (nq, T), and the
+    inner loops run over the panels. The distance product stays a k = 3
+    BLAS product with nothing else folded in: a wider one can be large
+    enough for OpenBLAS to thread inside each pool worker and oversubscribe
+    the cores.
 
     ``near`` = (batch rows, panels) of the pairs integrated elsewhere: their
     kernel values are zero. A target can only sit on a quadrature point of
@@ -201,24 +208,23 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq, near):
     threads leave no freed heap memory behind in the threads' arenas.
     """
     b = len(tb)
-    work = np.empty((6 if yukawa else 4, b, T, nq))
-    r, gl, klk, tmp = work[:4]
+    work = np.empty((6 if yukawa else 4, b, nq, T))
+    r2, r, gl, klk = work[:4]
     tt = np.einsum("ij,ij->i", tb, tb)
-    np.matmul(tb, xqf.T, out=r.reshape(b, T * nq))
-    r *= -2.0
-    r += tt[:, None, None]
-    r += xx.reshape(1, T, nq)
-    np.maximum(r, 0.0, out=r)
-    np.sqrt(r, out=r)
-    r[near] = 1.0
-    np.multiply(r, FOUR_PI, out=gl)
-    np.divide(1.0, gl, out=gl)
-    np.subtract((tb @ normals.T)[:, :, None], xn[None, :, :], out=klk)
+    np.matmul(-2.0 * tb, xq, out=r2.reshape(b, nq * T))  # scaling by -2 is exact
+    r2 += tt[:, None, None]
+    r2 += xx.reshape(1, nq, T)
+    np.maximum(r2, 0.0, out=r2)
+    rows, panels = near
+    r2[rows, :, panels] = 1.0
+    np.sqrt(r2, out=r)
+    np.divide(1.0 / FOUR_PI, r, out=gl)
+    np.subtract((tb @ normals.T)[:, None, :], xn, out=klk)
     klk *= gl
-    klk /= np.multiply(r, r, out=tmp)
+    klk /= r2
     gy = kyk = None
     if yukawa:
-        ex, gy, kyk = tmp, work[4], work[5]
+        ex, gy, kyk = r2, work[4], work[5]
         np.multiply(r, -kappa, out=ex)
         np.exp(ex, out=ex)
         np.multiply(gl, ex, out=gy)
@@ -229,7 +235,7 @@ def _batch_kernels(tb, xqf, xx, xn, normals, kappa, yukawa, T, nq, near):
     kerns = (gl, klk, gy, kyk)
     for k in kerns:
         if k is not None:
-            k[near] = 0.0
+            k[rows, :, panels] = 0.0
     return kerns
 
 
@@ -273,9 +279,11 @@ def kernel_row_blocks(
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
     Fills ``out`` = (VL, KL, VY, KY), (M, n_cols) arrays or views (see
-    ``basis_tables``); VY and KY may be None to skip the Yukawa kernel. P1
-    integrals are folded into vertex columns batch by batch (keeps memory
-    at O(batch * T)). ``near`` = (ti, pj), sorted by target as
+    ``basis_tables``); VY and KY may be None to skip the Yukawa kernel.
+    Each kernel is reduced over the rule by one BLAS product of the
+    (weights x shape functions) table with the batch, then scaled by the
+    panel areas; P1 integrals are folded into vertex columns batch by batch
+    (keeps memory at O(batch * T)). ``near`` = (ti, pj), sorted by target as
     ``near_pairs`` returns them: these (target, panel) pairs are left out.
     With ``panels`` (ascending) only those panels are integrated, ``pj``
     counts positions in ``panels`` and the columns are those of
@@ -286,15 +294,16 @@ def kernel_row_blocks(
     normals = mesh.normals[sel]
     T, nq = len(normals), rule.n_points
     xq = panel_quad_points(mesh, rule, panels)
-    xqf = np.ascontiguousarray(xq.reshape(T * nq, 3))
-    xx = np.einsum("ij,ij->i", xqf, xqf)
-    xn = np.einsum("tqx,tx->tq", xq, normals)
+    xn = np.einsum("tqx,tx->qt", xq, normals)
+    xq = np.ascontiguousarray(xq.transpose(2, 1, 0).reshape(3, nq * T))  # coordinate first
+    xx = np.einsum("in,in->n", xq, xq)
     shape, cols, n_cols = basis_tables(mesh, rule, shape_functions, panels)
-    w = np.einsum("q...,t->tq...", np.einsum("q,q...->q...", rule.weights, shape), mesh.areas[sel])
+    wt = np.ascontiguousarray((rule.weights[:, None] * shape.reshape(nq, -1)).T)  # (1 or 3, nq)
+    areas = mesh.areas[sel]
     fold = None  # P0 columns are the panels: no fold
-    if shape_functions:
+    if shape_functions:  # rows of the fold: shape function first, then panel
         fold = csr_matrix(
-            (np.ones(cols.size), (np.arange(cols.size), cols.ravel())), shape=(cols.size, n_cols)
+            (np.ones(cols.size), (np.arange(cols.size), cols.T.ravel())), shape=(cols.size, n_cols)
         )
     # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): copy them
     copy_laplace = out[2] is not None and kappa == 0.0
@@ -308,12 +317,13 @@ def kernel_row_blocks(
 
     def run(sl):
         lo, hi = np.searchsorted(ti, (sl.start, sl.stop))
-        kerns = _batch_kernels(targets[sl], xqf, xx, xn, normals, kappa, yukawa, T, nq,
+        kerns = _batch_kernels(targets[sl], xq, xx, xn, normals, kappa, yukawa, T, nq,
                                (ti[lo:hi] - sl.start, pj[lo:hi]))
         for block, kern in zip(out, kerns):
             if kern is not None:
-                rows = np.einsum("mtq,tq...->mt...", kern, w)
-                block[sl] = rows if fold is None else rows.reshape(len(rows), -1) @ fold
+                rows = np.matmul(wt, kern)  # (batch, 1 or 3, T)
+                rows *= areas
+                block[sl] = rows[:, 0] if fold is None else rows.reshape(len(rows), -1) @ fold
         if copy_laplace:
             out[2][sl], out[3][sl] = out[0][sl], out[1][sl]
 

@@ -137,14 +137,18 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     Evaluates the interior representation with the Laplace kernel,
     u_r = -K[u] + V[du/dn]; panels close to a target get the closed-form
     flat-panel integrals. The kernel layer runs one worker per usable CPU
-    (``kernels.run_parallel``).
+    (``kernels.run_parallel``). Targets must lie inside the surface; the
+    charges the solve already found inside (``solution.charges``) are not
+    tested again.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     mesh = solution.mesh_ref
-    inside = points_inside(mesh, targets)
-    if not np.all(inside):
-        bad = int(np.flatnonzero(~inside)[0])
-        raise DomainError(f"target {bad} lies outside the surface")
+    checked = solution.charges
+    if checked is None or not np.array_equal(targets, checked.positions):
+        inside = points_inside(mesh, targets)
+        if not np.all(inside):
+            bad = int(np.flatnonzero(~inside)[0])
+            raise DomainError(f"target {bad} lies outside the surface")
     vl, kl = (np.empty((len(targets), len(solution.u_trace))) for _ in range(2))
     kernels.operator_blocks(targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1")
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace

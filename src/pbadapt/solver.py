@@ -54,6 +54,8 @@ class PanelSolution:
 
     ``space`` is "P0" (one value per panel, centroid collocation) or "P1"
     (one value per vertex); ``mesh_ref`` is the mesh the solve ran on.
+    ``charges``, when set, are the charges the solve found inside
+    ``mesh_ref``; ``reaction_potential`` does not test them again.
     """
 
     space: str
@@ -62,6 +64,7 @@ class PanelSolution:
     mesh_ref: SurfaceMesh
     gmres_residual: float
     gmres_iters: int
+    charges: ChargeSet | None = None
 
     def __post_init__(self):
         n = self.mesh_ref.n_panels if self.space == "P0" else self.mesh_ref.n_vertices
@@ -340,7 +343,7 @@ def solve_forward(
     a, b = assemble_system(mesh, physics, charges, space="P0", cache=cache)
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = mesh.n_panels
-    return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters)
+    return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters, charges)
 
 
 def solve_adjoint(
@@ -379,4 +382,4 @@ def solve_adjoint(
     a, b = assemble_system(fine, physics, charges, space="P1", cache=cache)
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = fine.n_vertices
-    return PanelSolution("P1", x[:n], x[n:], fine, residual, iters)
+    return PanelSolution("P1", x[:n], x[n:], fine, residual, iters, charges)

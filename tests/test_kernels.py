@@ -499,6 +499,41 @@ def test_row_blocks_independent_of_cpu_count(shape_functions, monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("subset", [False, True])
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_row_blocks_match_per_pair_reference(shape_functions, kappa, subset):
+    """Every far (target, panel) pair integrated on its own with GAUSS7 and
+    summed into its columns; near pairs are left out of both."""
+    import warnings
+
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 2)
+    mesh = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.4)))
+    targets = mesh.vertices if shape_functions else mesh.centroids
+    panels = np.flatnonzero(mesh.centroids[:, 0] > -0.3) if subset else None
+    _, cols, n_cols = kn.basis_tables(mesh, GAUSS7, shape_functions, panels)
+    ids = np.arange(mesh.n_panels) if panels is None else panels
+    assert kn.ROW_BATCH_VALUES / (len(ids) * GAUSS7.n_points) < len(targets) / 2  # many batches
+    near = kn.near_pairs(targets, mesh, panels)
+    got = tuple(np.zeros((len(targets), n_cols)) for _ in range(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, near, shape_functions, panels)
+    ti, pos = np.divmod(np.arange(len(targets) * len(ids)), len(ids))
+    far = np.ones((len(targets), len(ids)), dtype=bool)
+    far[near] = False
+    ti, pos = ti[far.ravel()], pos[far.ravel()]
+    vals = _pair_entries_mapped_per_pair(targets[ti], mesh, ids[pos], GAUSS7, kappa,
+                                         shape_functions)
+    for block, val in zip(got, vals):
+        want = np.zeros_like(block)
+        np.add.at(want, (ti[:, None], cols[pos]), val.reshape(len(ti), -1))
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_run_parallel_calls_each_item_once(monkeypatch):
     import sys
 

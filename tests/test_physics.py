@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,35 @@ def test_reaction_potential_rejects_outside_target(born_setup):
     sol = pa.solve_forward(mesh, phys, charges)
     with pytest.raises(DomainError):
         pa.reaction_potential(sol, [[0.0, 0.0, 2.0]])
+
+
+def test_charges_tested_inside_once_per_solve(born_setup, monkeypatch):
+    """The energy of a forward solve does not test its charges again; the
+    adjoint still tests them on its own mesh, and other targets are tested."""
+    import pbadapt.physics as physics
+
+    phys, _ = born_setup
+    mesh = pa.icosphere(1.0, 1)
+    charges = pa.ChargeSet(np.array([[0.0, 0.0, 0.3], [0.2, -0.1, 0.0]]), np.array([1.0, -0.5]))
+    calls = []
+
+    def counted(m, points):
+        calls.append(len(np.atleast_2d(points)))
+        return pa.mesh.points_inside(m, points)
+
+    monkeypatch.setattr(physics, "points_inside", counted)
+    forward = pa.solve_forward(mesh, phys, charges)
+    energy = pa.solvation_energy(forward, charges, phys)
+    pa.solve_adjoint(mesh, phys, charges, refine_levels=1)
+    assert len(calls) == 2
+    ur = pa.reaction_potential(dataclasses.replace(forward, charges=None), charges.positions)
+    assert len(calls) == 3
+    assert np.array_equal(energy.per_charge, phys.energy_unit * 0.5 * charges.charges * ur)
+    with pytest.raises(DomainError):
+        pa.reaction_potential(forward, [[0.0, 0.0, 2.0]])
+    outside = pa.ChargeSet(np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 2.0]]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        pa.solve_forward(mesh, phys, outside)
 
 
 def test_born_reaction_potential_at_center(born_setup):
