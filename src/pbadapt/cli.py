@@ -11,21 +11,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .driver import (
-    ENERGY_CSV_HEADER,
-    AdaptiveConfig,
-    adaptive_loop,
-    save_history,
-    uniform_loop,
-)
+from .driver import AdaptiveConfig, adaptive_loop, save_history, uniform_loop
 from .errors import (
     ConfigError,
     ExtrapolationError,
+    LoopAbortedError,
     MeshInvariantError,
     ParseError,
     PbAdaptError,
@@ -256,17 +250,13 @@ def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
 
 def cmd_solve(args) -> int:
     _cp, mesh, charges, physics, config = _load_run(args)
-    start = time.perf_counter()
-    solution = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
-    energy = solvation_energy(solution, charges, physics)
-    wall = time.perf_counter() - start
+    history = uniform_loop(mesh, charges, physics, levels=1, gmres_tol=config.gmres_tol)
+    energy = history[0].energy
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol")
     print(f"N_panels = {mesh.n_panels}")
-    print(f"gmres_iters = {solution.gmres_iters}")
+    print(f"gmres_iters = {energy.diagnostics['gmres_iters']}")
     print(f"gmres_tol = {config.gmres_tol:g}")
-    out = _out_dir(args)
-    row = f"0,{mesh.n_panels},{energy.dG_solv!r},,,{solution.gmres_iters},{wall!r}"
-    (out / "energy.csv").write_text(ENERGY_CSV_HEADER + "\n" + row + "\n")
+    save_history(history, _out_dir(args))
     return EXIT_OK
 
 
@@ -303,8 +293,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_adapt(args) -> int:
     _cp, mesh, charges, physics, config = _load_run(args)
-    history = adaptive_loop(mesh, charges, physics, config)
     out = _out_dir(args)
+    try:
+        history = adaptive_loop(mesh, charges, physics, config)
+    except LoopAbortedError as exc:
+        save_history(exc.history, out)  # keep the iterations that finished
+        raise
     save_history(history, out)
     last = history[-1]
     print(f"iterations = {len(history)}")
@@ -354,18 +348,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, MeshInvariantError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except PbAdaptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (PbAdaptError, FileNotFoundError) as exc:
+        # an aborted loop exits the way the error that stopped it would
+        cause = exc.__cause__ if isinstance(exc, LoopAbortedError) else exc
+        for kinds, prefix, code in (
+            (ConfigError, "config error", EXIT_CONFIG),
+            ((ParseError, MeshInvariantError, FileNotFoundError), "input error", EXIT_INPUT),
+            (SolverError, "solver error", EXIT_SOLVER),
+            (object, "error", EXIT_INTERNAL),
+        ):
+            if isinstance(cause, kinds):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

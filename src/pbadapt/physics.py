@@ -38,10 +38,10 @@ class BiePhysics:
     energy_unit: float = ENERGY_UNIT
 
     def __post_init__(self):
-        if self.eps_m <= 0 or self.eps_w <= 0:
-            raise UsageError("permittivities must be positive")
-        if self.kappa < 0:
-            raise UsageError("kappa must be >= 0")
+        if not (0 < self.eps_m < np.inf and 0 < self.eps_w < np.inf):
+            raise UsageError("permittivities must be finite and positive")
+        if not 0 <= self.kappa < np.inf:
+            raise UsageError("kappa must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_i
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
-COPY_ROWS = 256  # matrix rows per fancy-indexed copy from a held system
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
 
@@ -131,20 +130,12 @@ def _runs(dst, src) -> list[tuple[slice, slice]]:
 
 
 def _copy(a, old, dst_rows, src_rows, dst_cols, src_cols) -> None:
-    """a[dst_rows x dst_cols] = old[src_rows x src_cols].
-
-    One slice copy per pair of stretches (``_runs``) while there are no more
-    pairs than rows; otherwise fancy-indexed copies of COPY_ROWS rows each.
-    """
-    row_runs, col_runs = _runs(dst_rows, src_rows), _runs(dst_cols, src_cols)
-    if len(row_runs) * len(col_runs) <= len(dst_rows):
-        for rd, rs in row_runs:
-            for cd, cs in col_runs:
-                a[rd, cd] = old[rs, cs]
-        return
-    for k in range(0, len(dst_rows), COPY_ROWS):
-        part = slice(k, k + COPY_ROWS)
-        a[dst_rows[part, None], dst_cols] = old[src_rows[part, None], src_cols]
+    """a[dst_rows x dst_cols] = old[src_rows x src_cols], one slice copy per
+    pair of stretches (``_runs``)."""
+    col_runs = _runs(dst_cols, src_cols)
+    for rd, rs in _runs(dst_rows, src_rows):
+        for cd, cs in col_runs:
+            a[rd, cd] = old[rs, cs]
 
 
 def _memory_budget() -> int:

@@ -14,6 +14,7 @@ from pbadapt.cli import (
     build_parser,
     main,
 )
+from pbadapt.errors import SolverError
 
 from conftest import make_tetrahedron
 
@@ -302,3 +303,67 @@ def test_oracle_takes_no_run_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--config", cfg, "--iters", "2"])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["eps_m", "eps_w", "kappa"])
+def test_non_finite_physics_is_config_error(tmp_path, capsys, name, value):
+    text = re.sub(rf"{name} = .*", f"{name} = {value}", SPHERE_SMALL)
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_solve_writes_a_one_iteration_run_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    printed = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines())
+    assert (out / "mesh_000.off").exists()
+    header, row = (out / "energy.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert f"{float(fields['dG']):.6f} kcal/mol" == printed["dG_solv"]
+    assert fields["N_panels"] == printed["N_panels"] == "80"
+    assert fields["gmres_iters"] == printed["gmres_iters"]
+    assert fields["signed_E"] == fields["sum_Ei"] == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "adapt"])
+@pytest.mark.parametrize("failure, message", [("memory", "needs"), ("tolerance", "GMRES stalled")],
+                         ids=["memory", "tolerance"])
+def test_run_commands_exit_on_solver_failure(tmp_path, capsys, monkeypatch, command, failure,
+                                             message):
+    from pbadapt import solver
+
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    flags = ["--adjoint-levels", "0", "--out", str(tmp_path / "o")]
+    if failure == "memory":
+        monkeypatch.setattr(solver, "_memory_budget", lambda: 0)
+    else:
+        flags += ["--gmres-tol", "1e-30"]
+    assert main([command, "--config", cfg, *flags]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver error" in err and message in err
+
+
+def test_aborted_adapt_keeps_finished_iterations(tmp_path, capsys, monkeypatch):
+    from pbadapt import driver
+
+    calls = []
+
+    def failing_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("injected failure")
+        return pa.solve_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_adjoint", failing_second_call)
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    out = tmp_path / "run"
+    code = main(["adapt", "--config", cfg, "--iters", "3", "--mode", "flat",
+                 "--adjoint-levels", "0", "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert "injected failure" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["energy.csv", "errors_000.csv", "mesh_000.off"]
+    rows = (out / "energy.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,80,")

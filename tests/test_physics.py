@@ -250,3 +250,10 @@ def test_chargeset_validation():
         pa.ChargeSet(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(UsageError):
         pa.BiePhysics(eps_m=-1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["eps_m", "eps_w", "kappa"])
+def test_physics_rejects_non_finite_values(name, value):
+    with pytest.raises(UsageError, match="finite"):
+        pa.BiePhysics(**{name: value})
