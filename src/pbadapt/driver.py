@@ -13,10 +13,8 @@ from .errors import LoopAbortedError, PbAdaptError, UsageError
 from .estimator import ErrorMap, estimate_Ephi, estimate_Eu
 from .mesh import (
     SurfaceMesh,
-    close_marking,
     mark_elements,
-    refine_conforming,
-    refine_flat,
+    refine,
     save_off,
     save_panel_values,
 )
@@ -65,13 +63,6 @@ class IterationRecord:
     energy: EnergyResult
     error_map: ErrorMap | None
     wall_time_s: float
-
-
-def _refine(mesh, marked, mode, background):
-    plan = close_marking(mesh, marked)
-    if mode == "conforming":
-        return refine_conforming(mesh, plan, background)
-    return refine_flat(mesh, plan)
 
 
 def adaptive_loop(
@@ -128,12 +119,13 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
     """
     history: list[IterationRecord] = []
     mesh = mesh0
+    snap_to = config.background_mesh if config.refinement_mode == "conforming" else None
     caches = {"P0": SystemCache(), "P1": SystemCache()}
     for it in range(config.max_iterations):
         start = time.perf_counter()
         try:
             if it:
-                mesh = _refine(mesh, marked, config.refinement_mode, config.background_mesh)
+                mesh = refine(mesh, marked, snap_to)
             forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol,
                                     cache=caches["P0"])
             _log_reuse(it, "P0", caches["P0"])

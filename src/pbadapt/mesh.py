@@ -68,7 +68,7 @@ class SurfaceMesh:
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 2] == t[:, 0]):
             raise MeshInvariantError("triangle with repeated vertex")
         if len(v) > 1:
-            pairs = cKDTree(v).query_pairs(DUPLICATE_TOL)
+            pairs = self._vertex_tree.query_pairs(DUPLICATE_TOL)
             if pairs:
                 i, j = sorted(next(iter(pairs)))
                 raise MeshInvariantError(f"duplicate vertices {i} and {j}")
@@ -88,6 +88,12 @@ class SurfaceMesh:
             raise MeshInvariantError("normals do not point outward (signed volume <= 0)")
 
     # -- derived geometry (cached; arrays are read-only) --------------------
+
+    @cached_property
+    def _vertex_tree(self) -> cKDTree:
+        """k-d tree of the vertices, shared by the duplicate check and the
+        conforming snaps onto this mesh."""
+        return cKDTree(self.vertices)
 
     @cached_property
     def _corners(self) -> np.ndarray:
@@ -458,55 +464,60 @@ def refine_conforming(
     position.
     """
     _check_plan_closed(mesh, plan)
-    tree = cKDTree(background.vertices)
-    # Background vertices coinciding with existing mesh vertices are taken.
-    dist, idx = tree.query(mesh.vertices)
-    used: dict[int, int] = {int(b): int(v) for v, (d, b) in enumerate(zip(dist, idx)) if d <= DUPLICATE_TOL}
-
+    tree, targets = background._vertex_tree, background.vertices
     tris, parents, midpoints = _build_children(mesh.vertices, mesh.triangles, plan)
     coords = np.vstack([mesh.vertices, midpoints])
-    new_first = mesh.n_vertices
-    new_indices = list(range(new_first, len(coords)))
-    claims: dict[int, int] = {}  # new vertex index -> claimed background index
-    collisions = 0
+    first = mesh.n_vertices
+    # owner[b]: the mesh vertex on background vertex b, or -1; spot[v] the inverse.
+    owner = np.full(background.n_vertices, -1)
+    spot = np.full(len(coords), -1)
+    dist, nearest = tree.query(mesh.vertices)
+    on = np.flatnonzero(dist <= DUPLICATE_TOL)
+    owner[nearest[on]], spot[on] = on, nearest[on]
+    # Midpoints claim their nearest background vertex in vertex order: the
+    # first claimant of a free one snaps, every later one stays unsnapped.
     _, nearest = tree.query(midpoints)
-    for v, b in zip(new_indices, nearest.tolist()):
-        if b in used:
-            collisions += 1  # nearest background vertex taken: stay unsnapped
-            continue
-        used[b] = v
-        claims[v] = b
-        coords[v] = background.vertices[b]
+    _, firsts = np.unique(nearest, return_index=True)
+    snap = firsts[owner[nearest[firsts]] < 0]
+    owner[nearest[snap]], spot[first + snap] = first + snap, nearest[snap]
+    coords[first + snap] = targets[nearest[snap]]
+    collisions = int(np.count_nonzero(spot[first:] < 0))
 
-    if new_indices and smoothing_passes > 0:
-        ring: dict[int, set[int]] = {v: set() for v in new_indices}
-        incident: dict[int, list[int]] = {v: [] for v in new_indices}
-        for ti, (a, b, c) in enumerate(tris):
-            for v in (a, b, c):
-                if v >= new_first:
-                    ring[v].update((int(a), int(b), int(c)))
-                    ring[v].discard(int(v))
-                    incident[v].append(ti)
-        for _ in range(smoothing_passes):
-            for v in new_indices:
-                old = coords[v].copy()
-                candidate = coords[list(ring[v])].mean(axis=0)
-                _, b = tree.query(candidate)
-                b = int(b)
-                if used.get(b, v) != v:
-                    continue  # target taken by someone else; stay put
-                moved = background.vertices[b]
-                if np.linalg.norm(moved - old) <= DUPLICATE_TOL:
-                    continue
-                coords[v] = moved
-                if _flips_or_degenerates(coords, tris, incident[v], old, v):
-                    coords[v] = old
-                    continue
-                prev = claims.pop(v, None)
-                if prev is not None:
-                    used.pop(prev, None)
-                used[b] = v
-                claims[v] = b
+    # Corner slots of the new vertices, by vertex and then by triangle.
+    corners = tris.ravel()
+    slots = np.argsort(corners, kind="stable")
+    slots = slots[np.searchsorted(corners[slots], first):]
+    bounds = np.searchsorted(corners[slots], np.arange(first, len(coords) + 1))
+    stars = [tris[slots[lo:hi] // 3] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # A ring is summed in the iteration order of a set filled triangle by
+    # triangle. The order of that sum decides exact ties between equidistant
+    # background vertices, which symmetric meshes produce.
+    rings = []
+    for v, star in enumerate(stars, start=first):
+        ring: set[int] = set()
+        for tri in star.tolist():
+            ring.update(tri)
+            ring.discard(v)
+        rings.append(list(ring))
+    for _ in range(smoothing_passes):
+        for v, star, ring in zip(range(first, len(coords)), stars, rings):
+            _, b = tree.query(coords[ring].mean(axis=0))
+            if owner[b] not in (-1, v):
+                continue  # target taken by someone else; stay put
+            if np.linalg.norm(targets[b] - coords[v]) <= DUPLICATE_TOL:
+                continue
+            before = coords[star]  # (k, 3, 3) corners of the incident triangles
+            after = before.copy()
+            after[star == v] = targets[b]
+            n0, n1 = (np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) for p in (before, after))
+            if np.any(0.5 * np.linalg.norm(n1, axis=1) < MIN_AREA) or np.any(
+                np.einsum("ij,ij->i", n0, n1) <= 0.0
+            ):
+                continue  # the move would squash or flip an incident triangle
+            coords[v] = targets[b]
+            if spot[v] >= 0:
+                owner[spot[v]] = -1
+            owner[b], spot[v] = v, b
     if collisions:
         logger.warning(
             "%d new vertices kept their midpoint position (nearest background "
@@ -516,18 +527,13 @@ def refine_conforming(
     return SurfaceMesh(coords, tris, parent_map=parents)
 
 
-def _flips_or_degenerates(coords, tris, tri_ids, old_pos, moved_vertex) -> bool:
-    """True if moving ``moved_vertex`` flipped or squashed an incident triangle."""
-    for ti in tri_ids:
-        p = coords[tris[ti]]
-        new_n = np.cross(p[1] - p[0], p[2] - p[0])
-        if 0.5 * np.linalg.norm(new_n) < MIN_AREA:
-            return True
-        p[tris[ti] == moved_vertex] = old_pos
-        old_n = np.cross(p[1] - p[0], p[2] - p[0])
-        if np.dot(new_n, old_n) <= 0.0:
-            return True
-    return False
+def refine(mesh: SurfaceMesh, marked, background: SurfaceMesh | None = None) -> SurfaceMesh:
+    """Close ``marked`` and refine: snapped onto ``background`` if one is
+    given (``refine_conforming``), at flat midpoints otherwise."""
+    plan = close_marking(mesh, marked)
+    if background is None:
+        return refine_flat(mesh, plan)
+    return refine_conforming(mesh, plan, background)
 
 
 # ---------------------------------------------------------------------------

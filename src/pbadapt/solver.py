@@ -38,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels
 from .errors import SolverError, UsageError
-from .mesh import SurfaceMesh, close_marking, refine_all, refine_conforming
+from .mesh import SurfaceMesh, refine
 from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
 
 DEFAULT_GMRES_TOL = 1e-8
@@ -359,17 +359,11 @@ def solve_adjoint(
     """
     if refine_levels < 0:
         raise UsageError("refine_levels must be >= 0")
-    fine = dataclasses.replace(mesh, parent_map=np.arange(mesh.n_panels))
+    fine, parents = mesh, np.arange(mesh.n_panels)
     for _ in range(refine_levels):
-        if background is not None:
-            refined = refine_conforming(
-                fine, close_marking(fine, range(fine.n_panels)), background
-            )
-        else:
-            refined = refine_all(fine)
-        fine = dataclasses.replace(
-            refined, parent_map=fine.parent_map[refined.parent_map]
-        )
+        fine = refine(fine, range(fine.n_panels), background)
+        parents = parents[fine.parent_map]
+    fine = dataclasses.replace(fine, parent_map=parents)
     a, b = assemble_system(fine, physics, charges, space="P1", cache=cache)
     x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = fine.n_vertices

@@ -105,14 +105,14 @@ def test_marking_fraction_one_matches_uniform(case):
 
 @pytest.mark.parametrize("iterations", [1, 3])
 def test_loops_refine_only_between_iterations(case, monkeypatch, iterations):
-    real = driver_mod._refine
+    real = driver_mod.refine
     calls = []
 
     def counting(mesh, *args):
         calls.append(mesh.n_panels)
         return real(mesh, *args)
 
-    monkeypatch.setattr(driver_mod, "_refine", counting)
+    monkeypatch.setattr(driver_mod, "refine", counting)
     hist = pa.adaptive_loop(
         pa.icosphere(1.0, 1), case.charges, case.physics, small_config(max_iterations=iterations)
     )

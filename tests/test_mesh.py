@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import pbadapt as pa
+import pbadapt.mesh as mesh_mod
 from pbadapt.errors import MeshInvariantError, ParseError, UsageError
 from pbadapt.mesh import (
     MarkedSet,
@@ -539,6 +541,120 @@ def test_refine_conforming_degeneracy_guard(caplog):
         conf = refine_conforming(m, plan, coarse_bg)
     assert conf.n_panels == 4 * m.n_panels
     assert any("claimed" in rec.message for rec in caplog.records)
+
+
+def snap_reference(mesh, plan, background, passes=3):
+    """Conforming refinement by loops over the new vertices, claims kept in dicts.
+
+    Returns the vertex coordinates and the number of midpoints whose nearest
+    background vertex was already claimed.
+    """
+    tree, targets = cKDTree(background.vertices), background.vertices
+    dist, idx = tree.query(mesh.vertices)
+    used = {int(b): v for v, (d, b) in enumerate(zip(dist, idx)) if d <= mesh_mod.DUPLICATE_TOL}
+    flat = refine_flat(mesh, plan)
+    coords, tris = flat.vertices.copy(), flat.triangles
+    new = range(mesh.n_vertices, flat.n_vertices)
+    claims, unsnapped = {}, 0
+    for v, b in zip(new, tree.query(coords[mesh.n_vertices :])[1].tolist()):
+        if b in used:
+            unsnapped += 1
+            continue
+        used[b], claims[v], coords[v] = v, b, targets[b]
+    ring = {v: set() for v in new}
+    incident = {v: [] for v in new}
+    for ti, abc in enumerate(tris.tolist()):
+        for v in abc:
+            if v in ring:
+                ring[v].update(abc)
+                ring[v].discard(v)
+                incident[v].append(ti)
+    for _ in range(passes):
+        for v in new:
+            old = coords[v].copy()
+            b = int(tree.query(coords[list(ring[v])].mean(axis=0))[1])
+            if used.get(b, v) != v or np.linalg.norm(targets[b] - old) <= mesh_mod.DUPLICATE_TOL:
+                continue
+            coords[v] = targets[b]
+            for ti in incident[v]:
+                p = coords[tris[ti]]
+                new_n = np.cross(p[1] - p[0], p[2] - p[0])
+                p[tris[ti] == v] = old
+                old_n = np.cross(p[1] - p[0], p[2] - p[0])
+                if 0.5 * np.linalg.norm(new_n) < mesh_mod.MIN_AREA or np.dot(new_n, old_n) <= 0.0:
+                    coords[v] = old
+                    break
+            else:
+                used.pop(claims.pop(v, None), None)
+                used[b], claims[v] = v, b
+    return coords, unsnapped
+
+
+@pytest.mark.parametrize("level", [3, 5, 6])
+def test_refine_conforming_matches_snap_loop(level, background, caplog):
+    # icospheres on icospheres: ring means can be equidistant from two
+    # background vertices, so the summation order of a ring matters here
+    target = background if level == 6 else pa.icosphere(1.0, level)
+    mesh = pa.icosphere(1.0, 1)
+    rng = np.random.default_rng(level)
+    for fraction in (0.1, 0.3, 1.0, 0.3):
+        size = int(fraction * mesh.n_panels)
+        plan = close_marking(mesh, rng.choice(mesh.n_panels, size=size, replace=False))
+        coords, unsnapped = snap_reference(mesh, plan, target)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pbadapt.mesh"):
+            mesh = refine_conforming(mesh, plan, target)
+        assert np.array_equal(mesh.vertices, coords)
+        assert sum(r.args[0] for r in caplog.records) == unsnapped
+
+
+def test_refine_conforming_builds_one_tree(background, monkeypatch):
+    # the background's tree is the one its own duplicate check built
+    m = pa.icosphere(1.0, 1)
+    plan = close_marking(m, range(m.n_panels))
+    real, built = mesh_mod.cKDTree, []
+
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_mod, "cKDTree", counting)
+    refined = refine_conforming(m, plan, background)
+    assert built == [refined.n_vertices]  # the refined mesh's own, for its validation
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["background", "coarse-background"])
+def test_refine_conforming_claims_each_background_vertex_once(background, coarse):
+    # the level-3 background runs out of vertices by the third step
+    target = pa.icosphere(1.0, 3) if coarse else background
+    mesh = pa.icosphere(1.0, 1)
+    rng = np.random.default_rng(5)
+    unsnapped = 0
+    for size in (10, 40, mesh.n_panels):
+        plan = close_marking(mesh, set(rng.choice(mesh.n_panels, size=size, replace=False).tolist()))
+        flat = refine_flat(mesh, plan).vertices[mesh.n_vertices :]
+        conf = refine_conforming(mesh, plan, target)
+        dist, b = cKDTree(target.vertices).query(conf.vertices)
+        snapped = dist == 0.0
+        assert np.array_equal(conf.vertices[snapped], target.vertices[b[snapped]])
+        new_snapped = snapped[mesh.n_vertices :]
+        assert np.array_equal(conf.vertices[mesh.n_vertices :][~new_snapped], flat[~new_snapped])
+        assert len(np.unique(b[snapped])) == np.count_nonzero(snapped)
+        unsnapped += np.count_nonzero(~new_snapped)
+        mesh = conf
+    assert (unsnapped > 0) == coarse
+
+
+def test_refine_conforming_warning_counts_unsnapped_vertices(caplog):
+    m = pa.icosphere(1.0, 2)
+    coarse_bg = pa.icosphere(1.0, 1)
+    plan = close_marking(m, range(m.n_panels))
+    with caplog.at_level(logging.WARNING, logger="pbadapt.mesh"):
+        conf = refine_conforming(m, plan, coarse_bg)
+    [warning] = [r for r in caplog.records if "kept their midpoint position" in r.msg]
+    flat = refine_flat(m, plan)
+    at_midpoint = np.all(conf.vertices[m.n_vertices :] == flat.vertices[m.n_vertices :], axis=1)
+    assert warning.args[0] == np.count_nonzero(at_midpoint) > 0
 
 
 def test_refinement_preserves_manifold_and_orientation(background):

@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 
 import pbadapt as pa
 from pbadapt.errors import DomainError, SolverError, UsageError
+from pbadapt.mesh import refine
 
 FOUR_PI = 4.0 * np.pi
 
@@ -246,6 +247,20 @@ def test_adjoint_conforming_lands_on_background(salty, offcenter_charge, backgro
     )
     new = adj.mesh_ref.vertices[mesh.n_vertices :]
     assert np.abs(np.linalg.norm(new, axis=1) - 1.0).max() <= background.mean_edge_length
+
+
+@pytest.mark.parametrize("conforming", [False, True], ids=["flat", "conforming"])
+def test_adjoint_two_levels_refine_twice(salty, offcenter_charge, background, conforming):
+    snap_to = background if conforming else None
+    mesh = pa.icosphere(1.0, 1)
+    adj = pa.solve_adjoint(
+        mesh, salty, offcenter_charge, refine_levels=2, background=snap_to
+    )
+    f1 = refine(mesh, range(mesh.n_panels), snap_to)
+    f2 = refine(f1, range(f1.n_panels), snap_to)
+    assert np.array_equal(adj.mesh_ref.vertices, f2.vertices)
+    assert np.array_equal(adj.mesh_ref.triangles, f2.triangles)
+    assert np.array_equal(adj.mesh_ref.parent_map, f1.parent_map[f2.parent_map])
 
 
 def test_adjoint_agrees_with_forward_trace(salty, offcenter_charge):
