@@ -3,7 +3,8 @@
 Runs are configured by an INI file with sections [mesh], [charges],
 [physics] and [adapt] (plus an optional [oracle] section); command-line
 flags override file values. Exit codes: 0 ok, 2 configuration, 3 input
-parse, 4 solver, 5 internal.
+(unparsable, an invalid mesh, a charge outside the surface), 4 solver,
+5 internal.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .driver import AdaptiveConfig, adaptive_loop, save_history, uniform_loop
 from .errors import (
     ConfigError,
+    DomainError,
     ExtrapolationError,
     LoopAbortedError,
     MeshInvariantError,
@@ -26,7 +28,7 @@ from .errors import (
     SolverError,
     UsageError,
 )
-from .estimator import estimate_Ephi, estimate_Eu, effectivity
+from .estimator import ESTIMATORS, effectivity
 from .mesh import SurfaceMesh, icosphere, load_msms, save_panel_values
 from .oracle import SphereCase, kirkwood_energy, richardson
 from .physics import BiePhysics, ChargeSet, load_pqr, solvation_energy
@@ -156,18 +158,20 @@ def _build_charges(cp) -> ChargeSet:
     inline = sec.get("inline")
     if not inline:
         raise ConfigError("[charges] needs either 'pqr' or 'inline'")
-    positions, charges = [], []
+    rows = []
     for line in inline.strip().splitlines():
         fields = line.split()
         if len(fields) != 4:
             raise ConfigError(f"inline charge rows are 'q x y z'; got {line!r}")
         try:
-            q, x, y, z = (float(v) for v in fields)
+            rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise ConfigError(f"bad inline charge {line!r}: {exc}") from exc
-        charges.append(q)
-        positions.append([x, y, z])
-    return ChargeSet(np.array(positions), np.array(charges))
+    rows = np.array(rows)
+    try:
+        return ChargeSet(rows[:, 1:], rows[:, 0])
+    except UsageError as exc:
+        raise ConfigError(f"[charges] {exc}") from exc
 
 
 def _build_physics(cp) -> BiePhysics:
@@ -237,12 +241,8 @@ def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
     if mode == "kirkwood":
         return _kirkwood_reference(cp, charges, physics)
     if mode == "richardson":
-        background = config.background_mesh
-        refine_mode = "conforming" if background is not None else "flat"
-        history = uniform_loop(
-            mesh, charges, physics, levels=3, mode=refine_mode, background=background,
-            gmres_tol=config.gmres_tol,
-        )
+        history = uniform_loop(mesh, charges, physics, levels=3,
+                               background=config.background_mesh, gmres_tol=config.gmres_tol)
         value, _order = richardson([rec.energy.dG_solv for rec in history])
         return value
     raise ConfigError(f"unknown oracle mode {mode!r}")
@@ -273,10 +273,8 @@ def cmd_estimate(args) -> int:
         gmres_tol=config.gmres_tol,
     )
     out = _out_dir(args)
-    maps = {
-        "Ephi": estimate_Ephi(forward, adjoint, charges, physics),
-        "Eu": estimate_Eu(forward, adjoint, charges, physics),
-    }
+    maps = {tag: estimate(forward, adjoint, charges, physics)
+            for tag, estimate in ESTIMATORS.items()}
     for tag, emap in maps.items():
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
@@ -353,7 +351,8 @@ def main(argv=None) -> int:
         cause = exc.__cause__ if isinstance(exc, LoopAbortedError) else exc
         for kinds, prefix, code in (
             (ConfigError, "config error", EXIT_CONFIG),
-            ((ParseError, MeshInvariantError, FileNotFoundError), "input error", EXIT_INPUT),
+            ((ParseError, MeshInvariantError, DomainError, FileNotFoundError), "input error",
+             EXIT_INPUT),
             (SolverError, "solver error", EXIT_SOLVER),
             (object, "error", EXIT_INTERNAL),
         ):

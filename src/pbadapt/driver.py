@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LoopAbortedError, PbAdaptError, UsageError
-from .estimator import ErrorMap, estimate_Ephi, estimate_Eu
+from .estimator import ESTIMATORS, ErrorMap
 from .mesh import (
     SurfaceMesh,
     mark_elements,
@@ -23,7 +23,7 @@ from .solver import DEFAULT_GMRES_TOL, SystemCache, solve_adjoint, solve_forward
 
 logger = logging.getLogger(__name__)
 
-_ESTIMATORS = {"Ephi": estimate_Ephi, "Eu": estimate_Eu}
+_ESTIMATORS = ESTIMATORS  # the same dict: bench/spans.py wraps the estimators under this name
 
 
 @dataclass
@@ -85,16 +85,16 @@ def uniform_loop(
     charges: ChargeSet,
     physics: BiePhysics,
     levels: int,
-    mode: str = "flat",
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
 ) -> list[IterationRecord]:
-    """Baseline: the adaptive loop marking every panel, with no error estimation."""
+    """Baseline: the adaptive loop marking every panel, with no error estimation;
+    conforming onto ``background`` when one is given, flat otherwise."""
     if levels < 1:
         raise UsageError("levels must be >= 1")
     config = AdaptiveConfig(
         marking_fraction=1.0,
-        refinement_mode=mode,
+        refinement_mode="flat" if background is None else "conforming",
         max_iterations=levels,
         background_mesh=background,
         gmres_tol=gmres_tol,

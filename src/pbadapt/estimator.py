@@ -83,15 +83,10 @@ def _estimate(
         u_f = np.repeat(forward.u_trace[parents], nq)
         du_f = np.repeat(forward.dudn_trace[parents], nq)
         integrand = half_eps * (dphi * u_f - phi * du_f)
-    elif tag == "Eu":
+        forward_only = 0.0
+    else:  # Eu
         u_c, du_c = coulomb_trace(charges, physics, pts, nrm)
         integrand = half_eps * (dphi * u_c - phi * du_c)
-    else:
-        raise UsageError(f"unknown estimator tag {tag!r}")
-    per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)
-    signed = np.bincount(parents, weights=per_fine, minlength=coarse.n_panels)
-
-    if tag == "Eu":
         # The bracket holding only forward data belongs to the mesh the
         # forward traces were solved on; there it regroups the discrete
         # energy exactly.
@@ -100,8 +95,9 @@ def _estimate(
         u_f = np.repeat(forward.u_trace, nq)
         du_f = np.repeat(forward.dudn_trace, nq)
         fwd_bracket = half_eps * (u_cc * du_f - du_cc * u_f)
-        signed -= (wts_c * fwd_bracket).reshape(coarse.n_panels, nq).sum(axis=1)
-
+        forward_only = (wts_c * fwd_bracket).reshape(coarse.n_panels, nq).sum(axis=1)
+    per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)
+    signed = np.bincount(parents, weights=per_fine, minlength=coarse.n_panels) - forward_only
     signed *= physics.energy_unit
     return ErrorMap(tag, np.abs(signed), signed, float(signed.sum()), coarse)
 
@@ -124,6 +120,9 @@ def estimate_Eu(
 ) -> ErrorMap:
     """Estimator weighting the Coulomb trace against the full forward traces."""
     return _estimate(forward, adjoint, charges, physics, "Eu")
+
+
+ESTIMATORS = {"Ephi": estimate_Ephi, "Eu": estimate_Eu}
 
 
 def effectivity(estimate: float, dG_numeric: float, dG_exact: float) -> float:

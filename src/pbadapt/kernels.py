@@ -429,7 +429,7 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
             points[sl], corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
         )
 
-    run_parallel(run, _chunks(len(panels), 4096))  # 4096 pairs per chunk
+    run_parallel(run, _chunks(len(panels), PAIR_CHUNK_POINTS // GAUSS7.n_points))
     if not yukawa:
         return vl, kl, None, None
     if kappa == 0.0:  # the remainder vanishes
@@ -454,19 +454,17 @@ def operator_blocks(
     kappa: float,
     out,
     shape_functions: bool = False,
-    collocated: bool = False,
     panels=None,
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
     Fills ``out`` as ``kernel_row_blocks`` does and integrates every
     (target, panel) pair once: GAUSS7 for far pairs, ``near_pair_entries``
-    for the pairs of ``near_pairs``. With ``collocated`` the targets are
-    collocation points of the basis (P0: centroids, P1: vertices; any of
-    them, in any order) and all four blocks are given; a pair whose target
-    is a node of the panel lies on it and gets the principal value 0 of the
-    flat-panel double layer. With ``panels`` (ascending) only those panels
-    are integrated and ``out`` has the columns of ``basis_columns``.
+    for the pairs of ``near_pairs``. A pair whose target is a node of the
+    panel (P0: its centroid, P1: a vertex), as collocation points are, lies
+    on it and gets the principal value 0 of the flat-panel double layer.
+    With ``panels`` (ascending) only those panels are integrated and ``out``
+    has the columns of ``basis_columns``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions, panels)
@@ -475,10 +473,11 @@ def operator_blocks(
     pid = pj if panels is None else np.asarray(panels, dtype=np.int64)[pj]
     near = near_pair_entries(targets[ti], mesh, pid, kappa, yukawa=out[2] is not None,
                              shape_functions=shape_functions)
-    if collocated:  # a target that is a node of the panel lies on it: principal value K = 0
-        nodes = mesh.vertices[mesh.triangles[pid]] if shape_functions else mesh.centroids[pid, None]
-        on = (nodes == targets[ti, None]).all(axis=2).any(axis=1)
-        near[1][on] = near[3][on] = 0.0
+    nodes = mesh.vertices[mesh.triangles[pid]] if shape_functions else mesh.centroids[pid, None]
+    on = (nodes == targets[ti, None]).all(axis=2).any(axis=1)
+    for k in (1, 3):  # KL, KY: a target on the panel gets the principal value 0
+        if near[k] is not None:
+            near[k][on] = 0.0
     pair_cols = cols[pj]
     for block, value in zip(out, near):
         if block is not None:

@@ -59,6 +59,8 @@ class SurfaceMesh:
         v, t = self.vertices, self.triangles
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshInvariantError("vertices must be (V, 3)")
+        if not np.all(np.isfinite(v)):
+            raise MeshInvariantError("non-finite vertex coordinate")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshInvariantError("triangles must be (T, 3)")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
@@ -222,8 +224,8 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
     faces = _ICO_FACES
     for _ in range(level):
@@ -239,23 +241,20 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
 # MSMS I/O
 
 
-def _data_lines(path):
-    """Yield (1-based line number, fields) skipping '#' comments and the counts header."""
+def _msms_rows(path, min_fields, kind, what):
+    """Yield (1-based line number, first three fields parsed by ``kind``) per
+    data row, skipping '#' comments, blank lines and the counts line;
+    ``what`` names the parsed fields in errors."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = []
-    header_seen = False
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True  # counts line
-            continue
-        body.append((no, stripped.split()))
-    return body
+        lines = [(no, line.split()) for no, line in enumerate(fh.read().splitlines(), start=1)]
+    for no, f in [(no, f) for no, f in lines if f and not f[0].startswith("#")][1:]:
+        if len(f) < min_fields:
+            raise ParseError(path, no, f"expected >= {min_fields} fields, got {len(f)}")
+        try:
+            row = [kind(x) for x in f[:3]]
+        except ValueError as exc:
+            raise ParseError(path, no, f"bad {what}: {exc}") from exc
+        yield no, row
 
 
 def load_msms(vert_path, face_path) -> SurfaceMesh:
@@ -264,22 +263,9 @@ def load_msms(vert_path, face_path) -> SurfaceMesh:
     Face indices are 1-based in the files; orientation is repaired to outward
     if the whole surface is inverted.
     """
-    verts = []
-    for no, f in _data_lines(vert_path):
-        if len(f) < 6:
-            raise ParseError(vert_path, no, f"expected >= 6 fields, got {len(f)}")
-        try:
-            verts.append([float(f[0]), float(f[1]), float(f[2])])
-        except ValueError as exc:
-            raise ParseError(vert_path, no, f"bad vertex coordinate: {exc}") from exc
+    verts = [row for _, row in _msms_rows(vert_path, 6, float, "vertex coordinate")]
     faces = []
-    for no, f in _data_lines(face_path):
-        if len(f) < 3:
-            raise ParseError(face_path, no, f"expected >= 3 fields, got {len(f)}")
-        try:
-            idx = [int(f[0]), int(f[1]), int(f[2])]
-        except ValueError as exc:
-            raise ParseError(face_path, no, f"bad face index: {exc}") from exc
+    for no, idx in _msms_rows(face_path, 3, int, "face index"):
         if min(idx) < 1:
             raise ParseError(face_path, no, "face indices are 1-based; found index < 1")
         faces.append([i - 1 for i in idx])

@@ -9,13 +9,13 @@ in a unit sphere reproduces 332.0636 * (q^2 / 2R) * (1/eps_w - 1/eps_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
-from .mesh import SurfaceMesh, points_inside
+from .mesh import WINDING_CHUNK_PAIRS, SurfaceMesh, points_inside
 
 if TYPE_CHECKING:
     from .solver import PanelSolution
@@ -35,7 +35,7 @@ class BiePhysics:
     eps_m: float = 4.0
     eps_w: float = 80.0
     kappa: float = 0.125
-    energy_unit: float = ENERGY_UNIT
+    energy_unit: ClassVar[float] = ENERGY_UNIT
 
     def __post_init__(self):
         if not (0 < self.eps_m < np.inf and 0 < self.eps_w < np.inf):
@@ -60,6 +60,8 @@ class ChargeSet:
             raise UsageError("charges must match positions")
         if len(q) < 1:
             raise UsageError("at least one charge required")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(q))):
+            raise UsageError("charge positions and values must be finite")
         pos.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -69,12 +71,16 @@ class ChargeSet:
         return len(self.charges)
 
 
+def _require_inside(mesh: SurfaceMesh, points, what: str) -> None:
+    """Raise DomainError naming the first ``what`` of ``points`` not strictly inside."""
+    inside = points_inside(mesh, points)
+    if not np.all(inside):
+        raise DomainError(f"{what} {int(np.flatnonzero(~inside)[0])} lies outside the surface")
+
+
 def require_charges_inside(charges: ChargeSet, mesh: SurfaceMesh) -> None:
     """Raise DomainError unless every charge sits strictly inside the surface."""
-    inside = points_inside(mesh, charges.positions)
-    if not np.all(inside):
-        bad = int(np.flatnonzero(~inside)[0])
-        raise DomainError(f"charge {bad} lies outside the surface")
+    _require_inside(mesh, charges.positions, "charge")
 
 
 @dataclass(frozen=True)
@@ -90,14 +96,24 @@ class EnergyResult:
 # Coulomb field of the solute charges
 
 
-def _charge_offsets(charges: ChargeSet, points):
-    """Offsets point minus charge, (M, N, 3), and their lengths, (M, N)."""
+def _sweep(charges: ChargeSet, points, evaluate) -> list[np.ndarray]:
+    """Each array ``evaluate(d, r)`` returns, joined over chunks of the points.
+
+    A chunk holds at most ``WINDING_CHUNK_PAIRS`` (point, charge) pairs; ``d``
+    (m, N, 3) are its offsets point minus charge and ``r`` their lengths.
+    Every sum runs over the charges of one point, so results do not depend
+    on the chunking.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = points[:, None, :] - charges.positions[None, :, :]
-    r = np.sqrt(np.einsum("mnx,mnx->mn", d, d))
-    if np.any(r < CHARGE_CLEARANCE):
-        raise SingularityError("evaluation point coincides with a charge")
-    return d, r
+    step = max(1, WINDING_CHUNK_PAIRS // len(charges))
+    parts = []
+    for s in range(0, len(points) or 1, step):  # zero points: one empty chunk
+        d = points[s:s + step, None, :] - charges.positions[None, :, :]
+        r = np.sqrt(np.einsum("mnx,mnx->mn", d, d))
+        if np.any(r < CHARGE_CLEARANCE):
+            raise SingularityError("evaluation point coincides with a charge")
+        parts.append(evaluate(d, r))
+    return [np.concatenate(c) for c in zip(*parts)]
 
 
 def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
@@ -111,20 +127,20 @@ def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
 
 def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
     """u_c = (1/eps_m) sum_k q_k / (4*pi*|r - r_k|)."""
-    return _potential(charges, physics, _charge_offsets(charges, points)[1])
+    return _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),))[0]
 
 
 def coulomb_gradient(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
     """Gradient of the Coulomb potential at the given points, (M, 3)."""
-    return _gradient(charges, physics, *_charge_offsets(charges, points))
+    return _sweep(charges, points, lambda d, r: (_gradient(charges, physics, d, r),))[0]
 
 
 def coulomb_trace(charges: ChargeSet, physics: BiePhysics, points, normals):
     """Coulomb potential and its normal derivative at surface points."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    d, r = _charge_offsets(charges, points)
-    dudn = np.einsum("mx,mx->m", _gradient(charges, physics, d, r), normals)
-    return _potential(charges, physics, r), dudn
+    u, grad = _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),
+                                                     _gradient(charges, physics, d, r)))
+    return u, np.einsum("mx,mx->m", grad, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +161,7 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     mesh = solution.mesh_ref
     checked = solution.charges
     if checked is None or not np.array_equal(targets, checked.positions):
-        inside = points_inside(mesh, targets)
-        if not np.all(inside):
-            bad = int(np.flatnonzero(~inside)[0])
-            raise DomainError(f"target {bad} lies outside the surface")
+        _require_inside(mesh, targets, "target")
     vl, kl = (np.empty((len(targets), len(solution.u_trace))) for _ in range(2))
     kernels.operator_blocks(targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1")
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace
@@ -191,6 +204,8 @@ def load_pqr(path) -> ChargeSet:
                 x, y, z, q, _radius = (float(v) for v in fields[-5:])
             except ValueError as exc:
                 raise ParseError(path, no, f"bad numeric field: {exc}") from exc
+            if not np.all(np.isfinite([x, y, z, q])):
+                raise ParseError(path, no, "non-finite coordinate or charge")
             positions.append([x, y, z])
             charges.append(q)
     if not charges:

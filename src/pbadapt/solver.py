@@ -167,8 +167,7 @@ def _operator_rows(colloc, mesh, physics, p1, targets, panels=None):
     with every column, or the columns of ``kernels.basis_columns`` for ``panels``."""
     n_cols = len(colloc) if panels is None else len(kernels.basis_columns(mesh, p1, panels))
     out = tuple(np.empty((len(targets), n_cols)) for _ in range(4))
-    kernels.operator_blocks(colloc[targets], mesh, physics.kappa, out, p1, collocated=True,
-                            panels=panels)
+    kernels.operator_blocks(colloc[targets], mesh, physics.kappa, out, p1, panels=panels)
     return _scaled(out, physics)
 
 
@@ -210,7 +209,7 @@ def assemble_system(
     a = np.empty((2 * n, 2 * n))
     blocks = (a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n])  # VL, KL, VY, KY
     if len(kept_rows) == 0:  # nothing to copy: write straight into the matrix
-        kernels.operator_blocks(colloc, mesh, physics.kappa, blocks, p1, collocated=True)
+        kernels.operator_blocks(colloc, mesh, physics.kappa, blocks, p1)
         _scaled(blocks, physics)
     else:
         old_n = len(held.matrix) // 2
@@ -321,6 +320,14 @@ def _gmres_solve(a, b, tol: float, max_iters: int):
             )
 
 
+def _solve(mesh, physics, charges, space, gmres_tol, max_iters, cache) -> PanelSolution:
+    """Assemble the system of ``space`` on ``mesh`` and solve it with GMRES."""
+    a, b = assemble_system(mesh, physics, charges, space=space, cache=cache)
+    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
+    n = len(b) // 2
+    return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, charges)
+
+
 def solve_forward(
     mesh: SurfaceMesh,
     physics: BiePhysics,
@@ -331,10 +338,7 @@ def solve_forward(
 ) -> PanelSolution:
     """Piecewise-constant traces collocated at panel centroids; ``cache`` as
     in ``assemble_system``."""
-    a, b = assemble_system(mesh, physics, charges, space="P0", cache=cache)
-    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
-    n = mesh.n_panels
-    return PanelSolution("P0", x[:n], x[n:], mesh, residual, iters, charges)
+    return _solve(mesh, physics, charges, "P0", gmres_tol, max_iters, cache)
 
 
 def solve_adjoint(
@@ -364,7 +368,4 @@ def solve_adjoint(
         fine = refine(fine, range(fine.n_panels), background)
         parents = parents[fine.parent_map]
     fine = dataclasses.replace(fine, parent_map=parents)
-    a, b = assemble_system(fine, physics, charges, space="P1", cache=cache)
-    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
-    n = fine.n_vertices
-    return PanelSolution("P1", x[:n], x[n:], fine, residual, iters, charges)
+    return _solve(fine, physics, charges, "P1", gmres_tol, max_iters, cache)

@@ -53,7 +53,7 @@ def _benchmark_bundle(case, background):
     )
     adaptive = pa.adaptive_loop(mesh0, case.charges, case.physics, config)
     uniform = pa.uniform_loop(
-        mesh0, case.charges, case.physics, levels=2, mode="conforming", background=background
+        mesh0, case.charges, case.physics, levels=2, background=background
     )
     return {
         "case": case,

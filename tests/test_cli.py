@@ -367,3 +367,49 @@ def test_aborted_adapt_keeps_finished_iterations(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["energy.csv", "errors_000.csv", "mesh_000.off"]
     rows = (out / "energy.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("0,80,")
+
+
+def test_non_finite_vertex_is_input_error(tmp_path, capsys):
+    tet = make_tetrahedron()
+    coords = tet.vertices * 3.0
+    coords[1, 0] = np.nan
+    vert = tmp_path / "m.vert"
+    face = tmp_path / "m.face"
+    vert.write_text("# v\n#\n4 1\n" + "".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in coords))
+    face.write_text("# f\n#\n4 1\n" + "".join(f"{a+1} {b+1} {c+1}\n" for a, b, c in tet.triangles))
+    cfg = write_config(
+        tmp_path / "m.ini",
+        f"[mesh]\ntype = msms\nvert = {vert}\nface = {face}\n\n"
+        "[charges]\ninline = 1.0  0.7 0.7 0.7\n",
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "input error: non-finite vertex coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("radius = 1.0", "radius = nan"), ("inline = 1.0  0.0 0.0 0.5", "inline = nan 0 0 0"),
+     ("inline = 1.0  0.0 0.0 0.5", "inline = 1.0  0.0 inf 0.5")],
+    ids=["radius", "charge", "position"],
+)
+def test_non_finite_setting_is_config_error(tmp_path, capsys, old, new):
+    cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_pqr_charge_is_input_error(tmp_path, capsys):
+    pqr = tmp_path / "c.pqr"
+    pqr.write_text("ATOM 1 N MET 1 0.0 0.0 0.5 nan 1.55\n")
+    text = SPHERE_SMALL.replace("inline = 1.0  0.0 0.0 0.5", f"pqr = {pqr}")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"input error: {pqr}:1: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "adapt"])
+def test_charge_outside_surface_is_input_error(tmp_path, capsys, command):
+    text = SPHERE_SMALL.replace("inline = 1.0  0.0 0.0 0.5", "inline = 1.0  0.0 0.0 2.0")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "charge 0 lies outside the surface" in capsys.readouterr().err

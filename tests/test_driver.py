@@ -66,7 +66,7 @@ def test_element_count_monotone_and_bounded(case):
 
 def test_uniform_counts_and_richardson_pipeline(born_setup):
     phys, charges = born_setup
-    hist = pa.uniform_loop(pa.icosphere(1.0, 1), charges, phys, levels=3, mode="flat")
+    hist = pa.uniform_loop(pa.icosphere(1.0, 1), charges, phys, levels=3)
     counts = [r.mesh.n_panels for r in hist]
     assert counts == [80, 320, 1280]
     values = [r.energy.dG_solv for r in hist]
@@ -81,7 +81,7 @@ def test_uniform_counts_and_richardson_pipeline(born_setup):
 def test_uniform_conforming_error_ratio(born_setup, background):
     phys, charges = born_setup
     hist = pa.uniform_loop(
-        pa.icosphere(1.0, 1), charges, phys, levels=3, mode="conforming", background=background
+        pa.icosphere(1.0, 1), charges, phys, levels=3, background=background
     )
     exact = pa.born_energy(1.0, 1.0, phys)
     errs = [abs(r.energy.dG_solv - exact) for r in hist]
@@ -97,7 +97,7 @@ def test_marking_fraction_one_matches_uniform(case):
         case.physics,
         small_config(marking_fraction=1.0, max_iterations=2),
     )
-    uniform = pa.uniform_loop(mesh0, case.charges, case.physics, levels=2, mode="flat")
+    uniform = pa.uniform_loop(mesh0, case.charges, case.physics, levels=2)
     for a, u in zip(adaptive, uniform):
         assert np.array_equal(a.mesh.triangles, u.mesh.triangles)
         assert np.allclose(a.mesh.vertices, u.mesh.vertices)
@@ -203,3 +203,12 @@ def test_loop_logs_reused_and_computed_rows_and_columns(case, caplog):
         rows_reused, cols_reused, rows_new, cols_new = map(int, m.groups()[2:])
         assert rows_reused + rows_new == n and cols_reused + cols_new == n
         assert (rows_reused > 0) == (it > 0) and (cols_reused > 0) == (it > 0)
+
+
+def test_estimator_table_is_the_estimator_modules():
+    from pbadapt import estimator
+
+    assert driver_mod._ESTIMATORS is estimator.ESTIMATORS
+    assert list(estimator.ESTIMATORS) == ["Ephi", "Eu"]
+    with pytest.raises(UsageError, match="unknown estimator"):
+        pa.AdaptiveConfig(estimator_tag="Emagic")

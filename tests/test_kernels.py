@@ -425,7 +425,7 @@ def test_p0_operator_integrates_near_and_self_pairs_once():
     mesh, kappa = pa.icosphere(1.0, 1), 0.125
     n = mesh.n_panels
     out = tuple(np.empty((n, n)) for _ in range(4))
-    kn.operator_blocks(mesh.centroids, mesh, kappa, out, collocated=True)
+    kn.operator_blocks(mesh.centroids, mesh, kappa, out)
     ti, pj = kn.near_pairs(mesh.centroids, mesh)
     fine = kn.near_pair_entries(mesh.centroids[ti], mesh, pj, kappa)
     on = ti == pj  # a centroid lies on its own panel: principal-value double layer 0
@@ -441,7 +441,7 @@ def test_p1_operator_matches_per_pair_reference():
     mesh, kappa = pa.icosphere(1.0, 1), 0.125
     nv = mesh.n_vertices
     out = tuple(np.empty((nv, nv)) for _ in range(4))
-    kn.operator_blocks(mesh.vertices, mesh, kappa, out, shape_functions=True, collocated=True)
+    kn.operator_blocks(mesh.vertices, mesh, kappa, out, shape_functions=True)
     # every (vertex, panel) pair gets one integral: GAUSS7 if far, the near-pair
     # rule if near, with a zero double layer if the vertex is one of the panel's corners
     ti, pj = np.divmod(np.arange(nv * mesh.n_panels), mesh.n_panels)
@@ -612,7 +612,7 @@ def test_operator_on_panel_subset_matches_full_columns(shape_functions):
     colloc = mesh.vertices if shape_functions else mesh.centroids
     n = len(colloc)
     full = tuple(np.empty((n, n)) for _ in range(4))
-    kn.operator_blocks(colloc, mesh, kappa, full, shape_functions, collocated=True)
+    kn.operator_blocks(colloc, mesh, kappa, full, shape_functions)
     targets = np.arange(0, n, 3)
     if shape_functions:  # the stars of some vertices: their columns are complete
         wanted = np.arange(1, n, 5)
@@ -623,8 +623,7 @@ def test_operator_on_panel_subset_matches_full_columns(shape_functions):
     pick = np.searchsorted(columns, wanted)
     assert np.array_equal(columns[pick], wanted)
     sub = tuple(np.empty((len(targets), len(columns))) for _ in range(4))
-    kn.operator_blocks(colloc[targets], mesh, kappa, sub, shape_functions, collocated=True,
-                       panels=panels)
+    kn.operator_blocks(colloc[targets], mesh, kappa, sub, shape_functions, panels=panels)
     for f, s in zip(full, sub):
         want = f[np.ix_(targets, wanted)]
         # the far entries' BLAS distance products may differ in the last bits
@@ -644,6 +643,6 @@ def test_collocated_double_layer_diagonals_are_zero(shape_functions):
     colloc = mesh.vertices if shape_functions else mesh.centroids
     n = len(colloc)
     blocks = tuple(np.empty((n, n)) for _ in range(4))
-    kn.operator_blocks(colloc, mesh, 0.125, blocks, shape_functions, collocated=True)
+    kn.operator_blocks(colloc, mesh, 0.125, blocks, shape_functions)
     assert np.all(np.diag(blocks[1]) == 0.0)
     assert np.all(np.diag(blocks[3]) == 0.0)

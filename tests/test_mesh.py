@@ -216,6 +216,43 @@ def test_load_msms_bad_line_reports_number(tmp_path):
     assert err.value.line_no == 5
 
 
+def test_load_msms_short_face_row_reports_number(tmp_path):
+    vert, face = write_msms_tet(tmp_path)
+    body = face.read_text().splitlines()
+    body[5] = "1 2"
+    face.write_text("\n".join(body) + "\n")
+    with pytest.raises(ParseError, match="expected >= 3 fields, got 2") as err:
+        pa.load_msms(vert, face)
+    assert err.value.line_no == 6
+
+
+def test_load_msms_skips_comment_after_counts_line(tmp_path):
+    vert, face = write_msms_tet(tmp_path)
+    want = pa.load_msms(vert, face)
+    for path in (vert, face):
+        body = path.read_text().splitlines()
+        body.insert(3, "# a comment between the counts line and the rows")
+        path.write_text("\n".join(body) + "\n")
+    got = pa.load_msms(vert, face)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.triangles, want.triangles)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_vertex_rejected(value):
+    tet = make_tetrahedron()
+    verts = tet.vertices.copy()
+    verts[2, 1] = value
+    with pytest.raises(MeshInvariantError, match="non-finite"):
+        pa.SurfaceMesh(verts, tet.triangles)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_icosphere_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        pa.icosphere(radius, 1)
+
+
 def test_off_and_panel_csv_roundtrip(tmp_path):
     m = pa.icosphere(1.0, 1)
     off = tmp_path / "m.off"

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pbadapt as pa
+import pbadapt.physics as physics_mod
 from pbadapt.errors import DomainError, ParseError, SingularityError, UsageError
 from pbadapt.physics import (
     ENERGY_UNIT,
@@ -71,6 +73,63 @@ def test_coulomb_singularity_guard(unit_charge):
     phys = pa.BiePhysics()
     with pytest.raises(SingularityError):
         coulomb_potential(unit_charge, phys, [[0.0, 0.0, 1e-13]])
+
+
+def _many_charges(n_charges, n_points, seed=3):
+    rng = np.random.default_rng(seed)
+    charges = pa.ChargeSet(rng.uniform(-0.5, 0.5, (n_charges, 3)), rng.uniform(-1, 1, n_charges))
+    points = rng.normal(size=(n_points, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return charges, points
+
+
+def test_coulomb_trace_memory_is_bounded():
+    # 3,840 points x 1,000 charges: the offsets alone would take 92 MB in one piece
+    charges, points = _many_charges(1000, 3840)
+    phys = pa.BiePhysics()
+    tracemalloc.start()
+    try:
+        pa.coulomb_trace(charges, phys, points, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def _sweeps(charges, phys, points):
+    return (coulomb_potential(charges, phys, points), coulomb_gradient(charges, phys, points),
+            *pa.coulomb_trace(charges, phys, points, points))
+
+
+@pytest.mark.parametrize("n_points", [23, 0])
+@pytest.mark.parametrize("budget", [1, 21, 50])
+def test_coulomb_sweeps_do_not_depend_on_the_chunking(monkeypatch, n_points, budget):
+    # 7 charges: budgets of 1, 3 and 7 points per chunk, 23 points leaving a remainder chunk
+    charges, points = _many_charges(7, n_points)
+    phys = pa.BiePhysics()
+    want = _sweeps(charges, phys, points)
+    monkeypatch.setattr(physics_mod, "WINDING_CHUNK_PAIRS", budget)
+    got = _sweeps(charges, phys, points)
+    assert [w.shape for w in want] == [(n_points,), (n_points, 3), (n_points,), (n_points,)]
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_coulomb_singularity_guard_in_a_later_chunk(monkeypatch, unit_charge):
+    monkeypatch.setattr(physics_mod, "WINDING_CHUNK_PAIRS", 1)
+    with pytest.raises(SingularityError):
+        coulomb_potential(unit_charge, pa.BiePhysics(), [[1.0, 0.0, 0.0], [0.0, 0.0, 1e-13]])
+
+
+def test_inside_checks_name_the_first_outside_point(born_setup):
+    phys, charges = born_setup
+    mesh = pa.icosphere(1.0, 1)
+    two = pa.ChargeSet(np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError, match="charge 1 lies outside"):
+        require_charges_inside(two, mesh)
+    sol = pa.solve_forward(mesh, phys, charges)
+    with pytest.raises(DomainError, match="target 1 lies outside"):
+        pa.reaction_potential(sol, [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
 
 
 def test_charges_inside_check():
@@ -250,6 +309,32 @@ def test_chargeset_validation():
         pa.ChargeSet(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(UsageError):
         pa.BiePhysics(eps_m=-1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_chargeset_rejects_non_finite_values(value):
+    with pytest.raises(UsageError, match="finite"):
+        pa.ChargeSet(np.array([[0.0, value, 0.0]]), np.array([1.0]))
+    with pytest.raises(UsageError, match="finite"):
+        pa.ChargeSet(np.zeros((2, 3)), np.array([1.0, value]))
+
+
+def test_load_pqr_non_finite_reports_line(tmp_path):
+    p = tmp_path / "nan.pqr"
+    p.write_text("ATOM 1 N MET 1 0.0 0.0 0.0 -0.3 1.55\nATOM 2 CA MET 1 0.1 nan 0.0 0.2 1.7\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        pa.load_pqr(p)
+    assert err.value.line_no == 2
+
+
+def test_energy_unit_is_fixed():
+    phys = pa.BiePhysics()
+    assert phys.energy_unit == ENERGY_UNIT
+    assert "energy_unit" not in {f.name for f in dataclasses.fields(phys)}
+    with pytest.raises(TypeError):
+        pa.BiePhysics(energy_unit=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phys.energy_unit = 1.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
