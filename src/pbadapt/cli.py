@@ -175,15 +175,10 @@ def _build_charges(cp) -> ChargeSet:
 
 
 def _build_physics(cp) -> BiePhysics:
-    if "physics" not in cp:
-        return BiePhysics()
-    sec = cp["physics"]
+    sec = cp["physics"] if "physics" in cp else {}
     try:
-        return BiePhysics(
-            eps_m=_get(sec, "eps_m", float, 4.0),
-            eps_w=_get(sec, "eps_w", float, 80.0),
-            kappa=_get(sec, "kappa", float, 0.125),
-        )
+        return BiePhysics(**{key: _get(sec, key, float) for key in SECTION_KEYS["physics"]
+                             if key in sec})
     except UsageError as exc:
         raise ConfigError(f"[physics] {exc}") from exc
 
@@ -221,7 +216,11 @@ def _kirkwood_reference(cp, charges, physics) -> float:
         raise ConfigError("kirkwood reference needs an icosphere [mesh]")
     radius = _get(cp["mesh"], "radius", float, 1.0)
     n_terms = _get(cp["oracle"], "n_terms", int, 80) if "oracle" in cp else 80
-    return kirkwood_energy(SphereCase(radius, charges, physics, n_terms))
+    try:
+        case = SphereCase(radius, charges, physics, n_terms)
+    except UsageError as exc:
+        raise ConfigError(f"kirkwood reference: {exc}") from exc
+    return kirkwood_energy(case)
 
 
 def _exact_reference(cp, mesh, charges, physics, config) -> float | None:

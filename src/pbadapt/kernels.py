@@ -16,9 +16,6 @@ and the van Oosterom–Strackee solid angle; Yukawa adds a bounded remainder.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
@@ -26,6 +23,7 @@ from scipy.spatial import cKDTree
 from .errors import SingularityError, UsageError
 from .mesh import SurfaceMesh, half_solid_angles
 from .quadrature import GAUSS7, QuadratureRule, subdivided
+from .sweep import chunks, run_parallel
 
 COINCIDENT_TOL = 1e-14
 NEAR_FACTOR = 2.0                  # targets within this many diameters are "near"
@@ -34,7 +32,6 @@ SMOOTH_RULE = subdivided(GAUSS7, 2)
 REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 1.2e5           # values per kernel array in one row batch (~1 MB, cache-sized)
-PAIR_CHUNK_POINTS = 4096 * 7       # quadrature points per chunk of (target, panel) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -162,33 +159,6 @@ def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule, panels=None) -> n
     return np.einsum("qk,tkx->tqx", rule.points, corners)
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on (affinity mask, not machine size)."""
-    return len(os.sched_getaffinity(0))
-
-
-def _chunks(n: int, size: int) -> list[slice]:
-    """Consecutive slices of ``size`` items covering range(n)."""
-    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
-
-
-def run_parallel(fn, items) -> None:
-    """Call ``fn(item)`` for every item, one worker thread per usable CPU.
-
-    With one usable CPU (``taskset -c 0``) or one item the calls run serially
-    in the caller. Each call writes its own output slice, so results do not
-    depend on how many workers share the items. The numpy kernels release
-    the interpreter lock, so the workers overlap.
-    """
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1:
-        for item in items:
-            fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, items))  # re-raises the first worker exception
-
-
 def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, T, nq, near):
     """Kernel values for a batch of targets against all panel quad points.
 
@@ -309,10 +279,6 @@ def kernel_row_blocks(
     copy_laplace = out[2] is not None and kappa == 0.0
     yukawa = out[2] is not None and not copy_laplace
 
-    # a fixed budget per batch, whatever the CPU count: the batch size can move
-    # the last bit of the BLAS distance product in ``_batch_kernels``
-    batch = max(1, int(ROW_BATCH_VALUES / max(T * nq, 1)))
-
     ti, pj = near
 
     def run(sl):
@@ -327,7 +293,9 @@ def kernel_row_blocks(
         if copy_laplace:
             out[2][sl], out[3][sl] = out[0][sl], out[1][sl]
 
-    run_parallel(run, _chunks(len(targets), batch))
+    # a fixed budget per batch, whatever the CPU count: the batch size can move
+    # the last bit of the BLAS distance product in ``_batch_kernels``
+    run_parallel(run, chunks(len(targets), T * nq, ROW_BATCH_VALUES))
 
 
 def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n_kernels,
@@ -344,8 +312,6 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
     panels = np.asarray(panels, dtype=np.int64)
     shape, _, _ = basis_tables(mesh, rule, shape_functions)
     out = [np.zeros((len(panels),) + shape.shape[1:]) for _ in range(n_kernels)]
-    if len(panels) == 0:
-        return out
     xq_all = panel_quad_points(mesh, rule)
     wl = np.einsum("q,q...->q...", rule.weights, shape)
 
@@ -355,8 +321,7 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
         for o, k in zip(out, formula(points[sl][:, None, :] - xq_all[pid], pid)):
             o[sl] = np.einsum("pq,q...,p->p...", k, wl, area)
 
-    chunk = max(1, PAIR_CHUNK_POINTS // rule.n_points)
-    run_parallel(run, _chunks(len(panels), chunk))
+    run_parallel(run, chunks(len(panels), rule.n_points))
     return out
 
 
@@ -429,7 +394,7 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
             points[sl], corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
         )
 
-    run_parallel(run, _chunks(len(panels), PAIR_CHUNK_POINTS // GAUSS7.n_points))
+    run_parallel(run, chunks(len(panels), GAUSS7.n_points))
     if not yukawa:
         return vl, kl, None, None
     if kappa == 0.0:  # the remainder vanishes

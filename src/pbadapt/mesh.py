@@ -15,12 +15,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import MeshInvariantError, ParseError, UsageError
+from .sweep import chunks, run_parallel
 
 logger = logging.getLogger(__name__)
 
 DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
-WINDING_CHUNK_PAIRS = 65536  # (point, panel) pairs per winding-number chunk
 
 
 @dataclass(frozen=True)
@@ -552,12 +552,14 @@ def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     Sums ``half_solid_angles`` over the panels for chunks of points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(points))
-    step = max(1, WINDING_CHUNK_PAIRS // mesh.n_panels)
-    for s in range(0, len(points), step):
-        rel = mesh._corners - points[s:s + step, None, None, :]
+    out, corners = np.empty(len(points)), mesh._corners
+
+    def run(sl):
+        rel = corners - points[sl, None, None, :]
         lens = np.sqrt(np.einsum("...i,...i->...", rel, rel))
-        out[s:s + step] = half_solid_angles(rel, lens).sum(axis=1)
+        out[sl] = half_solid_angles(rel, lens).sum(axis=1)
+
+    run_parallel(run, chunks(len(points), mesh.n_panels))
     return out / (2.0 * np.pi)
 
 

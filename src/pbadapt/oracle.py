@@ -29,8 +29,8 @@ class SphereCase:
     n_terms: int = 50
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise UsageError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise UsageError("radius must be finite and positive")
         if not 1 <= self.n_terms <= MAX_TERMS:
             raise UsageError(f"n_terms must lie in [1, {MAX_TERMS}]")
         if np.linalg.norm(self.charges.positions, axis=1).max() >= self.radius:
@@ -118,8 +118,8 @@ def richardson(values) -> tuple[float, float]:
     convergence in 1/N so consecutive differences shrink by 4**p.
     """
     values = [float(v) for v in values]
-    if len(values) != 3:
-        raise UsageError("richardson needs exactly three values")
+    if len(values) != 3 or not np.all(np.isfinite(values)):
+        raise UsageError("richardson needs exactly three finite values")
     f1, f2, f3 = values
     d1, d2 = f2 - f1, f3 - f2
     if d1 == 0.0 or d2 == 0.0:

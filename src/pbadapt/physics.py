@@ -15,7 +15,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
-from .mesh import WINDING_CHUNK_PAIRS, SurfaceMesh, points_inside
+from .mesh import SurfaceMesh, points_inside
+from .sweep import chunks, run_parallel
 
 if TYPE_CHECKING:
     from .solver import PanelSolution
@@ -96,24 +97,25 @@ class EnergyResult:
 # Coulomb field of the solute charges
 
 
-def _sweep(charges: ChargeSet, points, evaluate) -> list[np.ndarray]:
-    """Each array ``evaluate(d, r)`` returns, joined over chunks of the points.
+def _sweep(charges: ChargeSet, points, evaluate, *shapes) -> list[np.ndarray]:
+    """Arrays of trailing ``shapes`` that ``evaluate(d, r)`` fills chunk by chunk.
 
-    A chunk holds at most ``WINDING_CHUNK_PAIRS`` (point, charge) pairs; ``d``
-    (m, N, 3) are its offsets point minus charge and ``r`` their lengths.
-    Every sum runs over the charges of one point, so results do not depend
-    on the chunking.
+    ``d`` (m, N, 3) are a chunk's offsets point minus charge and ``r`` their
+    lengths; every sum runs over one point's charges.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    step = max(1, WINDING_CHUNK_PAIRS // len(charges))
-    parts = []
-    for s in range(0, len(points) or 1, step):  # zero points: one empty chunk
-        d = points[s:s + step, None, :] - charges.positions[None, :, :]
+    out = [np.empty((len(points),) + shape) for shape in shapes]
+
+    def run(sl):
+        d = points[sl, None, :] - charges.positions[None, :, :]
         r = np.sqrt(np.einsum("mnx,mnx->mn", d, d))
         if np.any(r < CHARGE_CLEARANCE):
             raise SingularityError("evaluation point coincides with a charge")
-        parts.append(evaluate(d, r))
-    return [np.concatenate(c) for c in zip(*parts)]
+        for o, value in zip(out, evaluate(d, r)):
+            o[sl] = value
+
+    run_parallel(run, chunks(len(points), len(charges)))
+    return out
 
 
 def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
@@ -127,19 +129,19 @@ def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
 
 def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
     """u_c = (1/eps_m) sum_k q_k / (4*pi*|r - r_k|)."""
-    return _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),))[0]
+    return _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),), ())[0]
 
 
 def coulomb_gradient(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
     """Gradient of the Coulomb potential at the given points, (M, 3)."""
-    return _sweep(charges, points, lambda d, r: (_gradient(charges, physics, d, r),))[0]
+    return _sweep(charges, points, lambda d, r: (_gradient(charges, physics, d, r),), (3,))[0]
 
 
 def coulomb_trace(charges: ChargeSet, physics: BiePhysics, points, normals):
     """Coulomb potential and its normal derivative at surface points."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     u, grad = _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),
-                                                     _gradient(charges, physics, d, r)))
+                                                     _gradient(charges, physics, d, r)), (), (3,))
     return u, np.einsum("mx,mx->m", grad, normals)
 
 
@@ -153,7 +155,7 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     Evaluates the interior representation with the Laplace kernel,
     u_r = -K[u] + V[du/dn]; panels close to a target get the closed-form
     flat-panel integrals. The kernel layer runs one worker per usable CPU
-    (``kernels.run_parallel``). Targets must lie inside the surface; the
+    (``sweep.run_parallel``). Targets must lie inside the surface; the
     charges the solve already found inside (``solution.charges``) are not
     tested again.
     """

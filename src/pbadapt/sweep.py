@@ -1,0 +1,42 @@
+"""One chunk rule and one worker pool for every dense points x sources sum.
+
+Each point's sum stays inside one chunk, so results depend neither on the
+chunk size nor on the number of workers.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+CHUNK_PAIRS = 4096 * 7  # (point, source) pairs, or quadrature points, per chunk
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (affinity mask, not machine size)."""
+    return len(os.sched_getaffinity(0))
+
+
+def chunks(n: int, per_item, budget=None) -> list[slice]:
+    """Consecutive slices covering range(n), each of ``budget`` // ``per_item``
+    items but at least one; ``budget`` is ``CHUNK_PAIRS`` when None."""
+    budget = CHUNK_PAIRS if budget is None else budget
+    size = max(1, int(budget // max(per_item, 1)))
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def run_parallel(fn, items) -> None:
+    """Call ``fn(item)`` for every item, one worker thread per usable CPU.
+
+    With one usable CPU (``taskset -c 0``) or one item the calls run serially
+    in the caller. Each call writes its own output slice, so results do not
+    depend on how many workers share the items. The numpy kernels release
+    the interpreter lock, so the workers overlap.
+    """
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fn, items))  # re-raises the first worker exception

@@ -246,6 +246,24 @@ def test_born_config_oracle_closed_form(tmp_path, capsys):
     assert value == pytest.approx(pa.born_energy(1.0, 1.0, phys), rel=1e-10)
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_bad_oracle_radius_is_config_error(tmp_path, capsys, radius):
+    cfg = write_config(tmp_path / "o.ini", f"[mesh]\nradius = {radius}\n\n"
+                       "[charges]\ninline = 1.0  0.0 0.0 0.5\n")
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "kappa = 0.0\n", "eps_m = 2.0\neps_w = 40.0\n"],
+                         ids=["empty", "kappa", "eps"])
+def test_physics_keys_left_out_take_the_class_defaults(tmp_path, text):
+    cfg = write_config(tmp_path / "p.ini", SPHERE_SMALL.split("[physics]")[0] + "[physics]\n" + text)
+    _cp, _mesh, _charges, physics, _config = _load_run(build_parser().parse_args(
+        ["solve", "--config", cfg]))
+    given = dict(line.split(" = ") for line in text.splitlines())
+    assert physics == pa.BiePhysics(**{k: float(v) for k, v in given.items()})
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -279,8 +297,8 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, text, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values", ["1 2", "1 1 1", "-4 -4.5 -4.0"],
-                         ids=["count", "equal", "non-monotone"])
+@pytest.mark.parametrize("values", ["1 2", "1 1 1", "-4 -4.5 -4.0", "1 nan 3", "1 2 inf"],
+                         ids=["count", "equal", "non-monotone", "nan", "inf"])
 def test_bad_oracle_values_are_config_errors(tmp_path, capsys, values):
     cfg = write_config(tmp_path / "r.ini", f"[oracle]\nvalues = {values}\n")
     assert main(["oracle", "--config", cfg]) == EXIT_CONFIG

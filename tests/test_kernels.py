@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pbadapt.kernels as kn
+import pbadapt.sweep as sweep
 from pbadapt.errors import SingularityError
 from pbadapt.quadrature import CENTROID, GAUSS7, subdivided
 
@@ -392,7 +393,7 @@ def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions, monkeypatc
     points, panels = mesh.centroids[ti[off]], pj[off]
     want = _pair_entries_mapped_per_pair(points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions)
     for cpus in (1, 2):
-        monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
         got = kn.kernel_pair_entries(
             points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions=shape_functions
         )
@@ -493,7 +494,7 @@ def test_row_blocks_independent_of_cpu_count(shape_functions, monkeypatch):
     assert kn.ROW_BATCH_VALUES / (mesh.n_panels * GAUSS7.n_points) < n_targets / 2  # many batches
     blocks = []
     for cpus in (1, 2):
-        monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
         blocks.append(_row_blocks(mesh, shape_functions, 0.125))
     for a, b in zip(*blocks):
         assert np.array_equal(a, b)
@@ -546,8 +547,8 @@ def test_run_parallel_calls_each_item_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (1, 2):
-            monkeypatch.setattr(kn, "_usable_cpus", lambda: cpus)
-            kn.run_parallel(bump, range(len(seen)))
+            monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+            sweep.run_parallel(bump, range(len(seen)))
     finally:
         sys.setswitchinterval(interval)
     assert np.all(seen == 2)
@@ -558,9 +559,9 @@ def test_run_parallel_raises_worker_errors(monkeypatch):
         if i == 7:
             raise SingularityError("boom")
 
-    monkeypatch.setattr(kn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     with pytest.raises(SingularityError):
-        kn.run_parallel(fail, range(20))
+        sweep.run_parallel(fail, range(20))
 
 
 # -- Gauss identity -----------------------------------------------------------

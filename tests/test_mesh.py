@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 
 import pbadapt as pa
 import pbadapt.mesh as mesh_mod
+import pbadapt.sweep as sweep
 from pbadapt.errors import MeshInvariantError, ParseError, UsageError
 from pbadapt.mesh import (
     MarkedSet,
@@ -142,17 +143,23 @@ def winding_reference(mesh, points):
     return out
 
 
-def test_winding_number_matches_per_point_loop():
+def test_winding_number_matches_per_point_loop(monkeypatch):
     m = pa.icosphere(1.0, 2)
     rng = np.random.default_rng(3)
     charges = rng.standard_normal((1000, 3))
     charges *= 0.7 * rng.uniform(0, 1, 1000)[:, None] ** (1 / 3) / np.linalg.norm(charges, axis=1)[:, None]
     shell = rng.standard_normal((1000, 3))
     shell *= rng.uniform(0.9, 1.1, 1000)[:, None] / np.linalg.norm(shell, axis=1)[:, None]
+    assert sweep.CHUNK_PAIRS // m.n_panels < 1000 / 2  # many chunks
     for points in (charges, shell):
         want = winding_reference(m, points)
-        assert np.abs(winding_number(m, points) - want).max() <= 1e-14
-        assert np.array_equal(points_inside(m, points), want > 0.5)
+        got = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+            got.append(winding_number(m, points))
+            assert np.abs(got[-1] - want).max() <= 1e-14
+            assert np.array_equal(got[-1], got[0])
+            assert np.array_equal(points_inside(m, points), want > 0.5)
 
 
 def test_winding_number_inside_outside():

@@ -89,6 +89,13 @@ def test_sphere_case_validation():
         SphereCase(1.0, inside, phys, n_terms=500)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_sphere_case_rejects_bad_radius(radius):
+    inside = pa.ChargeSet(np.array([[0.0, 0.0, 0.5]]), np.array([1.0]))
+    with pytest.raises(UsageError, match="radius"):
+        SphereCase(radius, inside, pa.BiePhysics())
+
+
 def test_bessel_log_derivatives_against_scipy():
     x = 0.125
     nmax = 50
@@ -129,6 +136,12 @@ def test_richardson_degenerate_sequences():
         pa.richardson([0.0, 1.0, 0.5])
     with pytest.raises(UsageError):
         pa.richardson([1.0, 2.0])
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [np.inf, 2.0, 3.0], [1.0, 2.0, -np.inf]])
+def test_richardson_rejects_non_finite_values(values):
+    with pytest.raises(UsageError, match="finite"):
+        pa.richardson(values)
 
 
 @settings(max_examples=100, deadline=None)

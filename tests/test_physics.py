@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pbadapt as pa
-import pbadapt.physics as physics_mod
+import pbadapt.sweep as sweep
 from pbadapt.errors import DomainError, ParseError, SingularityError, UsageError
 from pbadapt.physics import (
     ENERGY_UNIT,
@@ -108,15 +108,18 @@ def test_coulomb_sweeps_do_not_depend_on_the_chunking(monkeypatch, n_points, bud
     charges, points = _many_charges(7, n_points)
     phys = pa.BiePhysics()
     want = _sweeps(charges, phys, points)
-    monkeypatch.setattr(physics_mod, "WINDING_CHUNK_PAIRS", budget)
-    got = _sweeps(charges, phys, points)
     assert [w.shape for w in want] == [(n_points,), (n_points, 3), (n_points,), (n_points,)]
-    for w, g in zip(want, got):
-        assert np.array_equal(w, g)
+    monkeypatch.setattr(sweep, "CHUNK_PAIRS", budget)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        got = _sweeps(charges, phys, points)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
 
 
 def test_coulomb_singularity_guard_in_a_later_chunk(monkeypatch, unit_charge):
-    monkeypatch.setattr(physics_mod, "WINDING_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(sweep, "CHUNK_PAIRS", 1)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     with pytest.raises(SingularityError):
         coulomb_potential(unit_charge, pa.BiePhysics(), [[1.0, 0.0, 0.0], [0.0, 0.0, 1e-13]])
 

@@ -74,7 +74,7 @@ def _use_cpus(monkeypatch, cpus):
     The row batch size does not depend on the CPU count, and on these
     meshes the production size splits the rows into many batches.
     """
-    monkeypatch.setattr(pa.kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pa.sweep, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
