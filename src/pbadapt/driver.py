@@ -167,6 +167,6 @@ def save_history(history: list[IterationRecord], out_dir) -> None:
         total = repr(float(rec.error_map.per_panel.sum())) if rec.error_map else ""
         rows.append(
             f"{k},{rec.mesh.n_panels},{rec.energy.dG_solv!r},{signed},{total},"
-            f"{rec.energy.diagnostics.get('gmres_iters', '')},{rec.wall_time_s!r}"
+            f"{rec.energy.diagnostics.get('gmres_iters', '')},{rec.wall_time_s:.6f}"
         )
     (out / "energy.csv").write_text("\n".join(rows) + "\n")

@@ -127,7 +127,7 @@ def _flat_panel_laplace(x, corners, normals, areas, linear):
     sp, sm = _edge_sum(rp, lp, r0sq), _edge_sum(rm, lm, r0sq)
     ok = (sp > 0.0) & (sm > 0.0)
     f2 = np.log(np.where(ok, sp, 1.0) / np.where(ok, sm, 1.0))
-    omega = 2.0 * half_solid_angles(rel, r)
+    omega = 2.0 * half_solid_angles(rel.transpose(1, 2, 0), r.T)
     v = (np.einsum("pk,pk->p", t0, f2) + h * omega) / FOUR_PI
     k = -omega / FOUR_PI
     if not linear:

@@ -529,19 +529,23 @@ def refine(mesh: SurfaceMesh, marked, background: SurfaceMesh | None = None) -> 
 def half_solid_angles(rel, lens) -> np.ndarray:
     """Half the signed solid angle each triangle subtends at a point.
 
-    ``rel`` (..., 3, 3) holds the triangle's corners minus the point and
-    ``lens`` (..., 3) their lengths. Van Oosterom and Strackee's formula,
-    positive for points on the side the normal points away from; a point in
-    the triangle's plane gets 0 outside it and +-pi inside it.
+    ``rel[k][i]`` is coordinate i of corner k minus the point and ``lens[k]``
+    the length of that offset: one array per corner and coordinate, all of
+    one shape, so every product runs along their common layout. Van Oosterom
+    and Strackee's formula, positive for points on the side the normal points
+    away from; a point in the triangle's plane gets 0 outside it and +-pi
+    inside it. Dot products add the x and z terms before the y term, the
+    order in which numpy 2.4's einsum sums a length-3 axis, so the angles
+    equal those of an einsum over (..., 3) offsets bit for bit.
     """
-    a, b, c = rel[..., 0, :], rel[..., 1, :], rel[..., 2, :]
-    la, lb, lc = lens[..., 0], lens[..., 1], lens[..., 2]
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rel
+    la, lb, lc = lens
+    num = ax * (by * cz - bz * cy) + az * (bx * cy - by * cx) + ay * (bz * cx - bx * cz)
     den = (
         la * lb * lc
-        + np.einsum("...i,...i->...", a, b) * lc
-        + np.einsum("...i,...i->...", b, c) * la
-        + np.einsum("...i,...i->...", c, a) * lb
+        + (ax * bx + az * bz + ay * by) * lc
+        + (bx * cx + bz * cz + by * cy) * la
+        + (cx * ax + cz * az + cy * ay) * lb
     )
     return np.arctan2(num, den)
 
@@ -549,14 +553,18 @@ def half_solid_angles(rel, lens) -> np.ndarray:
 def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     """Fraction of the full solid angle each point sees (1 inside, 0 outside).
 
-    Sums ``half_solid_angles`` over the panels for chunks of points.
+    Sums ``half_solid_angles`` over the panels for chunks of points. The
+    offsets are (points, panels) arrays, one per corner and coordinate, so
+    the inner loops run over the panels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out, corners = np.empty(len(points)), mesh._corners
+    out = np.empty(len(points))
+    corners = np.ascontiguousarray(mesh._corners.transpose(1, 2, 0))  # (corner, coordinate, panel)
 
     def run(sl):
-        rel = corners - points[sl, None, None, :]
-        lens = np.sqrt(np.einsum("...i,...i->...", rel, rel))
+        p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
+        rel = [[corners[k, i] - p[i] for i in range(3)] for k in range(3)]
+        lens = [np.sqrt(x * x + z * z + y * y) for x, y, z in rel]
         out[sl] = half_solid_angles(rel, lens).sum(axis=1)
 
     run_parallel(run, chunks(len(points), mesh.n_panels))

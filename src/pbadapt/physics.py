@@ -100,15 +100,18 @@ class EnergyResult:
 def _sweep(charges: ChargeSet, points, evaluate, *shapes) -> list[np.ndarray]:
     """Arrays of trailing ``shapes`` that ``evaluate(d, r)`` fills chunk by chunk.
 
-    ``d`` (m, N, 3) are a chunk's offsets point minus charge and ``r`` their
-    lengths; every sum runs over one point's charges.
+    ``d`` holds a chunk's offsets point minus charge, one (m, N) array per
+    coordinate, and ``r`` their lengths; every sum runs over one point's
+    charges, a row.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = [np.empty((len(points),) + shape) for shape in shapes]
+    sources = np.ascontiguousarray(charges.positions.T)    # (coordinate, charge)
 
     def run(sl):
-        d = points[sl, None, :] - charges.positions[None, :, :]
-        r = np.sqrt(np.einsum("mnx,mnx->mn", d, d))
+        p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
+        dx, dy, dz = d = [p[i] - sources[i] for i in range(3)]
+        r = np.sqrt(dx * dx + dz * dz + dy * dy)  # x + z + y, as numpy's einsum sums xyz
         if np.any(r < CHARGE_CLEARANCE):
             raise SingularityError("evaluation point coincides with a charge")
         for o, value in zip(out, evaluate(d, r)):
@@ -123,7 +126,8 @@ def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
 
 
 def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
-    g = -np.einsum("mn,mnx->mx", charges.charges[None, :] / (kernels.FOUR_PI * r**3), d)
+    w = charges.charges[None, :] / (kernels.FOUR_PI * (r * r * r))
+    g = -np.stack([(w * di).sum(axis=1) for di in d], axis=1)
     return g / physics.eps_m
 
 

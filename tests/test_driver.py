@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -183,6 +184,18 @@ def test_save_history_layout(tmp_path, case):
     first = rows[1].split(",")
     assert first[0] == "0" and int(first[1]) == 80
     assert float(first[2]) == pytest.approx(hist[0].energy.dG_solv)
+
+
+def test_save_history_size_does_not_depend_on_the_timings(tmp_path, case):
+    hist = pa.adaptive_loop(
+        pa.icosphere(1.0, 1), case.charges, case.physics, small_config(max_iterations=2)
+    )
+    sizes = []
+    for k, times in enumerate(([0.5, 2.0], [1.0 / 3.0, 20.0 / 7.0])):
+        timed = [dataclasses.replace(rec, wall_time_s=t) for rec, t in zip(hist, times)]
+        pa.save_history(timed, tmp_path / str(k))
+        sizes.append(sum(f.stat().st_size for f in (tmp_path / str(k)).iterdir()))
+    assert sizes[0] == sizes[1]
 
 
 def test_loop_logs_reused_and_computed_rows_and_columns(case, caplog):

@@ -162,6 +162,21 @@ def test_winding_number_matches_per_point_loop(monkeypatch):
             assert np.array_equal(points_inside(m, points), want > 0.5)
 
 
+def test_inside_masks_near_the_surface(monkeypatch, uneven_mesh):
+    m = uneven_mesh
+    radial = m.vertices / np.linalg.norm(m.vertices, axis=1)[:, None]
+    moves, scales = (1e-3, -1e-3, 1e-9, -1e-9), (1e-12, -1e-12)
+    probes = [m.vertices + s * radial for s in moves] + [m.centroids * (1.0 + s) for s in scales]
+    points = np.concatenate(probes)
+    inward = np.concatenate([np.full(len(p), s < 0) for p, s in zip(probes, moves + scales)])
+    want = winding_reference(m, points)
+    assert np.array_equal(want > 0.5, inward)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        assert np.abs(winding_number(m, points) - want).max() <= 1e-14
+        assert np.array_equal(points_inside(m, points), want > 0.5)
+
+
 def test_winding_number_inside_outside():
     m = pa.icosphere(1.0, 2)
     w = winding_number(m, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,39 @@ def _many_charges(n_charges, n_points, seed=3):
     points = rng.normal(size=(n_points, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
     return charges, points
+
+
+def coulomb_reference(charges, phys, points, normals):
+    """Potential, gradient and normal derivative summed one (point, charge)
+    pair at a time, each with the sum of its terms' magnitudes as its scale."""
+    want, scale = np.zeros((len(points), 5)), np.zeros((len(points), 5))
+    for i, (x, n) in enumerate(zip(points.tolist(), normals.tolist())):
+        terms = []
+        for y, q in zip(charges.positions.tolist(), charges.charges.tolist()):
+            d = [x[k] - y[k] for k in range(3)]
+            r = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+            w = -q / (FOUR_PI * r**3 * phys.eps_m)
+            terms.append([q / (FOUR_PI * r * phys.eps_m), *(w * dk for dk in d),
+                          w * (d[0] * n[0] + d[1] * n[1] + d[2] * n[2])])
+        for j, column in enumerate(zip(*terms)):
+            want[i, j] = math.fsum(column)
+            scale[i, j] = math.fsum(abs(t) for t in column)
+    return want, scale
+
+
+def test_coulomb_sweeps_match_per_pair_loop():
+    rng = np.random.default_rng(11)
+    signs = rng.choice([-1.0, 1.0], 40)
+    charges = pa.ChargeSet(rng.uniform(-0.5, 0.5, (40, 3)), signs * rng.uniform(0.2, 1.0, 40))
+    points, normals = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
+    phys = pa.BiePhysics(eps_m=2.0)
+    want, scale = coulomb_reference(charges, phys, points, normals)
+    got = np.column_stack(
+        [coulomb_potential(charges, phys, points), coulomb_gradient(charges, phys, points)]
+    )
+    u, dudn = pa.coulomb_trace(charges, phys, points, normals)
+    for g, j in ((got, slice(0, 4)), (u, 0), (dudn, 4)):
+        assert np.all(np.abs(g - want[:, j]) <= 1e-14 * scale[:, j])
 
 
 def test_coulomb_trace_memory_is_bounded():
