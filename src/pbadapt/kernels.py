@@ -1,7 +1,7 @@
 """Laplace and Yukawa free-space kernels and triangle-panel quadrature.
 
-Conventions: kernels carry the 1/(4*pi) factor. ``dgdn_*`` differentiates
-with respect to the *source* point along the source normal,
+Conventions: kernels carry the 1/(4*pi) factor. The double layer
+differentiates with respect to the *source* point along the source normal,
 
     dG_L/dn' = (r - r') . n' / (4*pi*|r - r'|^3),
 
@@ -20,73 +20,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import SingularityError, UsageError
 from .mesh import SurfaceMesh, half_solid_angles
 from .quadrature import GAUSS7, QuadratureRule, subdivided
-from .sweep import chunks, run_parallel
+from .sweep import chunks, run_parallel, runs
 
-COINCIDENT_TOL = 1e-14
 NEAR_FACTOR = 2.0                  # targets within this many diameters are "near"
-NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature reference for near pairs
 SMOOTH_RULE = subdivided(GAUSS7, 2)
 REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 1.2e5           # values per kernel array in one row batch (~1 MB, cache-sized)
-
-
-# ---------------------------------------------------------------------------
-# pointwise kernels
-
-
-def _dist(r, rp):
-    d = np.asarray(r, dtype=float) - np.asarray(rp, dtype=float)
-    dist = np.sqrt(np.sum(d * d, axis=-1))
-    if np.any(dist < COINCIDENT_TOL):
-        raise SingularityError("kernel evaluated at coincident points")
-    return d, dist
-
-
-def g_laplace(r, rp):
-    """1 / (4*pi*|r - rp|)."""
-    _, dist = _dist(r, rp)
-    return 1.0 / (FOUR_PI * dist)
-
-
-def g_yukawa(r, rp, kappa: float):
-    """exp(-kappa*|r - rp|) / (4*pi*|r - rp|)."""
-    if kappa < 0:
-        raise UsageError("kappa must be >= 0")
-    _, dist = _dist(r, rp)
-    return np.exp(-kappa * dist) / (FOUR_PI * dist)
-
-
-def dgdn_laplace(r, rp, normal):
-    """Source-normal derivative of the Laplace kernel at rp."""
-    d, dist = _dist(r, rp)
-    dot = np.sum(d * np.asarray(normal, dtype=float), axis=-1)
-    return dot / (FOUR_PI * dist**3)
-
-
-def dgdn_yukawa(r, rp, normal, kappa: float):
-    """Source-normal derivative of the Yukawa kernel at rp."""
-    if kappa < 0:
-        raise UsageError("kappa must be >= 0")
-    d, dist = _dist(r, rp)
-    dot = np.sum(d * np.asarray(normal, dtype=float), axis=-1)
-    return dot * (1.0 + kappa * dist) * np.exp(-kappa * dist) / (FOUR_PI * dist**3)
-
-
-def panel_integral(kernel, target, panel, rule: QuadratureRule) -> float:
-    """Quadrature of ``kernel(target, x)`` over a flat triangle.
-
-    ``panel`` is a (3, 3) array of corner rows; the target must not lie on
-    the panel (regular quadrature only).
-    """
-    panel = np.asarray(panel, dtype=float)
-    pts = rule.map_to(panel)
-    area = 0.5 * np.linalg.norm(np.cross(panel[1] - panel[0], panel[2] - panel[0]))
-    vals = np.asarray(kernel(np.asarray(target, dtype=float), pts))
-    return float(area * np.dot(rule.weights, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +112,9 @@ def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, T, nq, near):
     the cores.
 
     ``near`` = (batch rows, panels) of the pairs integrated elsewhere: their
-    kernel values are zero. A target can only sit on a quadrature point of
-    its own panel, and that pair is always near.
+    distances are set to 1, so no kernel divides by zero, and the caller
+    writes their entries. A target can only sit on a quadrature point of its
+    own panel, and that pair is always near.
 
     Every batch-sized array lives in one block allocated here: a block that
     large is mapped and unmapped as a whole, so batches run on worker
@@ -202,11 +145,7 @@ def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, T, nq, near):
         kyk += 1.0
         kyk *= klk
         kyk *= ex
-    kerns = (gl, klk, gy, kyk)
-    for k in kerns:
-        if k is not None:
-            k[rows, :, panels] = 0.0
-    return kerns
+    return gl, klk, gy, kyk
 
 
 def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool, panels=None):
@@ -245,19 +184,26 @@ def kernel_row_blocks(
     near,
     shape_functions: bool = False,
     panels=None,
+    scale=(1.0, 1.0, 1.0, 1.0),
+    rows=None,
 ):
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
-    Fills ``out`` = (VL, KL, VY, KY), (M, n_cols) arrays or views (see
-    ``basis_tables``); VY and KY may be None to skip the Yukawa kernel.
+    Fills ``out`` = (VL, KL, VY, KY), arrays or views with ``n_cols`` columns
+    (see ``basis_tables``); VY and KY may be None to skip the Yukawa kernel.
     Each kernel is reduced over the rule by one BLAS product of the
     (weights x shape functions) table with the batch, then scaled by the
     panel areas; P1 integrals are folded into vertex columns batch by batch
-    (keeps memory at O(batch * T)). ``near`` = (ti, pj), sorted by target as
-    ``near_pairs`` returns them: these (target, panel) pairs are left out.
-    With ``panels`` (ascending) only those panels are integrated, ``pj``
-    counts positions in ``panels`` and the columns are those of
-    ``basis_columns``. Batches of targets run on ``run_parallel``.
+    (keeps memory at O(batch * T)). ``near`` = (ti, pj) or (ti, pj, values),
+    sorted by target as ``near_pairs`` returns them: these (target, panel)
+    pairs are not integrated with ``rule``. Their entries are 0, or the pair
+    integrals ``values`` = (VL, KL, VY, KY) laid out as ``near_pair_entries``
+    returns them. Each entry is written once: the batch's integrals times the
+    block's ``scale`` factor, to row ``rows[i]`` (ascending) of ``out`` for
+    target i, or row i when ``rows`` is None. At kappa = 0 the Yukawa blocks
+    take the Laplace integrals. With ``panels`` (ascending) only those panels
+    are integrated, ``pj`` counts positions in ``panels`` and the columns are
+    those of ``basis_columns``. Batches of targets run on ``run_parallel``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sel = _panel_index(panels)
@@ -275,23 +221,37 @@ def kernel_row_blocks(
         fold = csr_matrix(
             (np.ones(cols.size), (np.arange(cols.size), cols.T.ravel())), shape=(cols.size, n_cols)
         )
-    # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): copy them
+    # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): reuse them
     copy_laplace = out[2] is not None and kappa == 0.0
     yukawa = out[2] is not None and not copy_laplace
-
-    ti, pj = near
+    ti, pj = near[:2]
+    values = near[2] if len(near) > 2 else (None,) * 4
+    rows = np.arange(len(targets)) if rows is None else rows
 
     def run(sl):
         lo, hi = np.searchsorted(ti, (sl.start, sl.stop))
-        kerns = _batch_kernels(targets[sl], xq, xx, xn, normals, kappa, yukawa, T, nq,
-                               (ti[lo:hi] - sl.start, pj[lo:hi]))
-        for block, kern in zip(out, kerns):
+        rb, pb = ti[lo:hi] - sl.start, pj[lo:hi]
+        kerns = _batch_kernels(targets[sl], xq, xx, xn, normals, kappa, yukawa, T, nq, (rb, pb))
+        parts = []
+        for kern, value in zip(kerns, values):
+            part = None
             if kern is not None:
-                rows = np.matmul(wt, kern)  # (batch, 1 or 3, T)
-                rows *= areas
-                block[sl] = rows[:, 0] if fold is None else rows.reshape(len(rows), -1) @ fold
+                part = np.matmul(wt, kern)  # (batch, 1 or 3, T)
+                part *= areas
+                part[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), len(wt))
+                part = part[:, 0] if fold is None else part.reshape(len(part), -1) @ fold
+            parts.append(part)
         if copy_laplace:
-            out[2][sl], out[3][sl] = out[0][sl], out[1][sl]
+            parts[2:] = parts[:2]
+        # consecutive rows take one slice: array work per batch holds the
+        # interpreter lock that the other workers wait for
+        first, last = rows[sl.start], rows[sl.stop - 1]
+        dst = ([(slice(first, last + 1), slice(None))] if last - first == sl.stop - sl.start - 1
+               else runs(rows[sl], np.arange(sl.stop - sl.start)))
+        for block, part, factor in zip(out, parts, scale):
+            if block is not None:
+                for d, src in dst:
+                    np.multiply(part[src], factor, out=block[d])
 
     # a fixed budget per batch, whatever the CPU count: the batch size can move
     # the last bit of the BLAS distance product in ``_batch_kernels``
@@ -404,15 +364,6 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
     return vl, kl, vl + vr, kl + kr
 
 
-def _add_pairs(block, ti, pair_cols, delta):
-    """block[ti, col] += delta for every pair and each of its local columns.
-
-    A row can reach one column through several panels, so duplicates
-    accumulate (np.add.at); local columns run in the outer loop.
-    """
-    np.add.at(block, (ti, pair_cols.T), delta.reshape(pair_cols.shape).T)
-
-
 def operator_blocks(
     targets,
     mesh: SurfaceMesh,
@@ -420,21 +371,22 @@ def operator_blocks(
     out,
     shape_functions: bool = False,
     panels=None,
+    scale=(1.0, 1.0, 1.0, 1.0),
+    rows=None,
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
-    Fills ``out`` as ``kernel_row_blocks`` does and integrates every
-    (target, panel) pair once: GAUSS7 for far pairs, ``near_pair_entries``
-    for the pairs of ``near_pairs``. A pair whose target is a node of the
-    panel (P0: its centroid, P1: a vertex), as collocation points are, lies
-    on it and gets the principal value 0 of the flat-panel double layer.
-    With ``panels`` (ascending) only those panels are integrated and ``out``
-    has the columns of ``basis_columns``.
+    Fills ``out`` as ``kernel_row_blocks`` does, ``scale`` and ``rows`` included,
+    and integrates every (target, panel) pair once: GAUSS7 for far pairs,
+    ``near_pair_entries`` for the pairs of ``near_pairs``, computed first and
+    written by the row batches. A pair whose target is a node of the panel
+    (P0: its centroid, P1: a vertex), as collocation points are, lies on it
+    and gets the principal value 0 of the flat-panel double layer. With
+    ``panels`` (ascending) only those panels are integrated and ``out`` has
+    the columns of ``basis_columns``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _, cols, _ = basis_tables(mesh, GAUSS7, shape_functions, panels)
     ti, pj = near_pairs(targets, mesh, panels)
-    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj), shape_functions, panels)
     pid = pj if panels is None else np.asarray(panels, dtype=np.int64)[pj]
     near = near_pair_entries(targets[ti], mesh, pid, kappa, yukawa=out[2] is not None,
                              shape_functions=shape_functions)
@@ -443,10 +395,8 @@ def operator_blocks(
     for k in (1, 3):  # KL, KY: a target on the panel gets the principal value 0
         if near[k] is not None:
             near[k][on] = 0.0
-    pair_cols = cols[pj]
-    for block, value in zip(out, near):
-        if block is not None:
-            _add_pairs(block, ti, pair_cols, value)
+    kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj, near), shape_functions, panels,
+                      scale, rows)
 
 
 def near_pairs(points, mesh: SurfaceMesh, panels=None):

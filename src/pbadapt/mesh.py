@@ -65,6 +65,9 @@ class SurfaceMesh:
             raise MeshInvariantError("triangles must be (T, 3)")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshInvariantError("triangle index out of range")
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(v)) == 0)
+        if unused.size:
+            raise MeshInvariantError(f"vertex {unused[0]} is used by no triangle")
         if self.parent_map is not None and len(self.parent_map) != len(t):
             raise MeshInvariantError("parent_map length must match triangle count")
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 2] == t[:, 0]):

@@ -40,6 +40,7 @@ from . import kernels
 from .errors import SolverError, UsageError
 from .mesh import SurfaceMesh, refine
 from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
+from .sweep import runs
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
@@ -120,20 +121,11 @@ def _unchanged(old: SurfaceMesh, mesh: SurfaceMesh, p1: bool):
     return rows, np.where(same, rows, -1)
 
 
-def _runs(dst, src) -> list[tuple[slice, slice]]:
-    """(dst, src) slice pairs over the maximal stretches where both indices step by one."""
-    if len(dst) == 0:
-        return []
-    cut = np.flatnonzero((np.diff(dst) != 1) | (np.diff(src) != 1)) + 1
-    return [(slice(dst[i], dst[j - 1] + 1), slice(src[i], src[j - 1] + 1))
-            for i, j in zip(np.r_[0, cut], np.r_[cut, len(dst)])]
-
-
 def _copy(a, old, dst_rows, src_rows, dst_cols, src_cols) -> None:
     """a[dst_rows x dst_cols] = old[src_rows x src_cols], one slice copy per
-    pair of stretches (``_runs``)."""
-    col_runs = _runs(dst_cols, src_cols)
-    for rd, rs in _runs(dst_rows, src_rows):
+    pair of stretches (``sweep.runs``)."""
+    col_runs = runs(dst_cols, src_cols)
+    for rd, rs in runs(dst_rows, src_rows):
         for cd, cs in col_runs:
             a[rd, cd] = old[rs, cs]
 
@@ -152,23 +144,6 @@ def _memory_budget() -> int:
     except (OSError, StopIteration, ValueError):
         pass  # no cgroup v2 memory limit: physical memory is the bound
     return budget
-
-
-def _scaled(blocks, physics):
-    vl, _, vy, ky = blocks
-    vl *= -1.0
-    ky *= -1.0
-    vy *= physics.eps_m / physics.eps_w
-    return blocks
-
-
-def _operator_rows(colloc, mesh, physics, p1, targets, panels=None):
-    """Scaled (VL, KL, VY, KY) blocks at the collocation points ``targets``,
-    with every column, or the columns of ``kernels.basis_columns`` for ``panels``."""
-    n_cols = len(colloc) if panels is None else len(kernels.basis_columns(mesh, p1, panels))
-    out = tuple(np.empty((len(targets), n_cols)) for _ in range(4))
-    kernels.operator_blocks(colloc[targets], mesh, physics.kappa, out, p1, panels=panels)
-    return _scaled(out, physics)
 
 
 def assemble_system(
@@ -202,32 +177,33 @@ def assemble_system(
         )
     held = None if cache is None else cache._held
     rows = cols = np.full(n, -1)
+    old = np.empty((0, 0))
     if held is not None and (held.space, held.physics) == (space, physics):
         rows, cols = _unchanged(held.mesh, mesh, p1)
+        old = held.matrix
     new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)
     new_cols, kept_cols = np.flatnonzero(cols < 0), np.flatnonzero(cols >= 0)
     a = np.empty((2 * n, 2 * n))
+    old_n = len(old) // 2
+    _copy(a, old,
+          np.r_[kept_rows, kept_rows + n], np.r_[rows[kept_rows], rows[kept_rows] + old_n],
+          np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
     blocks = (a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n])  # VL, KL, VY, KY
-    if len(kept_rows) == 0:  # nothing to copy: write straight into the matrix
-        kernels.operator_blocks(colloc, mesh, physics.kappa, blocks, p1)
-        _scaled(blocks, physics)
-    else:
-        old_n = len(held.matrix) // 2
-        _copy(a, held.matrix,
-              np.r_[kept_rows, kept_rows + n], np.r_[rows[kept_rows], rows[kept_rows] + old_n],
-              np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
-        if len(new_rows):
-            for block, value in zip(blocks, _operator_rows(colloc, mesh, physics, p1, new_rows)):
-                block[new_rows] = value
-        if len(new_cols):
-            # every panel that reaches a new column; its other columns are dropped
-            panels = new_cols
-            if p1:
-                panels = np.flatnonzero(np.isin(mesh.triangles, new_cols).any(axis=1))
-            pick = np.searchsorted(kernels.basis_columns(mesh, p1, panels), new_cols)
-            values = _operator_rows(colloc, mesh, physics, p1, kept_rows, panels)
-            for block, value in zip(blocks, values):
-                block[kept_rows[:, None], new_cols] = value[:, pick]
+    scale = (-1.0, 1.0, physics.eps_m / physics.eps_w, -1.0)
+    kernels.operator_blocks(colloc[new_rows], mesh, physics.kappa, blocks, p1, scale=scale,
+                            rows=new_rows)
+    if len(kept_rows) and len(new_cols):
+        # held rows x new columns: every panel that reaches a new column is
+        # integrated, and the columns of its other vertices are dropped
+        panels = new_cols
+        if p1:
+            panels = np.flatnonzero(np.isin(mesh.triangles, new_cols).any(axis=1))
+        columns = kernels.basis_columns(mesh, p1, panels)
+        values = tuple(np.empty((len(kept_rows), len(columns))) for _ in blocks)
+        kernels.operator_blocks(colloc[kept_rows], mesh, physics.kappa, values, p1, panels, scale)
+        pick = np.searchsorted(columns, new_cols)
+        for block, value in zip(blocks, values):
+            block[kept_rows[:, None], new_cols] = value[:, pick]
     # the KL and KY diagonals are 0, the principal value on the target's own
     # panels; a copied KL diagonal still carries the old free term
     idx = np.arange(n)

@@ -1,4 +1,5 @@
-"""One chunk rule and one worker pool for every dense points x sources sum.
+"""One chunk rule and one worker pool for every dense points x sources sum,
+and the stretches that turn index copies into slice copies.
 
 Each point's sum stays inside one chunk, so results depend neither on the
 chunk size nor on the number of workers.
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 CHUNK_PAIRS = 4096 * 7  # (point, source) pairs, or quadrature points, per chunk
 
@@ -23,6 +26,15 @@ def chunks(n: int, per_item, budget=None) -> list[slice]:
     budget = CHUNK_PAIRS if budget is None else budget
     size = max(1, int(budget // max(per_item, 1)))
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def runs(dst, src) -> list[tuple[slice, slice]]:
+    """(dst, src) slice pairs over the maximal stretches where both indices step by one."""
+    if len(dst) == 0:
+        return []
+    cut = np.flatnonzero((np.diff(dst) != 1) | (np.diff(src) != 1)) + 1
+    return [(slice(dst[i], dst[j - 1] + 1), slice(src[i], src[j - 1] + 1))
+            for i, j in zip(np.r_[0, cut], np.r_[cut, len(dst)])]
 
 
 def run_parallel(fn, items) -> None:

@@ -188,14 +188,14 @@ def test_criterion_7_property_suite(born_setup):
              abs(emap.signed_total) <= emap.per_panel.sum() * (1 + 1e-12))
         )
 
-    import pbadapt.kernels as kn
+    import pointwise as pw
     from pbadapt.quadrature import CENTROID
 
     m3 = pa.icosphere(1.0, 3)
     corners = m3.vertices[m3.triangles]
     total = sum(
-        kn.panel_integral(
-            lambda t, x, n=m3.normals[i]: kn.dgdn_laplace(t, x, n),
+        pw.panel_integral(
+            lambda t, x, n=m3.normals[i]: pw.dgdn_laplace(t, x, n),
             np.array([0.2, -0.1, 0.3]),
             corners[i],
             CENTROID,
@@ -208,10 +208,10 @@ def test_criterion_7_property_suite(born_setup):
     r = np.array([0.9, 0.1, 0.4])
     rp = r + np.array([1.0, 0.0, 0.0])
     n = np.array([0.6, 0.8, 0.0])
-    fd = (kn.g_laplace(r, rp + h * n) - kn.g_laplace(r, rp - h * n)) / (2 * h)
+    fd = (pw.g_laplace(r, rp + h * n) - pw.g_laplace(r, rp - h * n)) / (2 * h)
     checks.append(
         ("kernel derivative matches finite differences at 1e-6",
-         abs(kn.dgdn_laplace(r, rp, n) - fd) <= 1e-6 * abs(fd))
+         abs(pw.dgdn_laplace(r, rp, n) - fd) <= 1e-6 * abs(fd))
     )
 
     m2 = pa.icosphere(1.0, 2)

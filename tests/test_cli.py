@@ -404,6 +404,25 @@ def test_non_finite_vertex_is_input_error(tmp_path, capsys):
     assert "input error: non-finite vertex coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "solve", "adapt"])
+def test_msms_mesh_with_unused_vertex_is_input_error(tmp_path, capsys, command):
+    sphere = pa.icosphere(3.0, 1)
+    coords = np.vstack([sphere.vertices, [[0.0, 0.0, 10.0]]])
+    vert = tmp_path / "m.vert"
+    face = tmp_path / "m.face"
+    vert.write_text(f"# v\n#\n{len(coords)} 1\n"
+                    + "".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in coords))
+    face.write_text(f"# f\n#\n{sphere.n_panels} 1\n"
+                    + "".join(f"{a+1} {b+1} {c+1}\n" for a, b, c in sphere.triangles))
+    cfg = write_config(
+        tmp_path / "m.ini",
+        f"[mesh]\ntype = msms\nvert = {vert}\nface = {face}\n\n"
+        "[charges]\ninline = 1.0  0.0 0.0 0.5\n",
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "input error: vertex 42 is used by no triangle" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("radius = 1.0", "radius = nan"), ("inline = 1.0  0.0 0.0 0.5", "inline = nan 0 0 0"),

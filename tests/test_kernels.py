@@ -6,6 +6,7 @@ import pbadapt.sweep as sweep
 from pbadapt.errors import SingularityError
 from pbadapt.quadrature import CENTROID, GAUSS7, subdivided
 
+import pointwise as pw
 from conftest import make_tetrahedron
 
 FOUR_PI = 4.0 * np.pi
@@ -15,49 +16,49 @@ FOUR_PI = 4.0 * np.pi
 
 
 def test_g_laplace_values():
-    assert kn.g_laplace([0, 0, 0], [1, 0, 0]) == pytest.approx(1.0 / FOUR_PI)
-    assert kn.g_laplace([0, 0, 0], [0, 2, 0]) == pytest.approx(1.0 / (8.0 * np.pi))
+    assert pw.g_laplace([0, 0, 0], [1, 0, 0]) == pytest.approx(1.0 / FOUR_PI)
+    assert pw.g_laplace([0, 0, 0], [0, 2, 0]) == pytest.approx(1.0 / (8.0 * np.pi))
 
 
 def test_g_laplace_scaling_homogeneity():
     r = np.array([0.3, -0.2, 0.9])
     rp = np.array([-1.0, 0.4, 0.2])
     for lam in (2.0, 7.5):
-        assert kn.g_laplace(lam * r, lam * rp) == pytest.approx(kn.g_laplace(r, rp) / lam)
+        assert pw.g_laplace(lam * r, lam * rp) == pytest.approx(pw.g_laplace(r, rp) / lam)
 
 
 def test_g_symmetry():
     r = np.array([0.3, -0.2, 0.9])
     rp = np.array([-1.0, 0.4, 0.2])
-    assert kn.g_laplace(r, rp) == kn.g_laplace(rp, r)
-    assert kn.g_yukawa(r, rp, 0.4) == kn.g_yukawa(rp, r, 0.4)
+    assert pw.g_laplace(r, rp) == pw.g_laplace(rp, r)
+    assert pw.g_yukawa(r, rp, 0.4) == pw.g_yukawa(rp, r, 0.4)
 
 
 def test_coincident_points_raise():
     with pytest.raises(SingularityError):
-        kn.g_laplace([1, 2, 3], [1, 2, 3])
+        pw.g_laplace([1, 2, 3], [1, 2, 3])
     with pytest.raises(SingularityError):
-        kn.g_yukawa([1, 2, 3], [1, 2, 3], 0.1)
+        pw.g_yukawa([1, 2, 3], [1, 2, 3], 0.1)
 
 
 def test_g_yukawa_limits_and_value():
     r = np.array([0.5, 0.1, -0.3])
     rp = np.array([1.5, -0.4, 0.6])
-    assert kn.g_yukawa(r, rp, 0.0) == pytest.approx(kn.g_laplace(r, rp), rel=1e-15)
+    assert pw.g_yukawa(r, rp, 0.0) == pytest.approx(pw.g_laplace(r, rp), rel=1e-15)
     # |r - rp| = 2, kappa = 0.125
-    val = kn.g_yukawa([0, 0, 0], [2, 0, 0], 0.125)
+    val = pw.g_yukawa([0, 0, 0], [2, 0, 0], 0.125)
     assert val == pytest.approx(np.exp(-0.25) / (8.0 * np.pi), rel=1e-14)
     # screened kernel never exceeds the bare one
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
-        assert kn.g_yukawa(a, b, 0.7) <= kn.g_laplace(a, b)
+        assert pw.g_yukawa(a, b, 0.7) <= pw.g_laplace(a, b)
 
 
 def test_dgdn_orthogonal_direction_is_zero():
     n = np.array([0.0, 0.0, 1.0])
-    assert kn.dgdn_laplace([1, 0, 0], [0, 0, 0], n) == pytest.approx(0.0, abs=1e-16)
-    assert kn.dgdn_yukawa([0, 1, 0], [0, 0, 0], n, 0.3) == pytest.approx(0.0, abs=1e-16)
+    assert pw.dgdn_laplace([1, 0, 0], [0, 0, 0], n) == pytest.approx(0.0, abs=1e-16)
+    assert pw.dgdn_yukawa([0, 1, 0], [0, 0, 0], n, 0.3) == pytest.approx(0.0, abs=1e-16)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.125, 0.8])
@@ -69,11 +70,11 @@ def test_dgdn_matches_finite_difference(kappa):
         n = _unit(rng.normal(size=3))
         h = 1e-5
         if kappa == 0.0:
-            fd = (kn.g_laplace(r, rp + h * n) - kn.g_laplace(r, rp - h * n)) / (2 * h)
-            got = kn.dgdn_laplace(r, rp, n)
+            fd = (pw.g_laplace(r, rp + h * n) - pw.g_laplace(r, rp - h * n)) / (2 * h)
+            got = pw.dgdn_laplace(r, rp, n)
         else:
-            fd = (kn.g_yukawa(r, rp + h * n, kappa) - kn.g_yukawa(r, rp - h * n, kappa)) / (2 * h)
-            got = kn.dgdn_yukawa(r, rp, n, kappa)
+            fd = (pw.g_yukawa(r, rp + h * n, kappa) - pw.g_yukawa(r, rp - h * n, kappa)) / (2 * h)
+            got = pw.dgdn_yukawa(r, rp, n, kappa)
         assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -89,7 +90,7 @@ TRI = np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [0.2, 0.9, 0.0]])
 
 def test_panel_integral_constant_kernel_gives_area():
     area = 0.5 * np.linalg.norm(np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]))
-    val = kn.panel_integral(lambda t, x: np.ones(len(x)), np.array([5.0, 5, 5]), TRI, GAUSS7)
+    val = pw.panel_integral(lambda t, x: np.ones(len(x)), np.array([5.0, 5, 5]), TRI, GAUSS7)
     assert val == pytest.approx(area, rel=1e-14)
 
 
@@ -97,8 +98,8 @@ def test_panel_integral_far_field_matches_centroid_value():
     target = np.array([60.0, 40.0, 30.0])
     area = 0.5 * np.linalg.norm(np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]))
     kernel = lambda t, x: 1.0 / (FOUR_PI * np.linalg.norm(x - t, axis=1))  # noqa: E731
-    val = kn.panel_integral(kernel, target, TRI, GAUSS7)
-    approx = area * kn.g_laplace(target, TRI.mean(axis=0))
+    val = pw.panel_integral(kernel, target, TRI, GAUSS7)
+    approx = area * pw.g_laplace(target, TRI.mean(axis=0))
     d = np.linalg.norm(TRI.mean(axis=0) - target)
     diam = 1.2
     assert abs(val - approx) / abs(val) < (diam / d) ** 2
@@ -107,14 +108,14 @@ def test_panel_integral_far_field_matches_centroid_value():
 def test_panel_integral_split_consistency():
     target = np.array([0.7, 0.8, 1.5])
     kernel = lambda t, x: 1.0 / (FOUR_PI * np.linalg.norm(x - t, axis=1))  # noqa: E731
-    whole = kn.panel_integral(kernel, target, TRI, GAUSS7)
+    whole = pw.panel_integral(kernel, target, TRI, GAUSS7)
     a, b, c = TRI
     ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
     parts = sum(
-        kn.panel_integral(kernel, target, np.array(sub), GAUSS7)
+        pw.panel_integral(kernel, target, np.array(sub), GAUSS7)
         for sub in [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
     )
-    reference = kn.panel_integral(kernel, target, TRI, subdivided(GAUSS7, 3))
+    reference = pw.panel_integral(kernel, target, TRI, subdivided(GAUSS7, 3))
     # splitting moves the value by no more than the one-panel quadrature error
     assert abs(parts - whole) <= 2.0 * abs(whole - reference)
     assert abs(parts - reference) < abs(whole - reference)
@@ -230,8 +231,8 @@ def test_flat_panel_double_layer_self_is_zero():
     # target in the panel plane: (r - rp) is orthogonal to the normal
     n = np.array([0.0, 0.0, 1.0])
     target = TRI.mean(axis=0) + np.array([0.31, 0.07, 0.0])
-    kernel = lambda t, x: kn.dgdn_laplace(t, x, n)  # noqa: E731
-    assert kn.panel_integral(kernel, target, TRI, GAUSS7) == pytest.approx(0.0, abs=1e-15)
+    kernel = lambda t, x: pw.dgdn_laplace(t, x, n)  # noqa: E731
+    assert pw.panel_integral(kernel, target, TRI, GAUSS7) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_yukawa_self_decomposition():
@@ -391,11 +392,11 @@ def test_pair_entries_match_per_pair_mapping_bitwise(shape_functions, monkeypatc
     ti, pj = kn.near_pairs(mesh.centroids, mesh)
     off = ti != pj
     points, panels = mesh.centroids[ti[off]], pj[off]
-    want = _pair_entries_mapped_per_pair(points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions)
+    want = _pair_entries_mapped_per_pair(points, mesh, panels, pw.NEAR_RULE, 0.125, shape_functions)
     for cpus in (1, 2):
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
         got = kn.kernel_pair_entries(
-            points, mesh, panels, kn.NEAR_RULE, 0.125, shape_functions=shape_functions
+            points, mesh, panels, pw.NEAR_RULE, 0.125, shape_functions=shape_functions
         )
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -535,6 +536,70 @@ def test_row_blocks_match_per_pair_reference(shape_functions, kappa, subset):
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_row_blocks_write_near_values_and_scales(shape_functions, kappa, monkeypatch):
+    """Given near values and block scales, the row batch writes each entry as
+    scale x (the far-rule integral, or the near values at the near pairs),
+    the same with one and two workers. At kappa = 0 the Yukawa blocks take
+    the Laplace integrals, near values included."""
+    import pbadapt as pa
+
+    mesh = pa.icosphere(1.0, 2)
+    targets = mesh.vertices if shape_functions else mesh.centroids
+    n_cols = mesh.n_vertices if shape_functions else mesh.n_panels
+    ti, pj = kn.near_pairs(targets, mesh)
+    rng = np.random.default_rng(7)
+    values = [rng.standard_normal((len(ti), 3) if shape_functions else len(ti)) for _ in range(4)]
+    if kappa == 0.0:
+        values[2:] = values[:2]
+    scale = (-1.0, 1.0, 4.0 / 80.0, -1.0)
+    far = _row_blocks(mesh, shape_functions, kappa)  # zeros at the near pairs
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        got = tuple(np.full((len(targets), n_cols), np.nan) for _ in range(4))
+        kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, (ti, pj, values), shape_functions,
+                             scale=scale)
+        results.append(got)
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+    for got, f, value, factor in zip(results[0], far, values, scale):
+        want = f.copy()
+        if shape_functions:  # a vertex column sums its near and far panels in one fold
+            np.add.at(want, (ti[:, None], mesh.triangles[pj]), value)
+            assert np.abs(got - want * factor).max() <= 1e-14 * np.abs(want).max()
+        else:
+            want[ti, pj] = value
+            assert np.array_equal(got, want * factor)
+    if shape_functions:  # zero near values leave the far rows bit for bit
+        zero = tuple(np.zeros_like(v) for v in values)
+        got = tuple(np.empty((len(targets), n_cols)) for _ in range(4))
+        kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, (ti, pj, zero), shape_functions)
+        for g, f in zip(got, far):
+            assert np.array_equal(g, f)
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_operator_rows_written_in_two_parts_equal_one_write(shape_functions, monkeypatch):
+    """Rows that ``rows`` places in two stretches of a taller block equal one
+    contiguous write bit for bit, and no other row is touched."""
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    mesh, kappa, gap = _uneven_mesh(), 0.125, 5
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    n = len(colloc)
+    assert kn.ROW_BATCH_VALUES / (mesh.n_panels * GAUSS7.n_points) > n // 2  # a batch spans the gap
+    scale = (-1.0, 1.0, 4.0 / 80.0, -1.0)
+    one = tuple(np.empty((n, n)) for _ in range(4))
+    kn.operator_blocks(colloc, mesh, kappa, one, shape_functions, scale=scale)
+    rows = np.r_[np.arange(n // 2), np.arange(n // 2, n) + gap]
+    tall = tuple(np.full((n + gap, n), np.nan) for _ in range(4))
+    kn.operator_blocks(colloc, mesh, kappa, tall, shape_functions, scale=scale, rows=rows)
+    for o, t in zip(one, tall):
+        assert np.array_equal(t[rows], o)
+        assert np.isnan(np.delete(t, rows, axis=0)).all()
+
+
 def test_run_parallel_calls_each_item_once(monkeypatch):
     import sys
 
@@ -574,8 +639,8 @@ def test_gauss_identity_interior_targets():
     corners = mesh.vertices[mesh.triangles]
     for target in (np.zeros(3), np.array([0.3, -0.2, 0.4])):
         total = sum(
-            kn.panel_integral(
-                lambda t, x, n=mesh.normals[i]: kn.dgdn_laplace(t, x, n),
+            pw.panel_integral(
+                lambda t, x, n=mesh.normals[i]: pw.dgdn_laplace(t, x, n),
                 target,
                 corners[i],
                 CENTROID,

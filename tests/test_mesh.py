@@ -74,6 +74,14 @@ def test_duplicate_vertices_rejected():
         pa.SurfaceMesh(verts, np.vstack([tris, [[4, 2, 1]]]))
 
 
+def test_unused_vertex_rejected():
+    tet = make_tetrahedron()
+    verts = np.vstack([tet.vertices, [[2.0, 2.0, 2.0]], tet.vertices + 5.0])
+    tris = np.vstack([tet.triangles, tet.triangles + 5])
+    with pytest.raises(MeshInvariantError, match="vertex 4 is used by no triangle"):
+        pa.SurfaceMesh(verts, tris)
+
+
 def test_edge_shared_by_four_triangles_rejected():
     # two tetrahedra glued along the edge (0, 1); the second is the first
     # turned half a turn about that edge

@@ -375,6 +375,51 @@ def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space
     assert cache.reused == (0, 0)
 
 
+def _scaled_operator_rows(mesh, physics, targets):
+    """P0 (VL, KL, VY, KY) rows of ``targets`` times the system's block scales."""
+    from pbadapt import kernels
+
+    n = mesh.n_panels
+    blocks = tuple(np.empty((len(targets), n)) for _ in range(4))
+    kernels.operator_blocks(mesh.centroids[targets], mesh, physics.kappa, blocks)
+    return [b * s for b, s in zip(blocks, (-1.0, 1.0, physics.eps_m / physics.eps_w, -1.0))]
+
+
+def _system_blocks(a):
+    n = len(a) // 2
+    return a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n]  # VL, KL, VY, KY
+
+
+def test_p0_system_blocks_are_scaled_operator_blocks(salty, offcenter_charge):
+    """Off the diagonal, where the free terms go, the P0 system is the operator
+    blocks times (-1, 1, eps_m/eps_w, -1) bit for bit."""
+    mesh = pa.icosphere(1.0, 2)
+    a, _ = pa.assemble_system(mesh, salty, offcenter_charge)
+    off = ~np.eye(mesh.n_panels, dtype=bool)
+    want = _scaled_operator_rows(mesh, salty, np.arange(mesh.n_panels))
+    for got, w in zip(_system_blocks(a), want):
+        assert np.array_equal(got[off], w[off])
+
+
+def test_reused_p0_system_writes_new_rows_as_one_call(salty, offcenter_charge, background):
+    """A reusing assembly writes its new rows straight into the matrix: off the
+    diagonal they equal one operator call on those rows, scaled, bit for bit."""
+    from pbadapt import solver, sweep
+
+    mesh0 = pa.icosphere(1.0, 2)
+    mesh = refine(mesh0, np.flatnonzero(mesh0.centroids[:, 2] > 0.7), background)
+    cache = pa.SystemCache()
+    pa.assemble_system(mesh0, salty, offcenter_charge, cache=cache)
+    a, _ = pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
+    rows, _ = solver._unchanged(mesh0, mesh, False)
+    new_rows = np.flatnonzero(rows < 0)
+    assert 0 < len(new_rows) < mesh.n_panels and len(sweep.runs(new_rows, new_rows)) > 1
+    off = new_rows[:, None] != np.arange(mesh.n_panels)
+    want = _scaled_operator_rows(mesh, salty, new_rows)
+    for got, w in zip(_system_blocks(a), want):
+        assert np.array_equal(got[new_rows][off], w[off])
+
+
 def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monkeypatch):
     from pbadapt import solver
 
