@@ -264,21 +264,22 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
 
     ``formula(d, pid)`` returns the kernel values at the offsets ``d``
     (point minus quadrature point, (P, nq, 3)) from the pairs' panels
-    ``pid``. Each panel's points are mapped once and gathered per pair;
-    chunks of pairs run on ``run_parallel``.
+    ``pid``. The points of each panel the pairs use are mapped once and
+    gathered per pair; chunks of pairs run on ``run_parallel``.
     Returns a list of (P,) arrays, (P, 3) with ``shape_functions``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
     shape, _, _ = basis_tables(mesh, rule, shape_functions)
     out = [np.zeros((len(panels),) + shape.shape[1:]) for _ in range(n_kernels)]
-    xq_all = panel_quad_points(mesh, rule)
+    used, slot = np.unique(panels, return_inverse=True)
+    xq_used = panel_quad_points(mesh, rule, used)
     wl = np.einsum("q,q...->q...", rule.weights, shape)
 
     def run(sl):
         pid = panels[sl]
         area = mesh.areas[pid]
-        for o, k in zip(out, formula(points[sl][:, None, :] - xq_all[pid], pid)):
+        for o, k in zip(out, formula(points[sl][:, None, :] - xq_used[slot[sl]], pid)):
             o[sl] = np.einsum("pq,q...,p->p...", k, wl, area)
 
     run_parallel(run, chunks(len(panels), rule.n_points))

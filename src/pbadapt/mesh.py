@@ -291,10 +291,8 @@ def save_off(mesh: SurfaceMesh, path) -> None:
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.n_vertices} {mesh.n_panels} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
 
 
 def save_panel_values(mesh: SurfaceMesh, values, path) -> None:
@@ -304,9 +302,9 @@ def save_panel_values(mesh: SurfaceMesh, values, path) -> None:
         raise UsageError("values must have one entry per panel")
     with open(path, "w") as fh:
         fh.write("panel_index,cx,cy,cz,area,value\n")
-        for i in range(mesh.n_panels):
-            cx, cy, cz = (float(v) for v in mesh.centroids[i])
-            fh.write(f"{i},{cx!r},{cy!r},{cz!r},{float(mesh.areas[i])!r},{float(values[i])!r}\n")
+        rows = zip(mesh.centroids.tolist(), mesh.areas.tolist(), values.tolist())
+        fh.writelines(f"{i},{cx!r},{cy!r},{cz!r},{area!r},{value!r}\n"
+                      for i, ((cx, cy, cz), area, value) in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +486,24 @@ def refine_conforming(
             ring.update(tri)
             ring.discard(v)
         rings.append(list(ring))
+    # A vertex's decision reads only its star's coordinates and the owner of
+    # the background vertex it queried. It is evaluated again only when a
+    # vertex of its ring moved or that background vertex was freed: a claim
+    # by another vertex cannot turn a stay into a move, and a vertex that
+    # just moved would stay. Any other evaluation would repeat a decision
+    # that left the vertex where it is.
+    new_rings = [[u - first for u in ring if u >= first] for ring in rings]
+    dirty = np.ones(len(stars), dtype=bool)
+    queried = np.full(len(stars), -1)
     for _ in range(smoothing_passes):
-        for v, star, ring in zip(range(first, len(coords)), stars, rings):
+        moved = False
+        for i, (star, ring) in enumerate(zip(stars, rings)):
+            if not dirty[i]:
+                continue
+            dirty[i] = False
+            v = first + i
             _, b = tree.query(coords[ring].mean(axis=0))
+            queried[i] = b
             if owner[b] not in (-1, v):
                 continue  # target taken by someone else; stay put
             if np.linalg.norm(targets[b] - coords[v]) <= DUPLICATE_TOL:
@@ -504,9 +517,14 @@ def refine_conforming(
             ):
                 continue  # the move would squash or flip an incident triangle
             coords[v] = targets[b]
+            dirty[new_rings[i]] = True
             if spot[v] >= 0:
+                dirty |= queried == spot[v]  # freed: a vertex it blocked may move there
                 owner[spot[v]] = -1
             owner[b], spot[v] = v, b
+            moved = True
+        if not moved:
+            break
     if collisions:
         logger.warning(
             "%d new vertices kept their midpoint position (nearest background "

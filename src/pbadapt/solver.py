@@ -14,11 +14,12 @@ collocated at mesh vertices the surface has corners, so c is the interior
 solid-angle fraction; it is recovered from the assembled Laplace
 double-layer row sums, which annihilates constants exactly.
 
-GMRES solves the system right-preconditioned by the point block-Jacobi
-inverse D^-1: D holds, for each collocation point, the 2x2 block coupling
-its u- and du-/dn unknowns, the block-diagonal preconditioner of PyGBe
-(Cooper, Bardhan & Barba, Comput. Phys. Commun. 185 (2014) 720). Right
-rather than left, so that the residual GMRES stops on is the true one.
+GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856) solves the
+system right-preconditioned by the point block-Jacobi inverse D^-1: D
+holds, for each collocation point, the 2x2 block coupling its u- and
+du-/dn unknowns, the block-diagonal preconditioner of PyGBe (Cooper,
+Bardhan & Barba, Comput. Phys. Commun. 185 (2014) 720). Right rather than
+left, so that the residual GMRES stops on is the true one.
 
 An adaptive loop changes a few panels per step. Assembly through a
 ``SystemCache`` copies every entry whose row and column geometry is
@@ -28,13 +29,13 @@ unchanged from the system the cache holds and integrates only the rest.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels
 from .errors import SolverError, UsageError
@@ -222,11 +223,13 @@ def assemble_system(
 
 
 def _block_jacobi(a):
-    """y -> D^-1 y, where D holds the 2x2 block of ``a`` at each collocation point.
+    """(y, out) -> out = D^-1 y, where D holds the 2x2 block of ``a`` at each
+    collocation point.
 
     Point i's block couples its u- and du-/dn unknowns, rows and columns i
     and n+i; each is inverted in closed form, so no copy of ``a`` is made.
-    Raises SolverError naming the first point whose block is singular.
+    ``out`` must not share memory with ``y``. Raises SolverError naming the
+    first point whose block is singular.
     """
     n = len(a) // 2
     idx = np.arange(n)
@@ -240,59 +243,109 @@ def _block_jacobi(a):
             f"(determinant {det[bad[0]]}); {bad.size} point(s) affected"
         )
     p, q, r, s = p / det, q / det, r / det, s / det
+    spare = np.empty(n)
 
-    def apply(y):
-        u, v = y.reshape(2, n)
-        return np.concatenate([s * u - q * v, p * v - r * u])
+    def apply(y, out):
+        u, v = y[:n], y[n:]
+        top, bottom = out[:n], out[n:]
+        np.multiply(s, u, out=top)
+        np.multiply(q, v, out=spare)
+        top -= spare
+        np.multiply(p, v, out=bottom)
+        np.multiply(r, u, out=spare)
+        bottom -= spare
+        return out
 
     return apply
+
+
+def gmres(operator, b, *, restart: int, atol: float):
+    """One GMRES cycle for ``operator(y) = b`` from y = 0; returns (y, steps).
+
+    Runs at most ``restart`` Arnoldi steps and stops after the step whose
+    least-squares residual estimate is at most ``atol``, or at a breakdown,
+    where the Krylov space holds the solution. Each step orthogonalises by
+    classical Gram-Schmidt done twice, two ``basis @ w`` products a pass,
+    which keeps the basis orthogonal to working precision (Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50 (2005) 1069). The Givens rotations
+    run on Python floats; the cycle ends with one triangular solve.
+    ``operator`` returns a new array, which the cycle may overwrite.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(len(b)), 0
+    eps = np.finfo(float).eps
+    basis = np.empty((restart + 1, len(b)))
+    np.divide(b, beta, out=basis[0])
+    columns, rotations, g = [], [], [beta]
+    for j in range(restart):
+        w = operator(basis[j])
+        head = float(np.linalg.norm(w))
+        v = basis[: j + 1]
+        h = v @ w
+        w -= h @ v
+        again = v @ w
+        w -= again @ v
+        h += again
+        tail = float(np.linalg.norm(w))
+        col = h.tolist()
+        for k, (c, sn) in enumerate(rotations):
+            col[k], col[k + 1] = c * col[k] + sn * col[k + 1], c * col[k + 1] - sn * col[k]
+        rho = math.hypot(col[j], tail)
+        c, sn = (col[j] / rho, tail / rho) if rho else (1.0, 0.0)
+        col[j] = rho
+        rotations.append((c, sn))
+        columns.append(col)
+        g[j], residual = c * g[j], -sn * g[j]
+        g.append(residual)
+        if abs(residual) <= atol or tail <= eps * head:
+            break
+        np.divide(w, tail, out=basis[j + 1])
+    steps = len(columns)
+    # back substitution on the rotated Hessenberg matrix, column by column;
+    # a zero diagonal (a singular least-squares problem) drops its direction
+    y = g[:steps]
+    for k in range(steps - 1, -1, -1):
+        y[k] = y[k] / columns[k][k] if columns[k][k] else 0.0
+        for i in range(k):
+            y[i] -= columns[k][i] * y[k]
+    return np.asarray(y) @ basis[:steps], steps
 
 
 def _gmres_solve(a, b, tol: float, max_iters: int):
     """GMRES on A D^-1 y = b, returning x = D^-1 y, with D^-1 from ``_block_jacobi``.
 
     Right, not left, preconditioning: the residual GMRES minimises,
-    b - A D^-1 y, is then the true residual b - A x, whereas scipy's ``M=``
-    applies D^-1 on the left and stops on D^-1 (b - A x), which can leave
-    the true residual above ``tol``. Scipy still stops on its own residual
-    estimate, so GMRES is restarted from its iterate until the true relative
-    residual is at most ``tol``. Raises SolverError once ``max_iters``
-    iterations are spent or a restart makes no progress.
+    b - A D^-1 y, is then the true residual b - A x. Each ``gmres`` cycle
+    stops on its own residual estimate; the true residual b - A x is then
+    computed, one product with A, and the next cycle starts from it, until
+    the true relative residual is at most ``tol``. Raises SolverError once
+    ``max_iters`` steps are spent or a cycle takes no step.
     """
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n), 0.0, 0
     precondition = _block_jacobi(a)
-    operator = LinearOperator(a.shape, matvec=lambda y: a @ precondition(y), dtype=a.dtype)
-    iters = [0]
+    buffer = np.empty(n)
 
-    def count(_residual):
-        iters[0] += 1
+    def operator(y):
+        return a @ precondition(y, buffer)
 
-    y = np.zeros(n)
+    x, r, iters = np.zeros(n), b, 0
     while True:
-        start = iters[0]
-        y, _info = gmres(
-            operator,
-            b,
-            x0=y,
-            rtol=tol,
-            atol=0.0,
-            restart=min(max_iters - start, n),
-            maxiter=1,
-            callback=count,
-            callback_type="pr_norm",
-        )
-        x = precondition(y)
-        residual = float(np.linalg.norm(b - a @ x)) / b_norm
+        y, steps = gmres(operator, r, restart=min(max_iters - iters, n), atol=tol * b_norm)
+        iters += steps
+        x += precondition(y, buffer)
+        r = b - a @ x
+        residual = float(np.linalg.norm(r)) / b_norm
         if residual <= tol:
-            return x, residual, iters[0]
-        if iters[0] >= max_iters or iters[0] == start:
+            return x, residual, iters
+        if iters >= max_iters or steps == 0:
             raise SolverError(
-                f"GMRES stalled at relative residual {residual:.3e} after {iters[0]} iterations",
+                f"GMRES stalled at relative residual {residual:.3e} after {iters} iterations",
                 residual=residual,
-                iterations=iters[0],
+                iterations=iters,
             )
 
 

@@ -304,6 +304,27 @@ def test_off_and_panel_csv_roundtrip(tmp_path):
     assert np.array_equal(back, vals)
 
 
+def test_writers_match_per_row_formatting(tmp_path):
+    m = refine_flat(pa.icosphere(1.3, 1), close_marking(pa.icosphere(1.3, 1), [0, 7]))
+    m = pa.SurfaceMesh(m.vertices @ np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0],
+                       m.triangles)
+    vals = np.random.default_rng(2).standard_normal(m.n_panels) * 1e-7
+    vals[:3] = [0.0, -0.0, 1e300]
+    pa.save_off(m, tmp_path / "m.off")
+    pa.save_panel_values(m, vals, tmp_path / "v.csv")
+    off = f"OFF\n{m.n_vertices} {m.n_panels} 0\n"
+    for x, y, z in m.vertices:
+        off += f"{float(x)!r} {float(y)!r} {float(z)!r}\n"
+    for a, b, c in m.triangles:
+        off += f"3 {a} {b} {c}\n"
+    csv = "panel_index,cx,cy,cz,area,value\n"
+    for i in range(m.n_panels):
+        cx, cy, cz = (float(v) for v in m.centroids[i])
+        csv += f"{i},{cx!r},{cy!r},{cz!r},{float(m.areas[i])!r},{float(vals[i])!r}\n"
+    assert (tmp_path / "m.off").read_bytes() == off.encode()
+    assert (tmp_path / "v.csv").read_bytes() == csv.encode()
+
+
 # -- marking -----------------------------------------------------------------
 
 
@@ -673,6 +694,18 @@ def test_refine_conforming_matches_snap_loop(level, background, caplog):
             mesh = refine_conforming(mesh, plan, target)
         assert np.array_equal(mesh.vertices, coords)
         assert sum(r.args[0] for r in caplog.records) == unsnapped
+
+
+def test_refine_conforming_matches_snap_loop_when_later_passes_move():
+    # the second smoothing pass moves vertices, so only the ones whose star
+    # or queried background vertex changed are evaluated again
+    mesh, target = pa.icosphere(1.0, 2), pa.icosphere(1.0, 5)
+    marked = np.random.default_rng(0).choice(mesh.n_panels, mesh.n_panels // 3, replace=False)
+    plan = close_marking(mesh, marked)
+    one_pass, _ = snap_reference(mesh, plan, target, passes=1)
+    coords, _ = snap_reference(mesh, plan, target)
+    assert not np.array_equal(one_pass, coords)
+    assert np.array_equal(refine_conforming(mesh, plan, target).vertices, coords)
 
 
 def test_refine_conforming_builds_one_tree(background, monkeypatch):

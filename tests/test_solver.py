@@ -220,6 +220,84 @@ def test_born_solve_needs_one_gmres_call(born_setup, monkeypatch):
     assert sol.gmres_iters <= 25
 
 
+def test_gmres_matches_direct_solve_on_nonsymmetric_system():
+    rng = np.random.default_rng(3)
+    a = 4.0 * np.eye(50) + rng.standard_normal((50, 50)) / np.sqrt(50)
+    b = rng.standard_normal(50)
+    y, steps = pa.solver.gmres(lambda v: a @ v, b, restart=50, atol=1e-14 * np.linalg.norm(b))
+    assert steps < 50
+    direct = np.linalg.solve(a, b)
+    assert np.linalg.norm(y - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_gmres_one_step_cycle():
+    rng = np.random.default_rng(4)
+    a = 4.0 * np.eye(20) + rng.standard_normal((20, 20))
+    b = rng.standard_normal(20)
+    calls = []
+
+    def operator(v):
+        calls.append(1)
+        return a @ v
+
+    y, steps = pa.solver.gmres(operator, b, restart=1, atol=0.0)
+    assert steps == 1 and len(calls) == 1
+    # one step: the multiple of b whose image is closest to b
+    ab = a @ b
+    assert np.allclose(y, (ab @ b) / (ab @ ab) * b, rtol=1e-12, atol=0.0)
+
+
+class _CountedMatrix(np.ndarray):
+    """A system matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def test_each_cycle_makes_one_residual_product(salty, offcenter_charge, monkeypatch):
+    # every step is one product through the operator, and every cycle one
+    # more, for the true residual; the first cycle is cut short so there are two
+    real_gmres, real_assemble = pa.solver.gmres, pa.solver.assemble_system
+    cycles, steps = [], []
+
+    def assemble(*args, **kwargs):
+        a, b = real_assemble(*args, **kwargs)
+        return a.view(_CountedMatrix), b
+
+    def counted_gmres(operator, b, **kwargs):
+        if not cycles:
+            kwargs["restart"] = 3
+        cycles.append(kwargs["restart"])
+
+        def counted(v):
+            steps.append(1)
+            return operator(v)
+
+        return real_gmres(counted, b, **kwargs)
+
+    monkeypatch.setattr(pa.solver, "assemble_system", assemble)
+    monkeypatch.setattr(pa.solver, "gmres", counted_gmres)
+    _CountedMatrix.products = 0
+    sol = pa.solve_forward(pa.icosphere(1.0, 2), salty, offcenter_charge)
+    assert len(cycles) >= 2 and sol.gmres_residual <= 1e-8
+    assert len(steps) == sol.gmres_iters
+    assert _CountedMatrix.products == sol.gmres_iters + len(cycles)
+
+
+def test_gmres_stalls_after_max_iters():
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    a = u @ np.diag(np.logspace(0, -8, 40)) @ v.T
+    with pytest.raises(SolverError, match="stalled") as err:
+        pa.solver._gmres_solve(a, rng.standard_normal(40), 1e-8, 3)
+    assert err.value.iterations == 3
+    assert err.value.residual > 1e-8
+
+
 @pytest.mark.parametrize("corner", [4.0, np.nan], ids=["zero-determinant", "nan"])
 def test_singular_point_block_is_solver_error(corner):
     a = np.eye(6) + 0.1 * np.ones((6, 6))  # three collocation points
