@@ -76,6 +76,17 @@ GAUSS7 = QuadratureRule(
     degree=5,
 )
 
+# E4: GAUSS7's centroid and first orbit, reweighted to be exact through degree 2.
+# By symmetry only lambda_1^2 constrains the weights: its mean over the triangle
+# is 1/6, at the centroid it is 1/9, and its sum over the orbit (1 - 2a, a, a) is
+# 3/9 + 6 (a - 1/3)^2. So the orbit weight is (1/6 - 1/9) / (6 (a - 1/3)^2), which
+# for a = _A1 is (8 - sqrt 15) / 24, and the centroid keeps 1 - 3 (8 - sqrt 15) / 24
+# = sqrt(15) / 8. Its points are a prefix of GAUSS7's, so one set of kernel values
+# serves both rules.
+_E4_ORBIT = (8.0 - _S15) / 24.0
+E4 = QuadratureRule(GAUSS7.points[:4], np.array([_S15 / 8.0, _E4_ORBIT, _E4_ORBIT, _E4_ORBIT]),
+                    degree=2)
+
 
 def subdivided(rule: QuadratureRule, depth: int) -> QuadratureRule:
     """Composite rule: ``rule`` applied on 4**depth congruent subtriangles.

@@ -131,20 +131,28 @@ def _copy(a, old, dst_rows, src_rows, dst_cols, src_cols) -> None:
             a[rd, cd] = old[rs, cs]
 
 
-def _memory_budget() -> int:
-    """Bytes a new allocation may take: physical memory, or less if the
-    process's cgroup (v2) limit leaves less. Only reads system files."""
-    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _cgroup_headroom() -> int | None:
+    """Bytes the process's cgroup (v2) memory limit leaves, None without a
+    limit. What the process already holds counts against it. Only reads
+    system files."""
     try:
         entry = next(line for line in _PROC_CGROUP.read_text().splitlines()
                      if line.startswith("0::"))
         group = _CGROUP_ROOT / entry[3:].lstrip("/")
         limit = (group / "memory.max").read_text().strip()
         if limit != "max":
-            budget = min(budget, int(limit) - int((group / "memory.current").read_text()))
+            return int(limit) - int((group / "memory.current").read_text())
     except (OSError, StopIteration, ValueError):
-        pass  # no cgroup v2 memory limit: physical memory is the bound
-    return budget
+        pass  # no cgroup v2 memory limit
+    return None
+
+
+def _memory_budget() -> int:
+    """Bytes a new allocation may take: physical memory, or less if the
+    process's cgroup (v2) limit leaves less."""
+    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    headroom = _cgroup_headroom()
+    return budget if headroom is None else min(budget, headroom)
 
 
 def assemble_system(
@@ -162,7 +170,7 @@ def assemble_system(
     it; the cache then holds the new system. Freshly integrated far entries
     can differ from the copied ones in the last bit, as between row batches
     of different sizes (``kernels.kernel_row_blocks``). Raises SolverError
-    when the matrix would not fit in memory.
+    when the matrix would not fit in memory beside the held one.
     """
     require_charges_inside(charges, mesh)
     if space not in ("P0", "P1"):
@@ -170,16 +178,21 @@ def assemble_system(
     p1 = space == "P1"
     colloc = mesh.vertices if p1 else mesh.centroids
     n = len(colloc)
+    held = None if cache is None else cache._held
+    # the held system stays allocated while the new one is built; a cgroup's
+    # headroom already counts it, physical memory does not
+    held_bytes = 0 if held is None or _cgroup_headroom() is not None else held.matrix.nbytes
     need, budget = 32 * n * n, _memory_budget()
-    if need > budget:
+    if need + held_bytes > budget:
         raise SolverError(
             f"the dense {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, "
             f"more than the {budget / 1e9:.2f} GB available"
+            + (f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else "")
         )
-    held = None if cache is None else cache._held
     rows = cols = np.full(n, -1)
     old = np.empty((0, 0))
-    if held is not None and (held.space, held.physics) == (space, physics):
+    if held is not None and (held.space, held.physics, kernels.grades(held.mesh)) == (
+            space, physics, kernels.grades(mesh)):
         rows, cols = _unchanged(held.mesh, mesh, p1)
         old = held.matrix
     new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)

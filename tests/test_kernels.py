@@ -4,7 +4,7 @@ import pytest
 import pbadapt.kernels as kn
 import pbadapt.sweep as sweep
 from pbadapt.errors import SingularityError
-from pbadapt.quadrature import CENTROID, GAUSS7, subdivided
+from pbadapt.quadrature import CENTROID, E4, GAUSS7, subdivided
 
 import pointwise as pw
 from conftest import make_tetrahedron
@@ -534,6 +534,117 @@ def test_row_blocks_match_per_pair_reference(shape_functions, kappa, subset):
         want = np.zeros_like(block)
         np.add.at(want, (ti[:, None], cols[pos]), val.reshape(len(ti), -1))
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _graded_mesh():
+    """Level-1 sphere with a cap refined twice: near pairs, pairs at 2-6
+    diameters and pairs beyond 6 diameters all occur, for centroids and vertices."""
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 1)
+    for _ in range(2):
+        mesh = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.4)))
+    return mesh
+
+
+def _graded_operator(mesh, kappa, shape_functions):
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    out = tuple(np.empty((len(colloc), len(colloc))) for _ in range(4))
+    kn.operator_blocks(colloc, mesh, kappa, out, shape_functions)
+    return out
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_graded_operator_matches_per_pair_reference(shape_functions, kappa, monkeypatch):
+    """On a graded mesh every (target, panel) pair is integrated on its own:
+    the closed form if near, GAUSS7 up to FAR_FACTOR diameters, E4 beyond,
+    summed into its columns."""
+    monkeypatch.setattr(kn, "grades", lambda mesh: True)
+    mesh = _graded_mesh()
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    n, T = len(colloc), mesh.n_panels
+    assert kn.ROW_BATCH_VALUES / (T * GAUSS7.n_points) < n / 4  # several batches
+    got = _graded_operator(mesh, kappa, shape_functions)
+    ti, pj = np.divmod(np.arange(n * T), T)
+    off = colloc[ti] - mesh.centroids[pj]
+    near = np.linalg.norm(off, axis=1) < kn.NEAR_FACTOR * mesh.diameters[pj]
+    far = (off * off).sum(axis=1) > (kn.FAR_FACTOR * mesh.diameters[pj]) ** 2
+    mid = ~near & ~far
+    assert near.mean() > 0.05 and mid.mean() > 0.3 and far.mean() > 0.3
+    width = 3 if shape_functions else 1
+    vals = np.zeros((4, len(ti), width))
+    for pick, rule in ((mid, GAUSS7), (far, E4)):
+        ref = _pair_entries_mapped_per_pair(colloc[ti[pick]], mesh, pj[pick], rule, kappa,
+                                            shape_functions)
+        vals[:, pick] = np.reshape(ref, (4, -1, width))
+    ref = kn.near_pair_entries(colloc[ti[near]], mesh, pj[near], kappa,
+                               shape_functions=shape_functions)
+    vals[:, near] = np.reshape(ref, (4, -1, width))
+    on = (mesh.triangles[pj] == ti[:, None]).any(axis=1) if shape_functions else ti == pj
+    vals[1::2, on] = 0.0
+    cols = mesh.triangles[pj] if shape_functions else pj[:, None]
+    for block, val in zip(got, vals):
+        want = np.zeros((n, n))
+        np.add.at(want, (ti[:, None], cols), val)
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_graded_targets_with_every_pair_far_take_e4(shape_functions, monkeypatch):
+    """Targets beyond FAR_FACTOR diameters of every panel, as the Born charge
+    at the centre of a fine sphere is, have no pair to correct: every entry is
+    the E4 integral."""
+    monkeypatch.setattr(kn, "grades", lambda mesh: True)
+    mesh = _graded_mesh()
+    targets = np.array([[0.0, 0.0, 9.0], [6.0, -7.0, 0.5]])
+    n_cols = mesh.n_vertices if shape_functions else mesh.n_panels
+    got = tuple(np.empty((2, n_cols)) for _ in range(4))
+    kn.operator_blocks(targets, mesh, 0.125, got, shape_functions)
+    ti, pj = np.divmod(np.arange(2 * mesh.n_panels), mesh.n_panels)
+    vals = _pair_entries_mapped_per_pair(targets[ti], mesh, pj, E4, 0.125, shape_functions)
+    cols = mesh.triangles[pj] if shape_functions else pj[:, None]
+    for block, val in zip(got, vals):
+        want = np.zeros((2, n_cols))
+        np.add.at(want, (ti[:, None], cols), val.reshape(len(ti), -1))
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_graded_leaves_only_save_work(shape_functions, monkeypatch):
+    """One-panel leaves (each exact) and one leaf for the whole mesh (always
+    mixed) give the entries of the default leaves; no leaf called far holds
+    a pair within FAR_FACTOR diameters. Small batches put several in a group."""
+    monkeypatch.setattr(kn, "grades", lambda mesh: True)
+    monkeypatch.setattr(kn, "ROW_BATCH_VALUES", kn.ROW_BATCH_VALUES / 8)
+    mesh, kappa = _graded_mesh(), 0.125
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    default = _graded_operator(mesh, kappa, shape_functions)
+    groups = kn._groups(len(colloc), mesh.n_panels * GAUSS7.n_points, True)
+    assert len(groups) > 1 and any(len(g) > 1 for g in groups)
+    group = np.repeat(np.arange(len(groups)), [g[-1].stop - g[0].start for g in groups])
+    rows, panels = np.nonzero(np.linalg.norm(colloc[:, None] - mesh.centroids, axis=2)
+                              <= kn.FAR_FACTOR * mesh.diameters)
+    for leaf in (1, mesh.n_panels):
+        monkeypatch.setattr(kn, "LEAF_PANELS", leaf)
+        mixed = kn._mixed_leaves(colloc, mesh.centroids, mesh.diameters,
+                                 [g[0].start for g in groups])
+        assert mixed.all() == (leaf == mesh.n_panels)
+        assert mixed[group[rows], panels // leaf].all()
+        for got, want in zip(_graded_operator(mesh, kappa, shape_functions), default):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_only_meshes_with_mostly_far_leaves_are_graded():
+    """The level-4 sphere of the Born benchmark is graded; the coarser spheres
+    and the cap-refined test mesh, where most leaves have pairs within
+    FAR_FACTOR diameters, keep GAUSS7 for every far pair."""
+    import pbadapt as pa
+
+    assert kn.grades(pa.icosphere(1.0, 4))
+    for mesh in (pa.icosphere(1.0, 2), pa.icosphere(1.0, 3), _graded_mesh()):
+        assert not kn.grades(mesh)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.125])

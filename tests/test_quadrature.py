@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbadapt.quadrature import CENTROID, GAUSS3, GAUSS7, QuadratureRule, subdivided
+from pbadapt.quadrature import CENTROID, E4, GAUSS3, GAUSS7, QuadratureRule, subdivided
 
 
 def reference_monomial_integral(p, q):
@@ -28,6 +28,21 @@ def test_exact_for_declared_degree(rule):
         for q in range(rule.degree + 1 - p):
             approx = 0.5 * np.dot(rule.weights, pts[:, 0] ** p * pts[:, 1] ** q)
             assert approx == pytest.approx(reference_monomial_integral(p, q), rel=1e-13)
+
+
+def test_e4_is_gauss7_prefix_exact_through_degree_two():
+    assert np.array_equal(E4.points, GAUSS7.points[:4])
+    assert np.all(E4.weights > 0)
+    assert E4.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    pts = E4.map_to(REFERENCE)
+
+    def error(p, q):
+        approx = 0.5 * np.dot(E4.weights, pts[:, 0] ** p * pts[:, 1] ** q)
+        return abs(approx - reference_monomial_integral(p, q)) / reference_monomial_integral(p, q)
+
+    assert E4.degree == 2
+    assert max(error(p, q) for p in range(3) for q in range(3 - p)) < 1e-14
+    assert max(error(p, 3 - p) for p in range(4)) > 1e-3
 
 
 def test_subdivided_point_count_and_exactness():

@@ -428,6 +428,29 @@ def test_incremental_assembly_matches_scratch(background, levels, monkeypatch):
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
+def test_graded_incremental_assembly_matches_scratch(salty, offcenter_charge, space, monkeypatch):
+    """On graded meshes an entry's rule depends only on its pair, so a system
+    that copies the held one's unchanged entries matches one built from
+    scratch; a held system of the other grading is not reused."""
+    from pbadapt import kernels
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 2)
+    refined = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.6)))
+    monkeypatch.setattr(kernels, "grades", lambda m: True)
+    cache = pa.SystemCache()
+    pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
+    a, _ = pa.assemble_system(refined, salty, offcenter_charge, space, cache)
+    assert min(cache.reused) > 0
+    a0, _ = pa.assemble_system(refined, salty, offcenter_charge, space)
+    assert np.abs(a - a0).max() <= 1e-13 * np.abs(a0).max()
+    monkeypatch.setattr(kernels, "grades", lambda m: m is refined)
+    pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
+    pa.assemble_system(refined, salty, offcenter_charge, space, cache)
+    assert cache.reused == (0, 0)
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
 def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space):
     mesh = pa.icosphere(1.0, 1)
     fresh, _ = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
@@ -510,6 +533,25 @@ def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monk
         pa.solve_forward(mesh, salty, offcenter_charge)
     monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n)
     pa.assemble_system(mesh, salty, offcenter_charge)
+
+
+def test_held_system_counts_against_physical_memory(salty, offcenter_charge, monkeypatch):
+    """Without a cgroup limit the budget is physical memory, which does not
+    know what the process holds: the cache's system counts beside the new one.
+    A cgroup's headroom already counts it."""
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 1)
+    n = mesh.n_panels
+    cache = pa.SystemCache()
+    pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n + 1)
+    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
+    with pytest.raises(SolverError, match="held system"):
+        pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
+    pa.assemble_system(mesh, salty, offcenter_charge)  # nothing held
+    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: 32 * n * n + 1)
+    pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
 
 
 def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
