@@ -12,15 +12,15 @@ Near and on-panel pairs use exact flat-triangle Laplace integrals: edge sums
 for constant density (Wilton, Rao, Glisson et al., IEEE TAP 32 (1984) 276),
 their ρ-moment forms for linear density (Graglia, IEEE TAP 41 (1993) 1448)
 and the van Oosterom–Strackee solid angle; Yukawa adds a bounded remainder.
-Far pairs use GAUSS7. On a mesh fine enough that most blocks of
-consecutive panels (leaves) lie beyond FAR_FACTOR diameters of most targets
-(``grades``), pairs beyond FAR_FACTOR panel diameters take its nested
-4-point subset E4 instead, graded by distance as in PyGBe (Cooper, Bardhan
-& Barba, Comput. Phys. Commun. 185 (2014) 720); the leaves decide which
-pairs need GAUSS7's other three points.
+Far pairs use GAUSS7. On a mesh where most pairs lie beyond FAR_FACTOR panel
+diameters (``grades``), those pairs take its nested 4-point subset E4
+instead, graded by distance as in PyGBe (Cooper, Bardhan & Barba, Comput.
+Phys. Commun. 185 (2014) 720).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,9 +31,9 @@ from .quadrature import E4, GAUSS7, QuadratureRule, subdivided
 from .sweep import chunks, run_parallel, runs
 
 NEAR_FACTOR = 2.0                  # targets within this many diameters are "near"
-FAR_FACTOR = 6.0                   # on a graded mesh, pairs beyond this many diameters take E4
-GROUP_BATCHES = 8                  # row batches at most that share one far-rule pass
-LEAF_PANELS = 32                   # consecutive panels per leaf of the far test
+FAR_FACTOR = 6.0                   # graded far pairs beyond this many diameters take E4
+GRADED_FAR_SHARE = 0.9             # meshes with this share of pairs beyond FAR_FACTOR are graded
+GROUP_BATCHES = 4                  # graded row batches that share one pass over the nearer pairs
 SMOOTH_RULE = subdivided(GAUSS7, 2)
 REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
@@ -132,13 +132,13 @@ def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, near):
     so batches run on worker threads leave no freed heap memory behind in
     the threads' arenas.
     """
-    b, (nq, n) = len(tb), xn.shape
-    work = np.empty((6 if yukawa else 4, b, nq, n))
+    b, (nq, T) = len(tb), xn.shape
+    work = np.empty((6 if yukawa else 4, b, nq, T))
     r2, r, gl, klk = work[:4]
     tt = np.einsum("ij,ij->i", tb, tb)
-    np.matmul(-2.0 * tb, xq, out=r2.reshape(b, nq * n))  # scaling by -2 is exact
+    np.matmul(-2.0 * tb, xq, out=r2.reshape(b, nq * T))  # scaling by -2 is exact
     r2 += tt[:, None, None]
-    r2 += xx.reshape(1, nq, n)
+    r2 += xx.reshape(1, nq, T)
     np.maximum(r2, 0.0, out=r2)
     rows, panels = near
     r2[rows, :, panels] = 1.0
@@ -186,83 +186,6 @@ def basis_columns(mesh: SurfaceMesh, shape_functions: bool, panels) -> np.ndarra
     return np.unique(mesh.triangles[panels]) if shape_functions else panels
 
 
-def _groups(n: int, per_item, graded: bool) -> list[list[slice]]:
-    """Row batches of ``n`` targets, one per group unless ``graded``.
-
-    A batch takes a fixed budget, whatever the CPU count: the batch size can
-    move the last bit of the BLAS distance product in ``_batch_kernels``.
-    Graded batches form groups of consecutive batches that share the far
-    test, the correction and the writes: at most ``GROUP_BATCHES`` each, and
-    at least 16 groups when there are enough batches, so the workers share
-    the load.
-    """
-    batches = chunks(n, per_item, ROW_BATCH_VALUES)
-    size = max(1, min(GROUP_BATCHES, len(batches) // 16)) if graded else 1
-    return [batches[i:i + size] for i in range(0, len(batches), size)]
-
-
-def _leaves(centroids, diameters):
-    """Leaves of ``LEAF_PANELS`` consecutive panels: (mean centroids, radii
-    through every centroid, reaches). A point is beyond
-    ``FAR_FACTOR`` diameters of every panel of a leaf when it lies beyond
-    the leaf's reach from its mean centroid: every panel's centroid offset
-    plus ``FAR_FACTOR`` times its diameter."""
-    starts = np.arange(0, len(centroids), LEAF_PANELS)
-    sizes = np.diff(np.r_[starts, len(centroids)])
-    centre = np.add.reduceat(centroids, starts) / sizes[:, None]
-    offset = centroids - np.repeat(centre, sizes, axis=0)
-    offset = np.sqrt(np.einsum("ti,ti->t", offset, offset))
-    return (centre, np.maximum.reduceat(offset, starts),
-            np.maximum.reduceat(offset + FAR_FACTOR * diameters, starts))
-
-
-def _distances(points, centres) -> np.ndarray:
-    """(P, C) distances between points (P, 3) and centres (C, 3)."""
-    return np.sqrt(sum((points[:, None, k] - centres[None, :, k]) ** 2 for k in range(3)))
-
-
-def _mixed_leaves(targets, centroids, diameters, starts) -> np.ndarray:
-    """(group, leaf) table, True where the leaf may hold a pair within
-    ``FAR_FACTOR`` diameters of one of the targets of the group, the run of
-    targets from each of ``starts``. The margin of 1e-9 relative keeps
-    rounding from calling a leaf far that holds a pair ``_beyond`` does not
-    call far."""
-    centre, _, reach = _leaves(centroids, diameters)
-    dist = _distances(targets, centre)
-    far = dist - reach > 1e-9 * (dist + reach)
-    return ~np.logical_and.reduceat(far, starts, axis=0)
-
-
-def grades(mesh: SurfaceMesh) -> bool:
-    """Whether ``operator_blocks`` takes E4 for the mesh's pairs beyond
-    ``FAR_FACTOR`` diameters: when, for at least half of the (leaf, leaf)
-    pairs, every centroid of the one lies beyond the other's reach.
-
-    Only then does evaluating the far rule's points for every pair and
-    correcting the nearer pairs of the mixed leaves cost less than GAUSS7
-    for every pair; on coarser meshes the per-pair correction costs more
-    than the points it skips. It depends on the mesh alone, so each
-    operator on a mesh takes one rule per pair.
-    """
-    centre, radius, reach = _leaves(mesh.centroids, mesh.diameters)
-    far = _distances(centre, centre) - radius[:, None] - reach > 0.0
-    return 2 * np.count_nonzero(far) >= far.size
-
-
-def _beyond(points, centroids, far2) -> np.ndarray:
-    """(P, C) pair test: the squared distance from points (P, 3) to centroids
-    (3, C), summed x, y, z for each pair alone, exceeds ``far2`` (C,)."""
-    d = points[:, :, None] - centroids
-    d *= d
-    return d.sum(axis=1) > far2
-
-
-def _weight_table(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool) -> np.ndarray:
-    """(1 or 3, nq): the rule's weights times the shape functions at its points."""
-    shape = basis_tables(mesh, rule, shape_functions)[0].reshape(rule.n_points, -1)
-    return np.ascontiguousarray((rule.weights[:, None] * shape).T)
-
-
 def kernel_row_blocks(
     targets,
     mesh: SurfaceMesh,
@@ -274,16 +197,16 @@ def kernel_row_blocks(
     panels=None,
     scale=(1.0, 1.0, 1.0, 1.0),
     rows=None,
-    far_rule: QuadratureRule | None = None,
+    graded: bool = False,
 ):
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
     Fills ``out`` = (VL, KL, VY, KY), arrays or views with ``n_cols`` columns
     (see ``basis_tables``); VY and KY may be None to skip the Yukawa kernel.
-    Each kernel, times its panel's area, is reduced over the rule by BLAS
-    products of the (weights x shape functions) table with the batch; P1
-    integrals are folded into vertex columns group by group (keeps memory at
-    O(group * T)). ``near`` = (ti, pj) or (ti, pj, values),
+    Each kernel is reduced over the rule by one BLAS product of the
+    (weights x shape functions) table with the batch, then scaled by the
+    panel areas; P1 integrals are folded into vertex columns group by group
+    (keeps memory at O(group * T)). ``near`` = (ti, pj) or (ti, pj, values),
     sorted by target as ``near_pairs`` returns them: these (target, panel)
     pairs are not integrated with ``rule``. Their entries are 0, or the pair
     integrals ``values`` = (VL, KL, VY, KY) laid out as ``near_pair_entries``
@@ -292,19 +215,18 @@ def kernel_row_blocks(
     target i, or row i when ``rows`` is None. At kappa = 0 the Yukawa blocks
     take the Laplace integrals. With ``panels`` (ascending) only those panels
     are integrated, ``pj`` counts positions in ``panels`` and the columns are
-    those of ``basis_columns``. Groups of batches run on ``run_parallel``.
+    those of ``basis_columns``. Groups of batches of targets run on
+    ``run_parallel``, one batch per group unless ``graded``.
 
-    With ``far_rule``, whose points are the first points of ``rule``, a pair
-    whose centroid distance exceeds ``FAR_FACTOR`` panel diameters
-    (``_beyond``) takes ``far_rule`` instead, so an entry's rule depends only
-    on its pair. Consecutive batches then form groups (``_groups``). Each
-    batch evaluates the kernels at the points of ``far_rule`` only and
-    reduces them twice: by ``far_rule``'s weights, and by the correction to
-    ``rule``'s weights over those points. Each group then tests the pairs of
-    its mixed leaves (``_mixed_leaves``), evaluates ``rule``'s other points
-    for the panels that have a pair within ``FAR_FACTOR`` diameters, and adds
-    those pairs' corrections. Leaves only save work: they never change an
-    entry's rule.
+    ``graded`` (with ``rule`` GAUSS7) grades the far field by distance: a
+    pair whose squared centroid distance, summed x, y, z for the pair alone,
+    exceeds (FAR_FACTOR diameters)^2 takes E4, GAUSS7's first four points.
+    A group of up to GROUP_BATCHES consecutive batches first finds its pairs
+    within FAR_FACTOR diameters. Each batch evaluates the kernels at E4's
+    points for every panel and reduces them by E4's weights, and by
+    GAUSS7's at the panels of those pairs; the group then evaluates GAUSS7's
+    other three points at those panels and gives those pairs GAUSS7. A
+    pair's rule depends on the pair alone, not on its batch or group.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     sel = _panel_index(panels)
@@ -314,8 +236,8 @@ def kernel_row_blocks(
     xn = np.einsum("tqx,tx->qt", xq, normals)
     xq = np.ascontiguousarray(xq.transpose(2, 1, 0).reshape(3, nq * T))  # coordinate first
     xx = np.einsum("in,in->n", xq, xq)
-    _, cols, n_cols = basis_tables(mesh, rule, shape_functions, panels)
-    wt = _weight_table(mesh, rule, shape_functions)  # (s, nq), s = 1 or 3
+    shape, cols, n_cols = basis_tables(mesh, rule, shape_functions, panels)
+    wt = np.ascontiguousarray((rule.weights[:, None] * shape.reshape(nq, -1)).T)  # (1 or 3, nq)
     s = len(wt)
     areas = mesh.areas[sel]
     fold = None  # P0 columns are the panels: no fold
@@ -326,78 +248,79 @@ def kernel_row_blocks(
     # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): reuse them
     copy_laplace = out[2] is not None and kappa == 0.0
     yukawa = out[2] is not None and not copy_laplace
-    n_kernels = 4 if yukawa else 2
     ti, pj = near[:2]
     values = near[2] if len(near) > 2 else (None,) * 4
     rows = np.arange(len(targets)) if rows is None else rows
-    groups = _groups(len(targets), T * nq, far_rule is not None)
-    mixed = [None] * len(groups)
-    if far_rule is not None:
-        nh, nt = far_rule.n_points, nq - far_rule.n_points
-        if not np.array_equal(far_rule.points, rule.points[:nh]):
-            raise ValueError("the far rule's points must be the first points of the rule")
-        centroids, diameters = mesh.centroids[sel], mesh.diameters[sel]
-        mixed = _mixed_leaves(targets, centroids, diameters, [g[0].start for g in groups])
-        leaf_sizes = np.diff(np.r_[np.arange(0, T, LEAF_PANELS), T])
-        tested = np.vstack([centroids.T, (FAR_FACTOR * diameters) ** 2])
-        # the shared points; the far rule's weights, then the rule's less the far rule's
+    n_kernels = 4 if yukawa else 2
+    # a fixed budget per batch, whatever the CPU count: the batch size can move
+    # the last bit of the BLAS distance product in ``_batch_kernels``; a graded
+    # batch holds E4's points, so more rows; at least 16 groups share the workers
+    batches = chunks(len(targets), T * (E4.n_points if graded else nq), ROW_BATCH_VALUES)
+    size = max(1, min(GROUP_BATCHES, len(batches) // 16)) if graded else 1
+    groups = [batches[i:i + size] for i in range(0, len(batches), size)]
+    head = (xq, xx, xn, normals)
+    if graded:  # the batches evaluate E4's points, the first of GAUSS7's
+        nh, nt = E4.n_points, nq - E4.n_points
         head = (np.ascontiguousarray(xq[:, : nh * T]), xx[: nh * T], xn[:nh], normals)
-        wf = np.pad(_weight_table(mesh, far_rule, shape_functions), ((0, 0), (0, nt)))
-        weights = np.ascontiguousarray(np.vstack([wf, wt - wf])[:, :nh])
-        # per panel, for one take: the other points coordinate by coordinate,
+        w_head, w_tail = np.ascontiguousarray(wt[:, :nh]), np.ascontiguousarray(wt[:, nh:])
+        wt = np.ascontiguousarray((E4.weights[:, None] * shape.reshape(nq, -1)[:nh]).T)
+        # per panel, for one gather: the other points coordinate by coordinate,
         # their squared norms and normal products, and the normal
-        others = np.vstack([xq.reshape(3, nq, T)[:, nh:].reshape(-1, T),
-                            xx.reshape(nq, T)[nh:], xn[nh:], normals.T])
-        other_weights = np.ascontiguousarray(wt[:, nh:])
+        table = np.ascontiguousarray(np.vstack([xq.reshape(3, nq, T)[:, nh:].reshape(3 * nt, T),
+                                                xx.reshape(nq, T)[nh:], xn[nh:], normals.T]).T)
+        centroids = mesh.centroids[sel]
+        reach = FAR_FACTOR * mesh.diameters[sel]
+        reach2 = reach * reach
 
-    def run(item):
-        group, leaves = item
+    def within_reach(tg):
+        """Panels with a pair within reach of the targets ``tg``, and the
+        (targets, panels) table of those pairs: the squared distance summed
+        x, y, z for each pair alone, after a cut by the targets' bounding sphere."""
+        mid = tg.mean(axis=0)
+        radius = np.sqrt(((tg - mid) ** 2).sum(axis=1).max())
+        dist = np.sqrt(((centroids - mid) ** 2).sum(axis=1))
+        c = np.flatnonzero(dist <= (radius + reach) * (1.0 + 1e-9) + 1e-12 * np.abs(mid).sum())
+        d2 = (tg[:, 0, None] - centroids[c, 0]) ** 2
+        d2 += (tg[:, 1, None] - centroids[c, 1]) ** 2
+        d2 += (tg[:, 2, None] - centroids[c, 2]) ** 2
+        within = d2 <= reach2[c]
+        used = within.any(axis=0)
+        return c[used], within[:, used]
+
+    def run(group):
         start, stop = group[0].start, group[-1].stop
         lo, hi = np.searchsorted(ti, (start, stop))
         rb, pb = ti[lo:hi] - start, pj[lo:hi]
         tg = targets[start:stop]
-        cuts = np.searchsorted(rb, [sl.start - start for sl in group[1:]])
-        batches = list(zip(group, np.split(rb, cuts), np.split(pb, cuts)))
-        if leaves is None:  # ``rule`` for every pair
-            part = np.empty((n_kernels, stop - start, s, T))
-            for sl, b_rows, b_panels in batches:
-                first = sl.start - start
-                kern = _batch_kernels(targets[sl], xq, xx, xn, normals, kappa, yukawa,
-                                      (b_rows - first, b_panels))
-                np.matmul(wt, kern, out=part[:, first:sl.stop - start])
-        else:  # the far rule's points: (weight rows, kernels, rows, T)
-            part = np.empty((len(weights), n_kernels, stop - start, T))
-            for sl, b_rows, b_panels in batches:
-                first = sl.start - start
-                kern = _batch_kernels(targets[sl], *head, kappa, yukawa, (b_rows - first, b_panels))
-                dst = part[:, :, first:sl.stop - start].transpose(1, 2, 0, 3)
-                np.matmul(weights, kern, out=dst)
-            # pairs within FAR_FACTOR diameters add the correction
-            m = np.flatnonzero(np.repeat(leaves, leaf_sizes))  # panels of the mixed leaves
-            c = np.take(tested, m, axis=1)
-            keep = ~_beyond(tg, c[:3], c[3])
-            used = np.flatnonzero(keep.any(axis=0))
-            if len(used):  # the other points of the panels with such pairs
-                m, keep = m[used], keep[:, used]
-                g = np.take(others, m, axis=1)
-                tail = _batch_kernels(tg, g[: 3 * nt].reshape(3, -1), g[3 * nt: 4 * nt].ravel(),
-                                      g[4 * nt: 5 * nt], g[5 * nt:].T, kappa, yukawa,
-                                      (rb, np.searchsorted(m, pb)))
-                mix = np.take(part, m, axis=3)  # the far rule's integrals, then the corrections
-                fix = mix[s:]
-                # einsum: a one-row BLAS product this wide threads inside the workers
-                fix += np.einsum("jq,krqp->jkrp", other_weights, tail)
-                fix *= keep
-                mix[:s] += fix
-                part[:s].reshape(-1, T)[:, m] = mix[:s].reshape(-1, len(m))
-            part = part[:s].transpose(1, 2, 0, 3)  # (kernels, rows, s, T)
+        part = np.empty((n_kernels, stop - start, s, T))
+        if graded:  # GAUSS7 for the pairs within reach: its weights at E4's points here
+            c, within = within_reach(tg)
+            full = np.empty((n_kernels, stop - start, s, len(c)))
+        for sl in group:
+            i, j = sl.start - start, sl.stop - start
+            a, b = np.searchsorted(rb, (i, j))
+            kern = _batch_kernels(targets[sl], *head, kappa, yukawa, (rb[a:b] - i, pb[a:b]))
+            np.matmul(wt, kern, out=part[:, i:j])  # (kernels, rows, 1 or 3, T)
+            if graded:
+                np.matmul(w_head, np.take(kern, c, axis=-1), out=full[:, i:j])
+            del kern  # freed before the next batch maps its block: two at once cost page faults
+        if graded and len(c):  # ... and at its other points
+            at = np.minimum(np.searchsorted(c, pb), len(c) - 1)
+            hit = c[at] == pb
+            g = np.take(table, c, axis=0).T
+            tail = _batch_kernels(tg, g[: 3 * nt].reshape(3, -1), g[3 * nt: 4 * nt].ravel(),
+                                  g[4 * nt: 5 * nt], g[5 * nt:].T, kappa, yukawa,
+                                  (rb[hit], at[hit]))
+            full += np.matmul(w_tail, tail)
+            flat = part.reshape(-1, T)
+            mixed = np.take(flat, c, axis=1)
+            np.copyto(mixed.reshape(full.shape), full, where=within[:, None])
+            flat[:, c] = mixed
         part *= areas
-        for k, value in enumerate(values[:n_kernels]):
-            part[k, rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
-        if fold is None:
-            parts = list(part[:, :, 0])
-        else:
-            parts = list((part.reshape(-1, s * T) @ fold).reshape(n_kernels, len(tg), n_cols))
+        parts = []
+        for p, value in zip(part, values):
+            p[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
+            parts.append(p[:, 0] if fold is None else p.reshape(len(p), -1) @ fold)
         if copy_laplace:
             parts[2:] = parts[:2]
         # consecutive rows take one slice: array work per group holds the
@@ -410,7 +333,25 @@ def kernel_row_blocks(
                 for d, src in dst:
                     np.multiply(part[src], factor, out=block[d])
 
-    run_parallel(run, list(zip(groups, mixed)))
+    run_parallel(run, groups)
+
+
+_graded: dict[int, bool] = {}  # grades(mesh) by id(mesh), dropped with the mesh
+
+
+def grades(mesh: SurfaceMesh) -> bool:
+    """Whether ``operator_blocks`` grades the far field on ``mesh``: when at
+    least GRADED_FAR_SHARE of the pairs of about 64 of its centroids with its
+    panels lie beyond FAR_FACTOR diameters. Below that share the pairs within
+    reach of a group of targets spread over most panels, and grading costs
+    more than the points it skips. Computed once per mesh."""
+    key = id(mesh)
+    if key not in _graded:
+        sample = mesh.centroids[:: max(1, mesh.n_panels // 64)]
+        d2 = sum((sample[:, k, None] - mesh.centroids[:, k]) ** 2 for k in range(3))
+        _graded[key] = np.mean(d2 > (FAR_FACTOR * mesh.diameters) ** 2) >= GRADED_FAR_SHARE
+        weakref.finalize(mesh, _graded.pop, key, None)
+    return _graded[key]
 
 
 def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n_kernels,
@@ -532,15 +473,16 @@ def operator_blocks(
 ):
     """Laplace and Yukawa single- and double-layer operators of a basis at targets.
 
-    Fills ``out`` as ``kernel_row_blocks`` does, ``scale`` and ``rows``
-    included, and integrates every (target, panel) pair once:
-    ``near_pair_entries`` for the pairs of ``near_pairs``, computed first and
-    written by the row batches, and GAUSS7 for the far pairs, or E4 beyond
-    ``FAR_FACTOR`` panel diameters when the mesh ``grades``. A pair whose
-    target is a node of the panel (P0: its centroid, P1: a vertex), as
-    collocation points are, lies on it and gets the principal value 0 of the
-    flat-panel double layer. With ``panels`` (ascending) only those panels
-    are integrated and ``out`` has the columns of ``basis_columns``.
+    Fills ``out`` as ``kernel_row_blocks`` does, ``scale`` and ``rows`` included,
+    and integrates every (target, panel) pair once: ``near_pair_entries`` for
+    the pairs of ``near_pairs``, computed first and written by the row
+    batches, and GAUSS7 for far pairs; on a mesh that ``grades``, E4 for
+    those beyond FAR_FACTOR panel diameters (``kernel_row_blocks`` with
+    ``graded``). A pair whose target is a node of the panel
+    (P0: its centroid, P1: a vertex), as collocation points are, lies on it
+    and gets the principal value 0 of the flat-panel double layer. With
+    ``panels`` (ascending) only those panels are integrated and ``out`` has
+    the columns of ``basis_columns``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     ti, pj = near_pairs(targets, mesh, panels)
@@ -553,7 +495,7 @@ def operator_blocks(
         if near[k] is not None:
             near[k][on] = 0.0
     kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj, near), shape_functions, panels,
-                      scale, rows, far_rule=E4 if grades(mesh) else None)
+                      scale, rows, graded=grades(mesh))
 
 
 def near_pairs(points, mesh: SurfaceMesh, panels=None):

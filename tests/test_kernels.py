@@ -565,7 +565,7 @@ def test_graded_operator_matches_per_pair_reference(shape_functions, kappa, monk
     mesh = _graded_mesh()
     colloc = mesh.vertices if shape_functions else mesh.centroids
     n, T = len(colloc), mesh.n_panels
-    assert kn.ROW_BATCH_VALUES / (T * GAUSS7.n_points) < n / 4  # several batches
+    assert kn.ROW_BATCH_VALUES / (T * E4.n_points) < n / 2  # several batches
     got = _graded_operator(mesh, kappa, shape_functions)
     ti, pj = np.divmod(np.arange(n * T), T)
     off = colloc[ti] - mesh.centroids[pj]
@@ -612,34 +612,24 @@ def test_graded_targets_with_every_pair_far_take_e4(shape_functions, monkeypatch
 
 
 @pytest.mark.parametrize("shape_functions", [False, True])
-def test_graded_leaves_only_save_work(shape_functions, monkeypatch):
-    """One-panel leaves (each exact) and one leaf for the whole mesh (always
-    mixed) give the entries of the default leaves; no leaf called far holds
-    a pair within FAR_FACTOR diameters. Small batches put several in a group."""
+def test_graded_groups_only_save_work(shape_functions, monkeypatch):
+    """One batch and one group for every target, one target per group, and
+    groups of many batches give the entries of the default groups: a pair's
+    rule depends on the pair alone, not on the targets that share its pass."""
     monkeypatch.setattr(kn, "grades", lambda mesh: True)
-    monkeypatch.setattr(kn, "ROW_BATCH_VALUES", kn.ROW_BATCH_VALUES / 8)
     mesh, kappa = _graded_mesh(), 0.125
-    colloc = mesh.vertices if shape_functions else mesh.centroids
     default = _graded_operator(mesh, kappa, shape_functions)
-    groups = kn._groups(len(colloc), mesh.n_panels * GAUSS7.n_points, True)
-    assert len(groups) > 1 and any(len(g) > 1 for g in groups)
-    group = np.repeat(np.arange(len(groups)), [g[-1].stop - g[0].start for g in groups])
-    rows, panels = np.nonzero(np.linalg.norm(colloc[:, None] - mesh.centroids, axis=2)
-                              <= kn.FAR_FACTOR * mesh.diameters)
-    for leaf in (1, mesh.n_panels):
-        monkeypatch.setattr(kn, "LEAF_PANELS", leaf)
-        mixed = kn._mixed_leaves(colloc, mesh.centroids, mesh.diameters,
-                                 [g[0].start for g in groups])
-        assert mixed.all() == (leaf == mesh.n_panels)
-        assert mixed[group[rows], panels // leaf].all()
+    for budget, group in ((1.0, 1), (1e12, 1), (kn.ROW_BATCH_VALUES / 32, 10**6)):
+        monkeypatch.setattr(kn, "ROW_BATCH_VALUES", budget)
+        monkeypatch.setattr(kn, "GROUP_BATCHES", group)
         for got, want in zip(_graded_operator(mesh, kappa, shape_functions), default):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_only_meshes_with_mostly_far_leaves_are_graded():
+def test_only_meshes_with_mostly_far_pairs_are_graded():
     """The level-4 sphere of the Born benchmark is graded; the coarser spheres
-    and the cap-refined test mesh, where most leaves have pairs within
-    FAR_FACTOR diameters, keep GAUSS7 for every far pair."""
+    and the cap-refined test mesh, where more than a tenth of the pairs lie
+    within FAR_FACTOR diameters, keep GAUSS7 for every far pair."""
     import pbadapt as pa
 
     assert kn.grades(pa.icosphere(1.0, 4))
