@@ -268,7 +268,7 @@ def kernel_row_blocks(
         # their squared norms and normal products, and the normal
         table = np.ascontiguousarray(np.vstack([xq.reshape(3, nq, T)[:, nh:].reshape(3 * nt, T),
                                                 xx.reshape(nq, T)[nh:], xn[nh:], normals.T]).T)
-        centroids = mesh.centroids[sel]
+        cx, cy, cz = np.ascontiguousarray(mesh.centroids[sel].T)
         reach = FAR_FACTOR * mesh.diameters[sel]
         reach2 = reach * reach
 
@@ -276,13 +276,16 @@ def kernel_row_blocks(
         """Panels with a pair within reach of the targets ``tg``, and the
         (targets, panels) table of those pairs: the squared distance summed
         x, y, z for each pair alone, after a cut by the targets' bounding sphere."""
-        mid = tg.mean(axis=0)
-        radius = np.sqrt(((tg - mid) ** 2).sum(axis=1).max())
-        dist = np.sqrt(((centroids - mid) ** 2).sum(axis=1))
-        c = np.flatnonzero(dist <= (radius + reach) * (1.0 + 1e-9) + 1e-12 * np.abs(mid).sum())
-        d2 = (tg[:, 0, None] - centroids[c, 0]) ** 2
-        d2 += (tg[:, 1, None] - centroids[c, 1]) ** 2
-        d2 += (tg[:, 2, None] - centroids[c, 2]) ** 2
+        mx, my, mz = tg.mean(axis=0)
+        radius = np.sqrt(((tg - (mx, my, mz)) ** 2).sum(axis=1).max())
+        dist2 = (cx - mx) ** 2
+        dist2 += (cy - my) ** 2
+        dist2 += (cz - mz) ** 2
+        bound = (radius + reach) * (1.0 + 1e-9) + 1e-12 * (abs(mx) + abs(my) + abs(mz))
+        c = np.flatnonzero(dist2 <= bound * bound)
+        d2 = (tg[:, 0, None] - cx[c]) ** 2
+        d2 += (tg[:, 1, None] - cy[c]) ** 2
+        d2 += (tg[:, 2, None] - cz[c]) ** 2
         within = d2 <= reach2[c]
         used = within.any(axis=0)
         return c[used], within[:, used]
