@@ -212,9 +212,10 @@ def kernel_row_blocks(
     integrals ``values`` = (VL, KL, VY, KY) laid out as ``near_pair_entries``
     returns them. Each entry is written once: the batch's integrals times the
     block's ``scale`` factor, to row ``rows[i]`` (ascending) of ``out`` for
-    target i, or row i when ``rows`` is None. At kappa = 0 the Yukawa blocks
-    take the Laplace integrals. With ``panels`` (ascending) only those panels
-    are integrated, ``pj`` counts positions in ``panels`` and the columns are
+    target i, or row i when ``rows`` is None. At kappa = 0 the Yukawa
+    integrals equal the Laplace ones bit for bit: exp(-0 r) = 1 and
+    (0 r + 1) K = K. With ``panels`` (ascending) only those panels are
+    integrated, ``pj`` counts positions in ``panels`` and the columns are
     those of ``basis_columns``. Groups of batches of targets run on
     ``run_parallel``, one batch per group unless ``graded``.
 
@@ -245,9 +246,7 @@ def kernel_row_blocks(
         fold = csr_matrix(
             (np.ones(cols.size), (np.arange(cols.size), cols.T.ravel())), shape=(cols.size, n_cols)
         )
-    # at kappa = 0 the Yukawa rows equal the Laplace ones bit for bit (exp(-0 r) = 1): reuse them
-    copy_laplace = out[2] is not None and kappa == 0.0
-    yukawa = out[2] is not None and not copy_laplace
+    yukawa = out[2] is not None
     ti, pj = near[:2]
     values = near[2] if len(near) > 2 else (None,) * 4
     rows = np.arange(len(targets)) if rows is None else rows
@@ -324,8 +323,6 @@ def kernel_row_blocks(
         for p, value in zip(part, values):
             p[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
             parts.append(p[:, 0] if fold is None else p.reshape(len(p), -1) @ fold)
-        if copy_laplace:
-            parts[2:] = parts[:2]
         # consecutive rows take one slice: array work per group holds the
         # interpreter lock that the other workers wait for
         first, last = rows[start], rows[stop - 1]

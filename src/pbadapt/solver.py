@@ -14,6 +14,11 @@ collocated at mesh vertices the surface has corners, so c is the interior
 solid-angle fraction; it is recovered from the assembled Laplace
 double-layer row sums, which annihilates constants exactly.
 
+At kappa = 0 the Yukawa kernel is the Laplace kernel, so with the top block
+row [T | R] = [K_L + cI | -V_L] the bottom one is [I - T | -(eps_m/eps_w) R]
+bit for bit: negation is exact. Only the top row is stored (``_TopRow``),
+half the bytes, and the product applies the bottom row from it.
+
 GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856) solves the
 system right-preconditioned by the point block-Jacobi inverse D^-1: D
 holds, for each collocation point, the 2x2 block coupling its u- and
@@ -73,11 +78,59 @@ class PanelSolution:
             raise UsageError("trace length does not match the discretization")
 
 
+class _TopRow:
+    """The kappa = 0 system, stored as its top block row ``top`` = [T | R].
+
+    ``a @ x``, x = [u, v] of length 2N, applies the bottom row
+    [I - T | -ratio R], ratio = eps_m/eps_w, from the two products T u and
+    R v; ``len(a)`` is 2N and ``a.nbytes`` the stored bytes. ``np.asarray(a)``
+    and ``a[...]`` build the dense 2N x 2N matrix, which equals the one
+    assembled with every block bit for bit.
+    """
+
+    def __init__(self, top: np.ndarray, ratio: float):
+        self.top, self.ratio = top, ratio
+
+    def __len__(self):
+        return 2 * len(self.top)
+
+    @property
+    def nbytes(self) -> int:
+        return self.top.nbytes
+
+    def __matmul__(self, x):
+        n = len(self.top)
+        out = np.empty(2 * n)
+        t, bottom = out[:n], out[n:]
+        np.matmul(self.top[:, :n], x[:n], out=t)
+        w = self.top[:, n:] @ x[n:]
+        np.subtract(x[:n], t, out=bottom)
+        t += w
+        w *= self.ratio
+        bottom -= w
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the dense system is built on request, so it is always a copy")
+        n = len(self.top)
+        a = np.empty((2 * n, 2 * n))
+        a[:n] = self.top
+        np.negative(self.top[:, :n], out=a[n:, :n])
+        np.multiply(self.top[:, n:], -self.ratio, out=a[n:, n:])
+        idx = np.arange(n)
+        a[n + idx, idx] = 1.0 - self.top[idx, idx]
+        return a if dtype is None else a.astype(dtype)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+
 class _Held(NamedTuple):
     space: str
     physics: BiePhysics
     mesh: SurfaceMesh
-    matrix: np.ndarray
+    matrix: np.ndarray | _TopRow
 
 
 class SystemCache:
@@ -86,7 +139,8 @@ class SystemCache:
     ``assemble_system(..., cache=...)`` copies from the held system every
     entry whose row and column are unchanged, integrates the others, and
     then holds the new system in place of the old one. The held matrix is
-    the one ``assemble_system`` returned, so callers must not modify it.
+    the one ``assemble_system`` returned, so callers must not modify it; at
+    kappa = 0 that is the top block row alone (``_TopRow``), half the bytes.
     ``reused`` and ``computed`` count that assembly's (rows, columns) of
     each N x N block.
     """
@@ -162,12 +216,15 @@ def assemble_system(
     space: str = "P0",
     cache: SystemCache | None = None,
 ):
-    """Dense 2N x 2N collocation matrix and right-hand side.
+    """2N x 2N collocation system and right-hand side.
 
     Unknown ordering: [u-, du-/dn]; the second block row is homogeneous.
-    With a ``cache`` that holds a system of the same space and physics, the
-    entries of unchanged rows and columns (``_unchanged``) are copied from
-    it; the cache then holds the new system. Freshly integrated far entries
+    The system is a dense ndarray, or at kappa = 0 a ``_TopRow``, which
+    stores only the top block row (16 N^2 bytes instead of 32 N^2) and
+    supports ``a @ x``, ``len(a)`` and ``nbytes``. With a ``cache`` that
+    holds a system of the same space and physics, the entries of unchanged
+    rows and columns (``_unchanged``) are copied from it; the cache then
+    holds the new system. Freshly integrated far entries
     can differ from the copied ones in the last bit, as between row batches
     of different sizes (``kernels.kernel_row_blocks``). Raises SolverError
     when the matrix would not fit in memory beside the held one.
@@ -182,10 +239,13 @@ def assemble_system(
     # the held system stays allocated while the new one is built; a cgroup's
     # headroom already counts it, physical memory does not
     held_bytes = 0 if held is None or _cgroup_headroom() is not None else held.matrix.nbytes
-    need, budget = 32 * n * n, _memory_budget()
+    top_only = physics.kappa == 0.0
+    stored = n if top_only else 2 * n
+    need, budget = 8 * stored * 2 * n, _memory_budget()
     if need + held_bytes > budget:
+        what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
         raise SolverError(
-            f"the dense {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, "
+            f"the {what} {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, "
             f"more than the {budget / 1e9:.2f} GB available"
             + (f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else "")
         )
@@ -194,16 +254,20 @@ def assemble_system(
     if held is not None and (held.space, held.physics, kernels.grades(held.mesh)) == (
             space, physics, kernels.grades(mesh)):
         rows, cols = _unchanged(held.mesh, mesh, p1)
-        old = held.matrix
+        old = held.matrix.top if top_only else held.matrix
     new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)
     new_cols, kept_cols = np.flatnonzero(cols < 0), np.flatnonzero(cols >= 0)
-    a = np.empty((2 * n, 2 * n))
-    old_n = len(old) // 2
-    _copy(a, old,
-          np.r_[kept_rows, kept_rows + n], np.r_[rows[kept_rows], rows[kept_rows] + old_n],
+    a = np.empty((stored, 2 * n))
+    old_n = old.shape[1] // 2
+    dst_rows, src_rows = kept_rows, rows[kept_rows]
+    if not top_only:
+        dst_rows, src_rows = np.r_[dst_rows, dst_rows + n], np.r_[src_rows, src_rows + old_n]
+    _copy(a, old, dst_rows, src_rows,
           np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
-    blocks = (a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n])  # VL, KL, VY, KY
-    scale = (-1.0, 1.0, physics.eps_m / physics.eps_w, -1.0)
+    # VL, KL, VY, KY; at kappa = 0 the Yukawa blocks follow from the Laplace ones
+    blocks = (a[:n, n:], a[:n, :n]) + ((None, None) if top_only else (a[n:, n:], a[n:, :n]))
+    ratio = physics.eps_m / physics.eps_w
+    scale = (-1.0, 1.0, ratio, -1.0)
     kernels.operator_blocks(colloc[new_rows], mesh, physics.kappa, blocks, p1, scale=scale,
                             rows=new_rows)
     if len(kept_rows) and len(new_cols):
@@ -213,11 +277,13 @@ def assemble_system(
         if p1:
             panels = np.flatnonzero(np.isin(mesh.triangles, new_cols).any(axis=1))
         columns = kernels.basis_columns(mesh, p1, panels)
-        values = tuple(np.empty((len(kept_rows), len(columns))) for _ in blocks)
+        values = tuple(None if block is None else np.empty((len(kept_rows), len(columns)))
+                       for block in blocks)
         kernels.operator_blocks(colloc[kept_rows], mesh, physics.kappa, values, p1, panels, scale)
         pick = np.searchsorted(columns, new_cols)
         for block, value in zip(blocks, values):
-            block[kept_rows[:, None], new_cols] = value[:, pick]
+            if block is not None:
+                block[kept_rows[:, None], new_cols] = value[:, pick]
     # the KL and KY diagonals are 0, the principal value on the target's own
     # panels; a copied KL diagonal still carries the old free term
     idx = np.arange(n)
@@ -226,13 +292,15 @@ def assemble_system(
     # each vertex, which the Laplace double layer's row sums give
     c = -a[:n, :n].sum(axis=1) if p1 else np.full(n, 0.5)
     a[idx, idx] = c
-    a[n + idx, idx] = 1.0 - c
+    if not top_only:
+        a[n + idx, idx] = 1.0 - c
+    system = _TopRow(a, ratio) if top_only else a
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
     if cache is not None:
-        cache._held = _Held(space, physics, mesh, a)
+        cache._held = _Held(space, physics, mesh, system)
         cache.reused = (len(kept_rows), len(kept_cols))
         cache.computed = (len(new_rows), len(new_cols))
-    return a, b
+    return system, b
 
 
 def _block_jacobi(a):
@@ -241,13 +309,18 @@ def _block_jacobi(a):
 
     Point i's block couples its u- and du-/dn unknowns, rows and columns i
     and n+i; each is inverted in closed form, so no copy of ``a`` is made.
-    ``out`` must not share memory with ``y``. Raises SolverError naming the
-    first point whose block is singular.
+    A ``_TopRow`` gives its bottom diagonals as its product applies them,
+    r = 1 - p and s = -(eps_m/eps_w) q. ``out`` must not share memory with
+    ``y``. Raises SolverError naming the first point whose block is singular.
     """
     n = len(a) // 2
     idx = np.arange(n)
-    p, q = a[idx, idx], a[idx, n + idx]
-    r, s = a[n + idx, idx], a[n + idx, n + idx]
+    if isinstance(a, _TopRow):
+        p, q = a.top[idx, idx], a.top[idx, n + idx]
+        r, s = 1.0 - p, q * -a.ratio
+    else:
+        p, q = a[idx, idx], a[idx, n + idx]
+        r, s = a[n + idx, idx], a[n + idx, n + idx]
     det = p * s - q * r
     bad = np.flatnonzero(~np.isfinite(det) | (det == 0.0))
     if bad.size:
@@ -327,6 +400,8 @@ def gmres(operator, b, *, restart: int, atol: float):
 
 def _gmres_solve(a, b, tol: float, max_iters: int):
     """GMRES on A D^-1 y = b, returning x = D^-1 y, with D^-1 from ``_block_jacobi``.
+
+    ``a`` is a square array or a ``_TopRow``; both take their products as ``a @ x``.
 
     Right, not left, preconditioning: the residual GMRES minimises,
     b - A D^-1 y, is then the true residual b - A x. Each ``gmres`` cycle

@@ -813,3 +813,18 @@ def test_collocated_double_layer_diagonals_are_zero(shape_functions):
     kn.operator_blocks(colloc, mesh, 0.125, blocks, shape_functions)
     assert np.all(np.diag(blocks[1]) == 0.0)
     assert np.all(np.diag(blocks[3]) == 0.0)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_operator_yukawa_blocks_at_kappa_zero_are_the_laplace_blocks(shape_functions, graded,
+                                                                    monkeypatch):
+    """At kappa = 0 the Yukawa kernels evaluate to the Laplace ones bit for bit,
+    exp(-0 r) = 1 and (0 r + 1) K = K, near pairs and graded far pairs
+    included: the kappa = 0 system derives its bottom block row from this."""
+    monkeypatch.setattr(kn, "grades", lambda mesh: graded)
+    mesh = _graded_mesh()
+    colloc = mesh.vertices if shape_functions else mesh.centroids
+    assert len(kn.near_pairs(colloc, mesh)[0]) > len(colloc)  # near pairs besides the own panels
+    vl, kl, vy, ky = _graded_operator(mesh, 0.0, shape_functions)
+    assert np.array_equal(vy, vl) and np.array_equal(ky, kl)

@@ -571,3 +571,113 @@ def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
     assert solver._memory_budget() == physical
     proc.write_text("4:memory:/jobs/one\n")  # cgroup v1 only: physical memory
     assert solver._memory_budget() == physical
+
+
+@pytest.fixture(scope="module")
+def pure_water():
+    """kappa = 0 with unequal permittivities, so the bottom block row is scaled."""
+    return pa.BiePhysics(eps_m=4.0, eps_w=80.0, kappa=0.0)
+
+
+def _dense_reference(mesh, physics, space):
+    """The 2N x 2N system built from all four operator blocks and the free term."""
+    from pbadapt import kernels
+
+    p1 = space == "P1"
+    colloc = mesh.vertices if p1 else mesh.centroids
+    n = len(colloc)
+    vl, kl, vy, ky = (np.empty((n, n)) for _ in range(4))
+    kernels.operator_blocks(colloc, mesh, physics.kappa, (vl, kl, vy, ky), p1)
+    c = -kl.sum(axis=1) if p1 else np.full(n, 0.5)
+    eye = np.eye(n)
+    return np.block([[kl + c * eye, -vl],
+                     [(1.0 - c) * eye - ky, physics.eps_m / physics.eps_w * vy]]), c
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_kappa_zero_system_stores_the_top_block_row(pure_water, offcenter_charge, space):
+    """At kappa = 0 the system keeps N x 2N values, and its product equals the
+    dense reference's."""
+    mesh = pa.icosphere(1.0, 2)
+    a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
+    n = len(b) // 2
+    assert len(a) == 2 * n and a.nbytes == 16 * n * n
+    ref, _ = _dense_reference(mesh, pure_water, space)
+    x = np.random.default_rng(11).standard_normal(2 * n)
+    want = ref @ x
+    assert np.linalg.norm(a @ x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_kappa_zero_dense_view_is_the_scaled_operator_blocks(pure_water, offcenter_charge, space):
+    """Off the diagonal the dense view is the operator blocks times
+    (-1, 1, eps_m/eps_w, -1) bit for bit; on it, c and 1 - c."""
+    mesh = pa.icosphere(1.0, 2)
+    a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
+    n = len(b) // 2
+    dense = np.asarray(a)
+    assert dense.shape == (2 * n, 2 * n)
+    ref, c = _dense_reference(mesh, pure_water, space)
+    off = ~np.eye(n, dtype=bool)
+    for got, want in zip(_system_blocks(dense), _system_blocks(ref)):
+        assert np.array_equal(got[off], want[off])
+    idx = np.arange(n)
+    assert np.array_equal(dense[idx, idx], c)
+    assert np.array_equal(dense[n + idx, idx], 1.0 - c)
+    assert np.array_equal(a[n:, :n], dense[n:, :n])
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_kappa_zero_block_jacobi_matches_dense_view(pure_water, offcenter_charge, space):
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 2)
+    a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
+    y = np.random.default_rng(12).standard_normal(len(b))
+    got = solver._block_jacobi(a)(y, np.empty(len(b)))
+    want = solver._block_jacobi(np.asarray(a))(y, np.empty(len(b)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_kappa_zero_cached_assembly_matches_scratch(pure_water, offcenter_charge, space):
+    from pbadapt.mesh import close_marking, refine_flat
+
+    mesh = pa.icosphere(1.0, 2)
+    refined = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.6)))
+    cache = pa.SystemCache()
+    pa.assemble_system(mesh, pure_water, offcenter_charge, space, cache)
+    a, b = pa.assemble_system(refined, pure_water, offcenter_charge, space, cache)
+    assert min(cache.reused) > 0 and min(cache.computed) > 0
+    n = len(b) // 2
+    assert cache._held.matrix.nbytes == 16 * n * n
+    a0 = np.asarray(pa.assemble_system(refined, pure_water, offcenter_charge, space)[0])
+    assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
+
+
+def test_kappa_zero_solves_never_build_the_dense_matrix(pure_water, offcenter_charge,
+                                                        monkeypatch):
+    from pbadapt import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense kappa = 0 system was built")
+
+    monkeypatch.setattr(solver._TopRow, "__array__", refuse)
+    mesh = pa.icosphere(1.0, 1)
+    for sol in (pa.solve_forward(mesh, pure_water, offcenter_charge),
+                pa.solve_adjoint(mesh, pure_water, offcenter_charge, refine_levels=0)):
+        assert sol.gmres_residual <= 1e-8
+
+
+def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_charge,
+                                                        monkeypatch):
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 1)
+    n = mesh.n_panels
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n - 1)
+    with pytest.raises(SolverError, match="needs") as err:
+        pa.assemble_system(mesh, pure_water, offcenter_charge)
+    assert f"top block row ({n} x {2 * n})" in str(err.value)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n)
+    pa.assemble_system(mesh, pure_water, offcenter_charge)
