@@ -106,8 +106,7 @@ def _panel_index(panels):
 
 def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule, panels=None) -> np.ndarray:
     """(T, nq, 3) physical quadrature points for every panel, or for ``panels``."""
-    corners = mesh.vertices[mesh.triangles[_panel_index(panels)]]
-    return np.einsum("qk,tkx->tqx", rule.points, corners)
+    return np.einsum("qk,tkx->tqx", rule.points, mesh.corners[_panel_index(panels)])
 
 
 def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, near):
@@ -166,17 +165,15 @@ def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool,
     each panel's global columns. P0: ones (nq,) and the panel index (T, 1);
     P1: the barycentric rule points (nq, 3) and the panel's corners (T, 3).
     Without a local axis in ``shape``, P0 integrals are plain panel integrals.
-    With ``panels`` the tables cover those panels only, and column k is the
-    k-th entry of ``basis_columns(mesh, shape_functions, panels)``.
+    The tables cover ``panels``, every panel when None, and column k is the
+    k-th entry of ``basis_columns(mesh, shape_functions, panels)``; with
+    every panel that is panel k, or vertex k, as every vertex has a panel.
     """
-    if panels is not None:
-        columns = basis_columns(mesh, shape_functions, panels)
-        if shape_functions:
-            return rule.points, np.searchsorted(columns, mesh.triangles[panels]), len(columns)
-        return np.ones(rule.n_points), np.arange(len(panels))[:, None], len(panels)
+    panels = np.arange(mesh.n_panels) if panels is None else panels
+    columns = basis_columns(mesh, shape_functions, panels)
     if shape_functions:
-        return rule.points, mesh.triangles, mesh.n_vertices
-    return np.ones(rule.n_points), np.arange(mesh.n_panels)[:, None], mesh.n_panels
+        return rule.points, np.searchsorted(columns, mesh.triangles[panels]), len(columns)
+    return np.ones(rule.n_points), np.arange(len(panels))[:, None], len(panels)
 
 
 def basis_columns(mesh: SurfaceMesh, shape_functions: bool, panels) -> np.ndarray:
@@ -197,7 +194,6 @@ def kernel_row_blocks(
     panels=None,
     scale=(1.0, 1.0, 1.0, 1.0),
     rows=None,
-    graded: bool = False,
 ):
     """Single- and double-layer integrals of the basis functions at a set of targets.
 
@@ -217,19 +213,21 @@ def kernel_row_blocks(
     (0 r + 1) K = K. With ``panels`` (ascending) only those panels are
     integrated, ``pj`` counts positions in ``panels`` and the columns are
     those of ``basis_columns``. Groups of batches of targets run on
-    ``run_parallel``, one batch per group unless ``graded``.
+    ``run_parallel``, one batch per group unless graded.
 
-    ``graded`` (with ``rule`` GAUSS7) grades the far field by distance: a
-    pair whose squared centroid distance, summed x, y, z for the pair alone,
-    exceeds (FAR_FACTOR diameters)^2 takes E4, GAUSS7's first four points.
-    A group of up to GROUP_BATCHES consecutive batches first finds its pairs
-    within FAR_FACTOR diameters. Each batch evaluates the kernels at E4's
-    points for every panel and reduces them by E4's weights, and by
-    GAUSS7's at the panels of those pairs; the group then evaluates GAUSS7's
-    other three points at those panels and gives those pairs GAUSS7. A
-    pair's rule depends on the pair alone, not on its batch or group.
+    With ``rule`` GAUSS7 on a mesh that ``grades``, the far field is graded
+    by distance: a pair whose squared centroid distance, summed x, y, z for
+    the pair alone, exceeds (FAR_FACTOR diameters)^2 takes E4, GAUSS7's
+    first four points. A group of up to GROUP_BATCHES consecutive batches
+    first finds its pairs within FAR_FACTOR diameters. Each batch evaluates
+    the kernels at E4's points for every panel and reduces them by E4's
+    weights, and by GAUSS7's at the panels of those pairs; the group then
+    evaluates GAUSS7's other three points at those panels and gives those
+    pairs GAUSS7. A pair's rule depends on the pair alone, not on its batch
+    or group.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    graded = rule is GAUSS7 and grades(mesh)
     sel = _panel_index(panels)
     normals = mesh.normals[sel]
     T, nq = len(normals), rule.n_points
@@ -340,11 +338,12 @@ _graded: dict[int, bool] = {}  # grades(mesh) by id(mesh), dropped with the mesh
 
 
 def grades(mesh: SurfaceMesh) -> bool:
-    """Whether ``operator_blocks`` grades the far field on ``mesh``: when at
-    least GRADED_FAR_SHARE of the pairs of about 64 of its centroids with its
-    panels lie beyond FAR_FACTOR diameters. Below that share the pairs within
-    reach of a group of targets spread over most panels, and grading costs
-    more than the points it skips. Computed once per mesh."""
+    """Whether ``kernel_row_blocks`` grades GAUSS7's far field on ``mesh``:
+    when at least GRADED_FAR_SHARE of the pairs of about 64 of its centroids
+    with its panels lie beyond FAR_FACTOR diameters. Below that share the
+    pairs within reach of a group of targets spread over most panels, and
+    grading costs more than the points it skips. Computed once per mesh and
+    kept, as every row batch on the mesh asks again."""
     key = id(mesh)
     if key not in _graded:
         sample = mesh.centroids[:: max(1, mesh.n_panels // 64)]
@@ -438,24 +437,22 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
     Returns (VL, KL, VY, KY) like ``kernel_pair_entries``. The Laplace parts
     are exact (``_flat_panel_laplace``; on the panel the caller sets KL = 0);
     the Yukawa parts add the bounded remainder integrated with
-    ``REMAINDER_RULE``. Chunks of pairs run on ``run_parallel``.
+    ``REMAINDER_RULE``. At kappa = 0 the remainder integrates to +-0, so the
+    Yukawa parts equal the Laplace ones. Chunks of pairs run on ``run_parallel``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
     vl, kl = (np.empty((len(panels), 3) if shape_functions else len(panels)) for _ in range(2))
-    corners = mesh.vertices[mesh.triangles]
 
     def run(sl):
         pid = panels[sl]
         vl[sl], kl[sl] = _flat_panel_laplace(
-            points[sl], corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
+            points[sl], mesh.corners[pid], mesh.normals[pid], mesh.areas[pid], shape_functions
         )
 
     run_parallel(run, chunks(len(panels), GAUSS7.n_points))
     if not yukawa:
         return vl, kl, None, None
-    if kappa == 0.0:  # the remainder vanishes
-        return vl, kl, vl.copy(), kl.copy()
     vr, kr = _pair_quadrature(points, mesh, panels, REMAINDER_RULE, shape_functions, 2,
                               _yukawa_remainder(mesh, kappa))
     return vl, kl, vl + vr, kl + kr
@@ -477,25 +474,24 @@ def operator_blocks(
     and integrates every (target, panel) pair once: ``near_pair_entries`` for
     the pairs of ``near_pairs``, computed first and written by the row
     batches, and GAUSS7 for far pairs; on a mesh that ``grades``, E4 for
-    those beyond FAR_FACTOR panel diameters (``kernel_row_blocks`` with
-    ``graded``). A pair whose target is a node of the panel
-    (P0: its centroid, P1: a vertex), as collocation points are, lies on it
-    and gets the principal value 0 of the flat-panel double layer. With
-    ``panels`` (ascending) only those panels are integrated and ``out`` has
-    the columns of ``basis_columns``.
+    those beyond FAR_FACTOR panel diameters (``kernel_row_blocks``). A pair
+    whose target is a node of the panel (P0: its centroid, P1: a vertex), as
+    collocation points are, lies on it and gets the principal value 0 of the
+    flat-panel double layer. With ``panels`` (ascending) only those panels
+    are integrated and ``out`` has the columns of ``basis_columns``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     ti, pj = near_pairs(targets, mesh, panels)
     pid = pj if panels is None else np.asarray(panels, dtype=np.int64)[pj]
     near = near_pair_entries(targets[ti], mesh, pid, kappa, yukawa=out[2] is not None,
                              shape_functions=shape_functions)
-    nodes = mesh.vertices[mesh.triangles[pid]] if shape_functions else mesh.centroids[pid, None]
+    nodes = mesh.corners[pid] if shape_functions else mesh.centroids[pid, None]
     on = (nodes == targets[ti, None]).all(axis=2).any(axis=1)
     for k in (1, 3):  # KL, KY: a target on the panel gets the principal value 0
         if near[k] is not None:
             near[k][on] = 0.0
     kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj, near), shape_functions, panels,
-                      scale, rows, graded=grades(mesh))
+                      scale, rows)
 
 
 def near_pairs(points, mesh: SurfaceMesh, panels=None):
@@ -534,7 +530,7 @@ def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:
 def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.ndarray:
     """(P, 3) Laplace single-layer integrals with linear density, target at a corner."""
     panels = np.asarray(panels, dtype=np.int64)
-    targets = mesh.vertices[mesh.triangles[panels, np.asarray(corner_local, dtype=np.int64)]]
+    targets = mesh.corners[panels, np.asarray(corner_local, dtype=np.int64)]
     return near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
 
 

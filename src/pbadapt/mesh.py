@@ -101,14 +101,15 @@ class SurfaceMesh:
         return cKDTree(self.vertices)
 
     @cached_property
-    def _corners(self) -> np.ndarray:
-        c = self.vertices[self.triangles]  # (T, 3, 3)
+    def corners(self) -> np.ndarray:
+        """(T, 3, 3) corner coordinates of every panel, ``vertices[triangles]``."""
+        c = self.vertices[self.triangles]
         c.setflags(write=False)
         return c
 
     @cached_property
     def _cross(self) -> np.ndarray:
-        p = self._corners
+        p = self.corners
         return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
     @cached_property
@@ -125,13 +126,13 @@ class SurfaceMesh:
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        c = self._corners.mean(axis=1)
+        c = self.corners.mean(axis=1)
         c.setflags(write=False)
         return c
 
     def _edge_lengths(self) -> np.ndarray:
         """(T, 3) length of local edge k = (v_k, v_{k+1})."""
-        p = self._corners
+        p = self.corners
         return np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
 
     @cached_property
@@ -143,7 +144,7 @@ class SurfaceMesh:
 
     @cached_property
     def signed_volume(self) -> float:
-        p = self._corners
+        p = self.corners
         return float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2]))) / 6.0
 
     @cached_property
@@ -580,7 +581,7 @@ def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(points))
-    corners = np.ascontiguousarray(mesh._corners.transpose(1, 2, 0))  # (corner, coordinate, panel)
+    corners = np.ascontiguousarray(mesh.corners.transpose(1, 2, 0))  # (corner, coordinate, panel)
 
     def run(sl):
         p = points[sl].T[:, :, None]                        # (coordinate, point, 1)

@@ -100,15 +100,8 @@ class _TopRow:
 
     def __matmul__(self, x):
         n = len(self.top)
-        out = np.empty(2 * n)
-        t, bottom = out[:n], out[n:]
-        np.matmul(self.top[:, :n], x[:n], out=t)
-        w = self.top[:, n:] @ x[n:]
-        np.subtract(x[:n], t, out=bottom)
-        t += w
-        w *= self.ratio
-        bottom -= w
-        return out
+        t, w = self.top[:, :n] @ x[:n], self.top[:, n:] @ x[n:]
+        return np.concatenate([t + w, x[:n] - t - self.ratio * w])
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -164,8 +157,7 @@ def _unchanged(old: SurfaceMesh, mesh: SurfaceMesh, p1: bool):
     panel's three corners are. A P1 row is unchanged when its vertex is,
     a P1 column when in addition every panel of the vertex's star is.
     """
-    panels = _match(old.vertices[old.triangles].reshape(-1, 9),
-                    mesh.vertices[mesh.triangles].reshape(-1, 9))
+    panels = _match(old.corners.reshape(-1, 9), mesh.corners.reshape(-1, 9))
     if not p1:
         return panels, panels
     rows = _match(old.vertices, mesh.vertices)
@@ -310,8 +302,8 @@ def _block_jacobi(a):
     Point i's block couples its u- and du-/dn unknowns, rows and columns i
     and n+i; each is inverted in closed form, so no copy of ``a`` is made.
     A ``_TopRow`` gives its bottom diagonals as its product applies them,
-    r = 1 - p and s = -(eps_m/eps_w) q. ``out`` must not share memory with
-    ``y``. Raises SolverError naming the first point whose block is singular.
+    r = 1 - p and s = -(eps_m/eps_w) q. Raises SolverError naming the first
+    point whose block is singular.
     """
     n = len(a) // 2
     idx = np.arange(n)
@@ -329,18 +321,10 @@ def _block_jacobi(a):
             f"(determinant {det[bad[0]]}); {bad.size} point(s) affected"
         )
     p, q, r, s = p / det, q / det, r / det, s / det
-    spare = np.empty(n)
 
     def apply(y, out):
         u, v = y[:n], y[n:]
-        top, bottom = out[:n], out[n:]
-        np.multiply(s, u, out=top)
-        np.multiply(q, v, out=spare)
-        top -= spare
-        np.multiply(p, v, out=bottom)
-        np.multiply(r, u, out=spare)
-        bottom -= spare
-        return out
+        return np.concatenate([s * u - q * v, p * v - r * u], out=out)
 
     return apply
 

@@ -8,6 +8,7 @@ import pbadapt as pa
 from pbadapt.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SOLVER,
     _load_run,
@@ -231,6 +232,16 @@ def test_oracle_kirkwood_and_richardson(tmp_path, capsys):
     assert main(["oracle", "--config", rich]) == EXIT_OK
     out = capsys.readouterr().out
     assert "-5.0" in out and "order 1.0000" in out
+
+
+def test_unconverged_oracle_series_is_internal_error(tmp_path, capsys):
+    """Two terms cannot sum the series of an off-center charge: the oracle
+    fails with the catch-all exit code, not with a wrong energy."""
+    cfg = write_config(tmp_path / "o.ini", SPHERE_SMALL + "\n[oracle]\nn_terms = 2\n")
+    assert main(["oracle", "--config", cfg]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "error: series not converged after 2 terms" in captured.err
+    assert captured.out == ""
 
 
 def test_born_config_oracle_closed_form(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Invariances the sphere tests, run in one orientation only, cannot see:
-rigid motion, scaling, and P0/P1 agreement in the limit."""
+rigid motion, scaling, and P0/P1 agreement in the limit and on an ellipsoid."""
 
 import dataclasses
 
@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 import pbadapt as pa
+from pbadapt import kernels
 from pbadapt.oracle import offcenter_benchmark
 
 GMRES_TOL = 1e-12
+
+# (kappa, graded far field) of each operator path: the sphere tests' own,
+# then kappa = 0, which stores only the top block row, and the far field
+# graded by distance (``kernels.grades`` forced on; the capped mesh is not
+# graded) at both kappas
+PATHS = {"": (0.125, False), "kappa0": (0.0, False), "graded": (0.125, True),
+         "graded-kappa0": (0.0, True)}
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +36,13 @@ def _energies(mesh, charges, physics):
     return np.array([pa.solvation_energy(s, charges, physics).dG_solv for s in (forward, adjoint)])
 
 
+def _on_path(path, physics, monkeypatch):
+    kappa, graded = PATHS[path]
+    if graded:
+        monkeypatch.setattr(kernels, "grades", lambda mesh: True)
+    return dataclasses.replace(physics, kappa=kappa)
+
+
 def _moved(mesh, charges, rotation, shift=0.0, scale=1.0):
     def move(points):
         return scale * points @ rotation.T + shift
@@ -36,9 +51,11 @@ def _moved(mesh, charges, rotation, shift=0.0, scale=1.0):
             pa.ChargeSet(move(charges.positions), charges.charges))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rigid_motion_leaves_energy_unchanged(capped, seed):
+@pytest.mark.parametrize(("path", "seed"), [pytest.param(p, s, id=f"{p}-{s}" if p else str(s))
+                                            for p in PATHS for s in (0, 1, 2)])
+def test_rigid_motion_leaves_energy_unchanged(capped, path, seed, monkeypatch):
     mesh, charges, physics = capped
+    physics = _on_path(path, physics, monkeypatch)
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     rotation = q * np.sign(np.diag(r))
@@ -48,8 +65,10 @@ def test_rigid_motion_leaves_energy_unchanged(capped, seed):
     np.testing.assert_allclose(moved, _energies(mesh, charges, physics), rtol=1e-11, atol=0.0)
 
 
-def test_scaling_lengths_with_kappa_scales_energy(capped):
+@pytest.mark.parametrize("path", [pytest.param(p, id=p or "default") for p in PATHS])
+def test_scaling_lengths_with_kappa_scales_energy(capped, path, monkeypatch):
     mesh, charges, physics = capped
+    physics = _on_path(path, physics, monkeypatch)
     scaled = _energies(*_moved(mesh, charges, np.eye(3), scale=3.0),
                        dataclasses.replace(physics, kappa=physics.kappa / 3.0))
     np.testing.assert_allclose(scaled, _energies(mesh, charges, physics) / 3.0,
@@ -66,3 +85,19 @@ def test_p0_and_p1_reach_the_same_richardson_limit():
     assert abs(p0 - p1) <= 2e-4 * abs(exact)
     assert abs(p0 - exact) <= 3e-4 * abs(exact)
     assert abs(p1 - exact) <= 3e-4 * abs(exact)
+
+
+def test_p0_and_p1_converge_together_on_an_ellipsoid():
+    """A non-spherical surface: icosphere levels 1-3 mapped to semi-axes
+    (1, 0.8, 0.65). Both discretizations converge to the same energy, so
+    their gap shrinks by at least 3x per level (about 4x for second order)."""
+    charges = pa.ChargeSet(np.array([[0.1, -0.1, 0.3]]), np.array([1.0]))
+    physics = pa.BiePhysics(eps_m=4.0, eps_w=80.0, kappa=0.125)
+    axes = np.diag([1.0, 0.8, 0.65])
+    gaps = []
+    for level in (1, 2, 3):
+        sphere = pa.icosphere(1.0, level)
+        p0, p1 = _energies(pa.SurfaceMesh(sphere.vertices @ axes, sphere.triangles), charges,
+                           physics)
+        gaps.append(abs(p0 - p1))
+    assert gaps[1] <= gaps[0] / 3.0 and gaps[2] <= gaps[1] / 3.0
