@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import AdaptiveConfig, adaptive_loop, save_history, uniform_loop
+from .driver import AdaptiveConfig, adaptive_loop, save_history, solve_iteration, uniform_loop
 from .errors import (
     ConfigError,
     DomainError,
@@ -31,8 +31,7 @@ from .errors import (
 from .estimator import ESTIMATORS, effectivity
 from .mesh import SurfaceMesh, icosphere, load_msms, save_panel_values
 from .oracle import SphereCase, kirkwood_energy, richardson
-from .physics import BiePhysics, ChargeSet, load_pqr, solvation_energy
-from .solver import solve_adjoint, solve_forward
+from .physics import BiePhysics, ChargeSet, load_pqr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,8 +210,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _is_sphere(cp) -> bool:
+    """Whether [mesh] is an icosphere, the mesh with an analytic reference."""
+    return "mesh" in cp and cp["mesh"].get("type", "icosphere") == "icosphere"
+
+
 def _kirkwood_reference(cp, charges, physics) -> float:
-    if "mesh" not in cp or cp["mesh"].get("type", "icosphere") != "icosphere":
+    if not _is_sphere(cp):
         raise ConfigError("kirkwood reference needs an icosphere [mesh]")
     radius = _get(cp["mesh"], "radius", float, 1.0)
     n_terms = _get(cp["oracle"], "n_terms", int, 80) if "oracle" in cp else 80
@@ -229,12 +233,12 @@ def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
     Analytic spheres use the multipole series; any mesh can opt into a
     Richardson-extrapolated value from a three-level uniform refinement
     history ([oracle] mode = richardson). Returns None when no reference is
-    available.
+    available, and raises ExtrapolationError when that history does not
+    converge.
     """
-    is_sphere = "mesh" in cp and cp["mesh"].get("type", "icosphere") == "icosphere"
     mode = cp["oracle"].get("mode") if "oracle" in cp else None
     if mode is None:
-        mode = "kirkwood" if is_sphere else "none"
+        mode = "kirkwood" if _is_sphere(cp) else "none"
     if mode == "none":
         return None
     if mode == "kirkwood":
@@ -261,16 +265,7 @@ def cmd_solve(args) -> int:
 
 def cmd_estimate(args) -> int:
     cp, mesh, charges, physics, config = _load_run(args)
-    forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol)
-    energy = solvation_energy(forward, charges, physics)
-    adjoint = solve_adjoint(
-        mesh,
-        physics,
-        charges,
-        refine_levels=config.adjoint_refine_levels,
-        background=config.background_mesh,
-        gmres_tol=config.gmres_tol,
-    )
+    forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, adjoint=True)
     out = _out_dir(args)
     maps = {tag: estimate(forward, adjoint, charges, physics)
             for tag, estimate in ESTIMATORS.items()}
@@ -278,9 +273,13 @@ def cmd_estimate(args) -> int:
         save_panel_values(mesh, emap.per_panel, out / f"{tag.lower()}_per_panel.csv")
         print(f"{tag}: signed total = {emap.signed_total:.6f} kcal/mol")
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
-    exact = _exact_reference(cp, mesh, charges, physics, config)
+    why = "no reference value; supply [oracle] mode = richardson"
+    try:
+        exact = _exact_reference(cp, mesh, charges, physics, config)
+    except ExtrapolationError as exc:
+        exact, why = None, f"no Richardson reference: {exc}"
     if exact is None:
-        print("gamma_eff: omitted (no reference value; supply [oracle] mode = richardson)")
+        print(f"gamma_eff: omitted ({why})")
     else:
         for tag, emap in maps.items():
             gamma = effectivity(emap.signed_total, energy.dG_solv, exact)

@@ -102,11 +102,30 @@ def uniform_loop(
     return _refinement_loop(mesh0, charges, physics, config, estimate=False)
 
 
-def _log_reuse(it: int, space: str, cache: SystemCache) -> None:
-    logger.debug(
-        "iteration %d %s system: %d rows and %d columns reused, %d rows and %d columns computed",
-        it, space, *cache.reused, *cache.computed,
-    )
+def _log_reuse(it: int, space: str, caches: dict) -> None:
+    if space in caches:
+        logger.debug(
+            "iteration %d %s system: %d rows and %d columns reused, %d rows and %d columns "
+            "computed", it, space, *caches[space].reused, *caches[space].computed,
+        )
+
+
+def solve_iteration(mesh, charges, physics, config: AdaptiveConfig, adjoint: bool,
+                    caches=None, it: int = 0):
+    """(forward, energy, adjoint) on ``mesh`` under ``config``; the adjoint is
+    solved only with ``adjoint``, and None otherwise. ``caches`` maps "P0"
+    and "P1" to a ``SystemCache``, whose reuse is logged for iteration ``it``."""
+    caches = caches or {}
+    forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol,
+                            cache=caches.get("P0"))
+    _log_reuse(it, "P0", caches)
+    energy = solvation_energy(forward, charges, physics)
+    if not adjoint:
+        return forward, energy, None
+    dual = solve_adjoint(mesh, physics, charges, config.adjoint_refine_levels,
+                         config.background_mesh, config.gmres_tol, cache=caches.get("P1"))
+    _log_reuse(it, "P1", caches)
+    return forward, energy, dual
 
 
 def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: bool):
@@ -126,22 +145,10 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
         try:
             if it:
                 mesh = refine(mesh, marked, snap_to)
-            forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol,
-                                    cache=caches["P0"])
-            _log_reuse(it, "P0", caches["P0"])
-            energy = solvation_energy(forward, charges, physics)
+            forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, estimate,
+                                                       caches, it)
             emap, marked = None, range(mesh.n_panels)
             if estimate:
-                adjoint = solve_adjoint(
-                    mesh,
-                    physics,
-                    charges,
-                    refine_levels=config.adjoint_refine_levels,
-                    background=config.background_mesh,
-                    gmres_tol=config.gmres_tol,
-                    cache=caches["P1"],
-                )
-                _log_reuse(it, "P1", caches["P1"])
                 emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
                 marked = mark_elements(emap.per_panel, config.marking_fraction)
         except PbAdaptError as exc:

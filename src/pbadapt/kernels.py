@@ -257,14 +257,10 @@ def kernel_row_blocks(
     groups = [batches[i:i + size] for i in range(0, len(batches), size)]
     head = (xq, xx, xn, normals)
     if graded:  # the batches evaluate E4's points, the first of GAUSS7's
-        nh, nt = E4.n_points, nq - E4.n_points
+        nh = E4.n_points
         head = (np.ascontiguousarray(xq[:, : nh * T]), xx[: nh * T], xn[:nh], normals)
         w_head, w_tail = np.ascontiguousarray(wt[:, :nh]), np.ascontiguousarray(wt[:, nh:])
         wt = np.ascontiguousarray((E4.weights[:, None] * shape.reshape(nq, -1)[:nh]).T)
-        # per panel, for one gather: the other points coordinate by coordinate,
-        # their squared norms and normal products, and the normal
-        table = np.ascontiguousarray(np.vstack([xq.reshape(3, nq, T)[:, nh:].reshape(3 * nt, T),
-                                                xx.reshape(nq, T)[nh:], xn[nh:], normals.T]).T)
         cx, cy, cz = np.ascontiguousarray(mesh.centroids[sel].T)
         reach = FAR_FACTOR * mesh.diameters[sel]
         reach2 = reach * reach
@@ -307,10 +303,9 @@ def kernel_row_blocks(
         if graded and len(c):  # ... and at its other points
             at = np.minimum(np.searchsorted(c, pb), len(c) - 1)
             hit = c[at] == pb
-            g = np.take(table, c, axis=0).T
-            tail = _batch_kernels(tg, g[: 3 * nt].reshape(3, -1), g[3 * nt: 4 * nt].ravel(),
-                                  g[4 * nt: 5 * nt], g[5 * nt:].T, kappa, yukawa,
-                                  (rb[hit], at[hit]))
+            tail = _batch_kernels(tg, xq.reshape(3, nq, T)[:, nh:, c].reshape(3, -1),
+                                  xx.reshape(nq, T)[nh:, c].ravel(), xn[nh:, c], normals[c],
+                                  kappa, yukawa, (rb[hit], at[hit]))
             full += np.matmul(w_tail, tail)
             flat = part.reshape(-1, T)
             mixed = np.take(flat, c, axis=1)
@@ -365,9 +360,9 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
-    shape, _, _ = basis_tables(mesh, rule, shape_functions)
-    out = [np.zeros((len(panels),) + shape.shape[1:]) for _ in range(n_kernels)]
     used, slot = np.unique(panels, return_inverse=True)
+    shape, _, _ = basis_tables(mesh, rule, shape_functions, used)
+    out = [np.zeros((len(panels),) + shape.shape[1:]) for _ in range(n_kernels)]
     xq_used = panel_quad_points(mesh, rule, used)
     wl = np.einsum("q,q...->q...", rule.weights, shape)
 
@@ -381,20 +376,12 @@ def _pair_quadrature(points, mesh: SurfaceMesh, panels, rule, shape_functions, n
     return out
 
 
-def kernel_pair_entries(
-    points,
-    mesh: SurfaceMesh,
-    panels,
-    rule: QuadratureRule,
-    kappa: float,
-    yukawa: bool = True,
-    shape_functions: bool = False,
-):
+def kernel_pair_entries(points, mesh: SurfaceMesh, panels, rule: QuadratureRule, kappa: float,
+                        shape_functions: bool = False):
     """Panel integrals for explicit (target point, panel) pairs.
 
     Returns (VL, KL, VY, KY) with shape (P,) or (P, 3) when integrating
-    against the linear shape functions; VY and KY are None without
-    ``yukawa``. The target must not lie on the panel.
+    against the linear shape functions. The target must not lie on the panel.
     """
 
     def layers(d, pid):
@@ -402,15 +389,10 @@ def kernel_pair_entries(
         dotn = np.einsum("pqx,px->pq", d, mesh.normals[pid])
         gl = 1.0 / (FOUR_PI * r)
         klk = dotn * gl / (r * r)
-        if not yukawa:
-            return gl, klk
         ex = np.exp(-kappa * r)
         return gl, klk, gl * ex, klk * (1.0 + kappa * r) * ex
 
-    vals = _pair_quadrature(
-        points, mesh, panels, rule, shape_functions, 4 if yukawa else 2, layers
-    )
-    return tuple(vals) if yukawa else (*vals, None, None)
+    return tuple(_pair_quadrature(points, mesh, panels, rule, shape_functions, 4, layers))
 
 
 def _yukawa_remainder(mesh: SurfaceMesh, kappa: float):
@@ -534,17 +516,11 @@ def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.nd
     return near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
 
 
-def yukawa_regular_part(
-    points,
-    mesh: SurfaceMesh,
-    panels,
-    kappa: float,
-    rule: QuadratureRule = SMOOTH_RULE,
-    shape_functions: bool = False,
-):
+def yukawa_regular_part(points, mesh: SurfaceMesh, panels, kappa: float,
+                        rule: QuadratureRule = SMOOTH_RULE):
     """Integrals of (exp(-kappa*r) - 1) / (4*pi*r), the bounded Yukawa remainder.
 
     Adding this to the Laplace self integral gives the Yukawa self integral.
     """
-    return _pair_quadrature(points, mesh, panels, rule, shape_functions, 2,
+    return _pair_quadrature(points, mesh, panels, rule, False, 2,
                             _yukawa_remainder(mesh, kappa))[0]

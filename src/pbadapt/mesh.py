@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import MeshInvariantError, ParseError, UsageError
-from .sweep import chunks, run_parallel
+from .sweep import sweep
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +144,7 @@ class SurfaceMesh:
 
     @cached_property
     def signed_volume(self) -> float:
-        p = self.corners
-        return float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2]))) / 6.0
+        return _signed_volume(self.corners)
 
     @cached_property
     def mean_edge_length(self) -> float:
@@ -185,6 +184,12 @@ class MarkedSet:
         bad = self.refine4 & {t for t, _ in self.bisect}
         if bad:
             raise MeshInvariantError(f"triangles both 4-split and bisected: {sorted(bad)}")
+
+
+def _signed_volume(p: np.ndarray) -> float:
+    """Volume enclosed by triangles with (T, 3, 3) corners ``p``, positive
+    when their normals point outward."""
+    return float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2]))) / 6.0
 
 
 def _edge_keys(triangles: np.ndarray, n_vertices: int):
@@ -279,9 +284,7 @@ def load_msms(vert_path, face_path) -> SurfaceMesh:
         raise ParseError(face_path, 0, "no faces")
     v = np.array(verts)
     t = np.array(faces, dtype=np.int64)
-    p = v[t]
-    volume = np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) / 6.0
-    if volume < 0.0:
+    if _signed_volume(v[t]) < 0.0:
         logger.info("flipping globally inverted surface from %s", face_path)
         t = t[:, ::-1]
     return SurfaceMesh(v, t)
@@ -471,29 +474,23 @@ def refine_conforming(
     coords[first + snap] = targets[nearest[snap]]
     collisions = int(np.count_nonzero(spot[first:] < 0))
 
-    # Corner slots of the new vertices, by vertex and then by triangle.
-    corners = tris.ravel()
-    slots = np.argsort(corners, kind="stable")
+    # Corner slots of the new vertices, by vertex and then by the vertex that
+    # follows it in its triangle. On a closed mesh each neighbour of v follows
+    # v in exactly one triangle, so every ring comes out in ascending order.
+    corners, follow = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    slots = np.lexsort((follow, corners))
     slots = slots[np.searchsorted(corners[slots], first):]
     bounds = np.searchsorted(corners[slots], np.arange(first, len(coords) + 1))
-    stars = [tris[slots[lo:hi] // 3] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    # A ring is summed in the iteration order of a set filled triangle by
-    # triangle. The order of that sum decides exact ties between equidistant
-    # background vertices, which symmetric meshes produce.
-    rings = []
-    for v, star in enumerate(stars, start=first):
-        ring: set[int] = set()
-        for tri in star.tolist():
-            ring.update(tri)
-            ring.discard(v)
-        rings.append(list(ring))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    stars = [tris[slots[lo:hi] // 3] for lo, hi in spans]
+    rings = [follow[slots[lo:hi]] for lo, hi in spans]
     # A vertex's decision reads only its star's coordinates and the owner of
     # the background vertex it queried. It is evaluated again only when a
     # vertex of its ring moved or that background vertex was freed: a claim
     # by another vertex cannot turn a stay into a move, and a vertex that
     # just moved would stay. Any other evaluation would repeat a decision
     # that left the vertex where it is.
-    new_rings = [[u - first for u in ring if u >= first] for ring in rings]
+    new_rings = [ring[ring >= first] - first for ring in rings]
     dirty = np.ones(len(stars), dtype=bool)
     queried = np.full(len(stars), -1)
     for _ in range(smoothing_passes):
@@ -575,22 +572,12 @@ def half_solid_angles(rel, lens) -> np.ndarray:
 def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     """Fraction of the full solid angle each point sees (1 inside, 0 outside).
 
-    Sums ``half_solid_angles`` over the panels for chunks of points. The
-    offsets are (points, panels) arrays, one per corner and coordinate, so
-    the inner loops run over the panels.
+    Sums ``half_solid_angles`` over the panels of ``sweep.sweep``'s offsets,
+    so the inner loops run over the panels.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(points))
-    corners = np.ascontiguousarray(mesh.corners.transpose(1, 2, 0))  # (corner, coordinate, panel)
-
-    def run(sl):
-        p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
-        rel = [[corners[k, i] - p[i] for i in range(3)] for k in range(3)]
-        lens = [np.sqrt(x * x + z * z + y * y) for x, y, z in rel]
-        out[sl] = half_solid_angles(rel, lens).sum(axis=1)
-
-    run_parallel(run, chunks(len(points), mesh.n_panels))
-    return out / (2.0 * np.pi)
+    (half,) = sweep(points, mesh.corners.transpose(1, 2, 0),  # (corner, coordinate, panel)
+                    lambda rel, lens: (half_solid_angles(rel, lens).sum(axis=1),), ())
+    return half / (2.0 * np.pi)
 
 
 def points_inside(mesh: SurfaceMesh, points) -> np.ndarray:

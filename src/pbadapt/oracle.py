@@ -115,7 +115,8 @@ def richardson(values) -> tuple[float, float]:
     """Extrapolate three energies from meshes refined by a factor 4 in count.
 
     Returns (extrapolated value, observed order p); assumes first-order
-    convergence in 1/N so consecutive differences shrink by 4**p.
+    convergence in 1/N so consecutive differences shrink by 4**p. A history
+    whose differences do not shrink (p <= 0) has no limit to extrapolate to.
     """
     values = [float(v) for v in values]
     if len(values) != 3 or not np.all(np.isfinite(values)):
@@ -126,6 +127,8 @@ def richardson(values) -> tuple[float, float]:
         raise ExtrapolationError("consecutive values are equal; order undefined")
     if d1 * d2 < 0.0:
         raise ExtrapolationError("non-monotone sequence; order undefined")
+    if abs(d2) >= abs(d1):
+        raise ExtrapolationError("differences do not shrink; order <= 0")
     p = np.log(d1 / d2) / np.log(4.0)
     return float(f3 + d2 / (4.0**p - 1.0)), float(p)
 

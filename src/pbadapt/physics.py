@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
 from .mesh import SurfaceMesh, points_inside
-from .sweep import chunks, run_parallel
+from .sweep import sweep
 
 if TYPE_CHECKING:
     from .solver import PanelSolution
@@ -98,27 +98,17 @@ class EnergyResult:
 
 
 def _sweep(charges: ChargeSet, points, evaluate, *shapes) -> list[np.ndarray]:
-    """Arrays of trailing ``shapes`` that ``evaluate(d, r)`` fills chunk by chunk.
+    """``sweep.sweep`` over the charges: ``evaluate(d, r)`` takes a chunk's
+    offsets charge minus point and their lengths. A point on a charge raises
+    SingularityError."""
 
-    ``d`` holds a chunk's offsets point minus charge, one (m, N) array per
-    coordinate, and ``r`` their lengths; every sum runs over one point's
-    charges, a row.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = [np.empty((len(points),) + shape) for shape in shapes]
-    sources = np.ascontiguousarray(charges.positions.T)    # (coordinate, charge)
-
-    def run(sl):
-        p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
-        dx, dy, dz = d = [p[i] - sources[i] for i in range(3)]
-        r = np.sqrt(dx * dx + dz * dz + dy * dy)  # x + z + y, as numpy's einsum sums xyz
+    def checked(rel, lens):
+        (d,), (r,) = rel, lens
         if np.any(r < CHARGE_CLEARANCE):
             raise SingularityError("evaluation point coincides with a charge")
-        for o, value in zip(out, evaluate(d, r)):
-            o[sl] = value
+        return evaluate(d, r)
 
-    run_parallel(run, chunks(len(points), len(charges)))
-    return out
+    return sweep(points, charges.positions.T[None], checked, *shapes)
 
 
 def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
@@ -127,7 +117,7 @@ def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
 
 def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
     w = charges.charges[None, :] / (kernels.FOUR_PI * (r * r * r))
-    g = -np.stack([(w * di).sum(axis=1) for di in d], axis=1)
+    g = np.stack([(w * di).sum(axis=1) for di in d], axis=1)
     return g / physics.eps_m
 
 

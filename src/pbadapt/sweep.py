@@ -28,6 +28,30 @@ def chunks(n: int, per_item, budget=None) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
+def sweep(points, sources, evaluate, *shapes) -> list[np.ndarray]:
+    """Arrays of trailing ``shapes``, one row per point, that ``evaluate(rel, lens)``
+    fills chunk by chunk on the pool.
+
+    For a chunk of m of the (P, 3) ``points``, ``rel[k][i]`` is coordinate i
+    of corner k of the (corner, coordinate, n) ``sources`` minus the points,
+    an (m, n) array, so each point's sum is a row, and ``lens[k]`` its
+    lengths, summed x + z + y as numpy's einsum sums a length-3 axis.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    sources = np.ascontiguousarray(sources)
+    out = [np.empty((len(points),) + shape) for shape in shapes]
+
+    def run(sl):
+        p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
+        rel = [[corner[i] - p[i] for i in range(3)] for corner in sources]
+        lens = [np.sqrt(x * x + z * z + y * y) for x, y, z in rel]
+        for o, value in zip(out, evaluate(rel, lens)):
+            o[sl] = value
+
+    run_parallel(run, chunks(len(points), sources.shape[-1]))
+    return out
+
+
 def runs(dst, src) -> list[tuple[slice, slice]]:
     """(dst, src) slice pairs over the maximal stretches where both indices step by one."""
     if len(dst) == 0:

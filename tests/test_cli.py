@@ -176,12 +176,38 @@ def test_estimate_molecular_mesh_omits_gamma(tmp_path, capsys):
     code = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o"), "--adjoint-levels", "0"])
     assert code == EXIT_OK
     assert "omitted" in capsys.readouterr().out
-    # with a three-level uniform history the extrapolated reference kicks in
+    # the tetrahedron's 4/16/64-panel history does not converge (differences
+    # 0.71, then 4.22 kcal/mol), so no extrapolated reference can be formed
     with open(cfg, "a") as fh:
         fh.write("\n[oracle]\nmode = richardson\n")
     code = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o2"), "--adjoint-levels", "0"])
     assert code == EXIT_OK
-    assert "gamma_eff[Eu]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gamma_eff: omitted (no Richardson reference: differences do not shrink" in out
+    assert "gamma_eff[" not in out
+
+
+def test_estimate_molecular_mesh_with_converging_history_reports_gamma(tmp_path, capsys):
+    # an MSMS copy of a level-1 icosphere: its 80/320/1,280-panel history
+    # converges (differences 0.292, then 0.046 kcal/mol; order 1.34)
+    sphere = pa.icosphere(1.0, 1)
+    vert = tmp_path / "m.vert"
+    face = tmp_path / "m.face"
+    vert.write_text(f"# v\n#\n{sphere.n_vertices} 1\n"
+                    + "".join(f"{x!r} {y!r} {z!r} 0 0 1\n" for x, y, z in sphere.vertices.tolist()))
+    face.write_text(f"# f\n#\n{sphere.n_panels} 1\n"
+                    + "".join(f"{a+1} {b+1} {c+1}\n" for a, b, c in sphere.triangles))
+    cfg = write_config(
+        tmp_path / "m.ini",
+        f"[mesh]\ntype = msms\nvert = {vert}\nface = {face}\n\n"
+        "[charges]\ninline = 1.0  0.1 0.1 0.1\n\n"
+        "[physics]\neps_m = 4.0\neps_w = 80.0\nkappa = 0.125\n\n"
+        "[oracle]\nmode = richardson\n",
+    )
+    code = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o"), "--adjoint-levels", "0"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "gamma_eff[Eu]" in out and "gamma_eff[Ephi]" in out and "omitted" not in out
 
 
 def test_adapt_run_directory(tmp_path, capsys):
@@ -232,6 +258,17 @@ def test_oracle_kirkwood_and_richardson(tmp_path, capsys):
     assert main(["oracle", "--config", rich]) == EXIT_OK
     out = capsys.readouterr().out
     assert "-5.0" in out and "order 1.0000" in out
+
+
+@pytest.mark.parametrize("values", ["1 2 3", "1 2 4"])
+def test_oracle_values_that_do_not_converge_are_config_error(tmp_path, capsys, values):
+    cfg = write_config(
+        tmp_path / "r.ini", f"[oracle]\nvalues = {values}\n\n[charges]\ninline = 1 0 0 0\n"
+    )
+    assert main(["oracle", "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: bad [oracle] values: differences do not shrink" in captured.err
+    assert captured.out == ""
 
 
 def test_unconverged_oracle_series_is_internal_error(tmp_path, capsys):

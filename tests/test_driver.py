@@ -225,3 +225,38 @@ def test_estimator_table_is_the_estimator_modules():
     assert list(estimator.ESTIMATORS) == ["Ephi", "Eu"]
     with pytest.raises(UsageError, match="unknown estimator"):
         pa.AdaptiveConfig(estimator_tag="Emagic")
+
+
+def _assert_same_solution(got, want):
+    assert got.space == want.space and got.gmres_iters == want.gmres_iters
+    assert np.array_equal(got.mesh_ref.vertices, want.mesh_ref.vertices)
+    assert np.array_equal(got.mesh_ref.triangles, want.mesh_ref.triangles)
+    assert np.array_equal(got.u_trace, want.u_trace)
+    assert np.array_equal(got.dudn_trace, want.dudn_trace)
+
+
+def test_solve_iteration_matches_the_solvers_called_with_the_config(case, monkeypatch):
+    mesh, background = pa.icosphere(1.0, 1), pa.icosphere(1.0, 3)
+    config = small_config(refinement_mode="conforming", adjoint_refine_levels=1,
+                          background_mesh=background, gmres_tol=1e-9)
+    charges, physics = case.charges, case.physics
+    forward, energy, adjoint = driver_mod.solve_iteration(mesh, charges, physics, config, True)
+    want = pa.solve_forward(mesh, physics, charges, gmres_tol=1e-9)
+    _assert_same_solution(forward, want)
+    want_energy = pa.solvation_energy(want, charges, physics)
+    assert energy.dG_solv == want_energy.dG_solv
+    assert np.array_equal(energy.per_charge, want_energy.per_charge)
+    want = pa.solve_adjoint(mesh, physics, charges, refine_levels=1, background=background,
+                            gmres_tol=1e-9)
+    _assert_same_solution(adjoint, want)
+    assert adjoint.mesh_ref.n_panels == 4 * mesh.n_panels  # one conforming 4-split level
+    assert np.array_equal(adjoint.mesh_ref.parent_map, want.mesh_ref.parent_map)
+
+    def no_adjoint(*args, **kwargs):
+        raise AssertionError("solve_adjoint called")
+
+    monkeypatch.setattr(driver_mod, "solve_adjoint", no_adjoint)
+    forward, energy, adjoint = driver_mod.solve_iteration(mesh, charges, physics, config, False)
+    assert adjoint is None
+    _assert_same_solution(forward, pa.solve_forward(mesh, physics, charges, gmres_tol=1e-9))
+    assert energy.dG_solv == want_energy.dG_solv

@@ -660,7 +660,7 @@ def snap_reference(mesh, plan, background, passes=3):
     for _ in range(passes):
         for v in new:
             old = coords[v].copy()
-            b = int(tree.query(coords[list(ring[v])].mean(axis=0))[1])
+            b = int(tree.query(coords[sorted(ring[v])].mean(axis=0))[1])
             if used.get(b, v) != v or np.linalg.norm(targets[b] - old) <= mesh_mod.DUPLICATE_TOL:
                 continue
             coords[v] = targets[b]

@@ -138,6 +138,14 @@ def test_richardson_degenerate_sequences():
         pa.richardson([1.0, 2.0])
 
 
+@pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]], ids=["order-0", "order-neg"])
+def test_richardson_refuses_a_history_that_does_not_converge(values):
+    # order 0 would divide by 4**0 - 1 = 0; a negative order extrapolates
+    # away from the values
+    with pytest.raises(ExtrapolationError, match="do not shrink"):
+        pa.richardson(values)
+
+
 @pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [np.inf, 2.0, 3.0], [1.0, 2.0, -np.inf]])
 def test_richardson_rejects_non_finite_values(values):
     with pytest.raises(UsageError, match="finite"):
