@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .estimator import ESTIMATORS, effectivity
-from .mesh import SurfaceMesh, icosphere, load_msms, save_panel_values
+from .mesh import SurfaceMesh, icosphere, load_msms, refine, save_panel_values
 from .oracle import SphereCase, kirkwood_energy, richardson
 from .physics import BiePhysics, ChargeSet, load_pqr
 
@@ -87,8 +87,8 @@ def _read_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     _check_keys(cp)
     return cp
@@ -227,14 +227,15 @@ def _kirkwood_reference(cp, charges, physics) -> float:
     return kirkwood_energy(case)
 
 
-def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
+def _exact_reference(cp, mesh, charges, physics, config, energy) -> float | None:
     """Reference energy for effectivity ratios.
 
     Analytic spheres use the multipole series; any mesh can opt into a
     Richardson-extrapolated value from a three-level uniform refinement
-    history ([oracle] mode = richardson). Returns None when no reference is
-    available, and raises ExtrapolationError when that history does not
-    converge.
+    history ([oracle] mode = richardson). Its first level is ``energy``,
+    already solved on ``mesh``; the uniform loop adds the other two. Returns
+    None when no reference is available, and raises ExtrapolationError when
+    that history does not converge.
     """
     mode = cp["oracle"].get("mode") if "oracle" in cp else None
     if mode is None:
@@ -244,9 +245,10 @@ def _exact_reference(cp, mesh, charges, physics, config) -> float | None:
     if mode == "kirkwood":
         return _kirkwood_reference(cp, charges, physics)
     if mode == "richardson":
-        history = uniform_loop(mesh, charges, physics, levels=3,
-                               background=config.background_mesh, gmres_tol=config.gmres_tol)
-        value, _order = richardson([rec.energy.dG_solv for rec in history])
+        background = config.background_mesh
+        history = uniform_loop(refine(mesh, range(mesh.n_panels), background), charges, physics,
+                               levels=2, background=background, gmres_tol=config.gmres_tol)
+        value, _order = richardson([energy.dG_solv] + [rec.energy.dG_solv for rec in history])
         return value
     raise ConfigError(f"unknown oracle mode {mode!r}")
 
@@ -275,7 +277,7 @@ def cmd_estimate(args) -> int:
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol (N_panels = {mesh.n_panels})")
     why = "no reference value; supply [oracle] mode = richardson"
     try:
-        exact = _exact_reference(cp, mesh, charges, physics, config)
+        exact = _exact_reference(cp, mesh, charges, physics, config, energy)
     except ExtrapolationError as exc:
         exact, why = None, f"no Richardson reference: {exc}"
     if exact is None:

@@ -15,7 +15,9 @@ and the van Oosterom–Strackee solid angle; Yukawa adds a bounded remainder.
 Far pairs use GAUSS7. On a mesh where most pairs lie beyond FAR_FACTOR panel
 diameters (``grades``), those pairs take its nested 4-point subset E4
 instead, graded by distance as in PyGBe (Cooper, Bardhan & Barba, Comput.
-Phys. Commun. 185 (2014) 720).
+Phys. Commun. 185 (2014) 720). The near pairs and the graded pairs within
+FAR_FACTOR diameters come from one search, a cut by a group of targets'
+bounding sphere (``_within_reach``); no spatial tree is built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import weakref
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 from .mesh import SurfaceMesh, half_solid_angles
 from .quadrature import E4, GAUSS7, QuadratureRule, subdivided
@@ -183,6 +184,25 @@ def basis_columns(mesh: SurfaceMesh, shape_functions: bool, panels) -> np.ndarra
     return np.unique(mesh.triangles[panels]) if shape_functions else panels
 
 
+def _within_reach(targets, centroids, reach):
+    """(c, d2): the panels, ascending, whose (3, T) coordinate-major ``centroids``
+    pass the ``targets``' bounding-sphere cut for a per-panel ``reach``, widened
+    for rounding so no pair within reach is lost, and the (targets, c) squared
+    distances, summed x, y, z for each pair alone."""
+    cx, cy, cz = centroids
+    mx, my, mz = targets.mean(axis=0)
+    radius = np.sqrt(((targets - (mx, my, mz)) ** 2).sum(axis=1).max())
+    dist2 = (cx - mx) ** 2
+    dist2 += (cy - my) ** 2
+    dist2 += (cz - mz) ** 2
+    bound = (radius + reach) * (1.0 + 1e-9) + 1e-12 * (abs(mx) + abs(my) + abs(mz))
+    c = np.flatnonzero(dist2 <= bound * bound)
+    d2 = (targets[:, 0, None] - cx[c]) ** 2
+    d2 += (targets[:, 1, None] - cy[c]) ** 2
+    d2 += (targets[:, 2, None] - cz[c]) ** 2
+    return c, d2
+
+
 def kernel_row_blocks(
     targets,
     mesh: SurfaceMesh,
@@ -261,27 +281,8 @@ def kernel_row_blocks(
         head = (np.ascontiguousarray(xq[:, : nh * T]), xx[: nh * T], xn[:nh], normals)
         w_head, w_tail = np.ascontiguousarray(wt[:, :nh]), np.ascontiguousarray(wt[:, nh:])
         wt = np.ascontiguousarray((E4.weights[:, None] * shape.reshape(nq, -1)[:nh]).T)
-        cx, cy, cz = np.ascontiguousarray(mesh.centroids[sel].T)
+        centroids = np.ascontiguousarray(mesh.centroids[sel].T)
         reach = FAR_FACTOR * mesh.diameters[sel]
-        reach2 = reach * reach
-
-    def within_reach(tg):
-        """Panels with a pair within reach of the targets ``tg``, and the
-        (targets, panels) table of those pairs: the squared distance summed
-        x, y, z for each pair alone, after a cut by the targets' bounding sphere."""
-        mx, my, mz = tg.mean(axis=0)
-        radius = np.sqrt(((tg - (mx, my, mz)) ** 2).sum(axis=1).max())
-        dist2 = (cx - mx) ** 2
-        dist2 += (cy - my) ** 2
-        dist2 += (cz - mz) ** 2
-        bound = (radius + reach) * (1.0 + 1e-9) + 1e-12 * (abs(mx) + abs(my) + abs(mz))
-        c = np.flatnonzero(dist2 <= bound * bound)
-        d2 = (tg[:, 0, None] - cx[c]) ** 2
-        d2 += (tg[:, 1, None] - cy[c]) ** 2
-        d2 += (tg[:, 2, None] - cz[c]) ** 2
-        within = d2 <= reach2[c]
-        used = within.any(axis=0)
-        return c[used], within[:, used]
 
     def run(group):
         start, stop = group[0].start, group[-1].stop
@@ -290,7 +291,10 @@ def kernel_row_blocks(
         tg = targets[start:stop]
         part = np.empty((n_kernels, stop - start, s, T))
         if graded:  # GAUSS7 for the pairs within reach: its weights at E4's points here
-            c, within = within_reach(tg)
+            c, d2 = _within_reach(tg, centroids, reach)
+            within = d2 <= reach[c] ** 2
+            used = within.any(axis=0)
+            c, within = c[used], within[:, used]
             full = np.empty((n_kernels, stop - start, s, len(c)))
         for sl in group:
             i, j = sl.start - start, sl.stop - start
@@ -479,29 +483,18 @@ def operator_blocks(
 def near_pairs(points, mesh: SurfaceMesh, panels=None):
     """(target, panel) index pairs with |point - centroid| < NEAR_FACTOR * diameter,
     sorted by target, then panel. With ``panels`` only those panels are
-    tested, and the panel index is the position in ``panels``."""
+    tested, and the panel index is the position in ``panels``. Each row
+    batch's worth of targets takes its candidates from ``_within_reach``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sel = _panel_index(panels)
-    centroids, radius = mesh.centroids[sel], NEAR_FACTOR * mesh.diameters[sel]
-    T = len(radius)
-    if T == 0 or len(points) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    tree = cKDTree(points)
-    # one dual-tree query per group of panels whose radii lie within a factor
-    # sqrt(2); the tree's test is inclusive and rounds its own way, so a
-    # slightly wider ball finds every candidate and the strict test decides
-    group = np.floor(2.0 * np.log2(radius / radius.min())).astype(np.int64)
-    keys = []
-    for g in np.unique(group):
-        members = np.flatnonzero(group == g)
-        found = tree.sparse_distance_matrix(
-            cKDTree(centroids[members]), radius[members].max() * (1.0 + 1e-12),
-            output_type="ndarray",
-        )
-        ti, pj = found["i"].astype(np.int64), members[found["j"]]
-        keep = np.linalg.norm(points[ti] - centroids[pj], axis=1) < radius[pj]
-        keys.append(ti[keep] * T + pj[keep])
-    return np.divmod(np.sort(np.concatenate(keys)), T)
+    centroids = np.ascontiguousarray(mesh.centroids[sel].T)
+    radius = NEAR_FACTOR * mesh.diameters[sel]
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    for sl in chunks(len(points), len(radius), ROW_BATCH_VALUES):
+        c, d2 = _within_reach(points[sl], centroids, radius)
+        ti, at = np.nonzero(np.sqrt(d2) < radius[c])
+        found.append((ti + sl.start, c[at]))
+    return tuple(np.concatenate(k) for k in zip(*found))
 
 
 def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:

@@ -250,12 +250,21 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
 # MSMS I/O
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file ``path``. A directory, a file without
+    read permission or bytes that are not UTF-8 raise a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise ParseError(path, 0, f"cannot read: {exc}") from exc
+
+
 def _msms_rows(path, min_fields, kind, what):
     """Yield (1-based line number, first three fields parsed by ``kind``) per
     data row, skipping '#' comments, blank lines and the counts line;
     ``what`` names the parsed fields in errors."""
-    with open(path) as fh:
-        lines = [(no, line.split()) for no, line in enumerate(fh.read().splitlines(), start=1)]
+    lines = [(no, line.split()) for no, line in enumerate(read_lines(path), start=1)]
     for no, f in [(no, f) for no, f in lines if f and not f[0].startswith("#")][1:]:
         if len(f) < min_fields:
             raise ParseError(path, no, f"expected >= {min_fields} fields, got {len(f)}")
@@ -277,6 +286,8 @@ def load_msms(vert_path, face_path) -> SurfaceMesh:
     for no, idx in _msms_rows(face_path, 3, int, "face index"):
         if min(idx) < 1:
             raise ParseError(face_path, no, "face indices are 1-based; found index < 1")
+        if max(idx) > len(verts):
+            raise ParseError(face_path, no, f"face index {max(idx)} > {len(verts)} vertices")
         faces.append([i - 1 for i in idx])
     if not verts:
         raise ParseError(vert_path, 0, "no vertices")

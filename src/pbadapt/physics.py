@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
-from .mesh import SurfaceMesh, points_inside
+from .mesh import SurfaceMesh, points_inside, read_lines
 from .sweep import sweep
 
 if TYPE_CHECKING:
@@ -189,21 +189,20 @@ def load_pqr(path) -> ChargeSet:
     always x, y, z, charge, radius.
     """
     positions, charges = [], []
-    with open(path) as fh:
-        for no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0] not in ("ATOM", "HETATM"):
-                continue
-            if len(fields) < 10:
-                raise ParseError(path, no, f"expected >= 10 fields, got {len(fields)}")
-            try:
-                x, y, z, q, _radius = (float(v) for v in fields[-5:])
-            except ValueError as exc:
-                raise ParseError(path, no, f"bad numeric field: {exc}") from exc
-            if not np.all(np.isfinite([x, y, z, q])):
-                raise ParseError(path, no, "non-finite coordinate or charge")
-            positions.append([x, y, z])
-            charges.append(q)
+    for no, line in enumerate(read_lines(path), start=1):
+        fields = line.split()
+        if not fields or fields[0] not in ("ATOM", "HETATM"):
+            continue
+        if len(fields) < 10:
+            raise ParseError(path, no, f"expected >= 10 fields, got {len(fields)}")
+        try:
+            x, y, z, q, _radius = (float(v) for v in fields[-5:])
+        except ValueError as exc:
+            raise ParseError(path, no, f"bad numeric field: {exc}") from exc
+        if not np.all(np.isfinite([x, y, z, q])):
+            raise ParseError(path, no, "non-finite coordinate or charge")
+        positions.append([x, y, z])
+        charges.append(q)
     if not charges:
         raise ParseError(path, 0, "no charges")
     return ChargeSet(np.array(positions), np.array(charges))

@@ -84,8 +84,8 @@ class _TopRow:
     ``a @ x``, x = [u, v] of length 2N, applies the bottom row
     [I - T | -ratio R], ratio = eps_m/eps_w, from the two products T u and
     R v; ``len(a)`` is 2N and ``a.nbytes`` the stored bytes. ``np.asarray(a)``
-    and ``a[...]`` build the dense 2N x 2N matrix, which equals the one
-    assembled with every block bit for bit.
+    builds the dense 2N x 2N matrix, which equals the one assembled with
+    every block bit for bit.
     """
 
     def __init__(self, top: np.ndarray, ratio: float):
@@ -114,9 +114,6 @@ class _TopRow:
         idx = np.arange(n)
         a[n + idx, idx] = 1.0 - self.top[idx, idx]
         return a if dtype is None else a.astype(dtype)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
 
 
 class _Held(NamedTuple):

@@ -498,3 +498,85 @@ def test_charge_outside_surface_is_input_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.ini", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "charge 0 lies outside the surface" in capsys.readouterr().err
+
+
+def _write_msms_tetrahedron(tmp_path, faces=None):
+    """A tetrahedron scaled by 3 as MSMS files, and a config that solves on it."""
+    tet = make_tetrahedron()
+    faces = [f"{a+1} {b+1} {c+1}" for a, b, c in tet.triangles] if faces is None else faces
+    vert = tmp_path / "m.vert"
+    face = tmp_path / "m.face"
+    vert.write_text("# v\n#\n4 1\n" + "".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in tet.vertices * 3))
+    face.write_text(f"# f\n#\n{len(faces)} 1\n" + "".join(row + "\n" for row in faces))
+    pqr = tmp_path / "c.pqr"
+    pqr.write_text("ATOM 1 N MET 1 0.7 0.7 0.7 1.0 1.55\n")
+    cfg = write_config(
+        tmp_path / "m.ini",
+        f"[mesh]\ntype = msms\nvert = {vert}\nface = {face}\n\n[charges]\npqr = {pqr}\n",
+    )
+    return cfg, {"vert": vert, "face": face, "pqr": pqr}
+
+
+def test_face_index_past_the_vertices_is_input_error(tmp_path, capsys):
+    cfg, files = _write_msms_tetrahedron(tmp_path, ["1 3 2", "1 2 4", "2 3 9", "2 3 4"])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"input error: {files['face']}:6: face index 9 > 4 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["vert", "face", "pqr"])
+@pytest.mark.parametrize("fault", ["directory", "unreadable", "not utf-8"])
+def test_unreadable_input_file_is_input_error(tmp_path, capsys, monkeypatch, which, fault):
+    import pbadapt.mesh
+
+    cfg, files = _write_msms_tetrahedron(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    path = files[which]
+    if fault == "directory":
+        path.unlink()
+        path.mkdir()
+    elif fault == "unreadable":  # as if its mode denied reading, which root ignores
+        def denied(name, *args, **kwargs):
+            if Path(name) == path:
+                raise PermissionError(13, "Permission denied", str(name))
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(pbadapt.mesh, "open", denied, raising=False)
+    else:
+        path.write_bytes(path.read_bytes().replace(b"1", b"\xff", 1))
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"input error: {path}:0: cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "s.ini"
+    cfg.write_bytes(SPHERE_SMALL.encode() + b"# caf\xe9\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: bad config file" in capsys.readouterr().err
+
+
+def test_estimate_richardson_reuses_the_input_mesh_solve(tmp_path, capsys, monkeypatch):
+    from pbadapt import cli, driver
+
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL + "\n[oracle]\nmode = richardson\n")
+    solved, histories = [], []
+    solve_forward, richardson = driver.solve_forward, cli.richardson
+
+    def record_solve(mesh, *args, **kwargs):
+        solved.append(mesh.n_panels)
+        return solve_forward(mesh, *args, **kwargs)
+
+    def record_history(values):
+        histories.append(list(values))
+        return richardson(values)
+
+    monkeypatch.setattr(driver, "solve_forward", record_solve)
+    monkeypatch.setattr(cli, "richardson", record_history)
+    args = ["estimate", "--config", cfg, "--out", str(tmp_path / "o"), "--adjoint-levels", "0"]
+    assert main(args) == EXIT_OK
+    assert solved == [80, 320, 1280]
+    assert "gamma_eff[Eu]" in capsys.readouterr().out
+    # the history is the three-level uniform loop's, bit for bit, so gamma_eff is unchanged
+    _cp, mesh, charges, physics, _config = _load_run(build_parser().parse_args(args[:3]))
+    uniform = pa.uniform_loop(mesh, charges, physics, levels=3)
+    assert histories == [[rec.energy.dG_solv for rec in uniform]]

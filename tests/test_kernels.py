@@ -413,7 +413,11 @@ def test_near_pairs_match_brute_force_on_uneven_mesh():
     rng = np.random.default_rng(5)
     inner = rng.standard_normal((50, 3))
     inner *= rng.uniform(0.5, 0.99, 50)[:, None] / np.linalg.norm(inner, axis=1)[:, None]
-    for points in (mesh.centroids, mesh.vertices, inner):
+    # shuffled and outside points make target groups that spread over the whole mesh
+    outer = rng.standard_normal((300, 3))
+    outer *= rng.uniform(1.01, 2.0, 300)[:, None] / np.linalg.norm(outer, axis=1)[:, None]
+    shuffled = rng.permutation(mesh.centroids)
+    for points in (mesh.centroids, mesh.vertices, inner, shuffled, outer):
         d = np.linalg.norm(points[:, None, :] - mesh.centroids[None, :, :], axis=-1)
         want = np.nonzero(d < kn.NEAR_FACTOR * mesh.diameters[None, :])
         got = kn.near_pairs(points, mesh)
