@@ -2,9 +2,12 @@
 
 Runs are configured by an INI file with sections [mesh], [charges],
 [physics] and [adapt] (plus an optional [oracle] section); command-line
-flags override file values. Exit codes: 0 ok, 2 configuration, 3 input
-(unparsable, an invalid mesh, a charge outside the surface), 4 solver,
-5 internal.
+flags override file values. Every file is read by ``mesh.read_lines``, so a
+missing, unreadable or non-UTF-8 file raises its ParseError. Exit codes:
+0 ok, 2 configuration (the INI file or its values, a ``--out`` that cannot
+be a directory), 3 input (a data file that cannot be read or parsed, a value
+beyond ``mesh.INPUT_BOUND``, an invalid mesh, a charge outside the surface),
+4 solver, 5 internal.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .estimator import ESTIMATORS, effectivity
-from .mesh import SurfaceMesh, icosphere, load_msms, refine, save_panel_values
+from .mesh import SurfaceMesh, icosphere, load_msms, read_lines, refine, save_panel_values
 from .oracle import SphereCase, kirkwood_energy, richardson
 from .physics import BiePhysics, ChargeSet, load_pqr
 
@@ -83,12 +86,10 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
 def _read_config(path) -> configparser.ConfigParser:
     if path is None:
         raise ConfigError("--config is required")
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
-        cp.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        cp.read_file(read_lines(path), source=str(path))
+    except (ParseError, configparser.Error) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     _check_keys(cp)
     return cp
@@ -107,14 +108,6 @@ def _get(section, key, kind, default=None):
         raise ConfigError(f"bad {kind.__name__} for {key!r}: {raw!r}") from exc
 
 
-def _require_file(path, what):
-    if path is None:
-        raise ConfigError(f"missing {what}")
-    if not Path(path).exists():
-        raise FileNotFoundError(f"{what} not found: {path}")
-    return path
-
-
 def _icosphere(sec, level_key, default_level=None) -> SurfaceMesh:
     try:
         return icosphere(_get(sec, "radius", float, 1.0), _get(sec, level_key, int, default_level))
@@ -130,9 +123,7 @@ def _build_mesh(cp) -> SurfaceMesh:
     if kind == "icosphere":
         return _icosphere(sec, "level", 3)
     if kind == "msms":
-        vert = _require_file(sec.get("vert"), "vert file")
-        face = _require_file(sec.get("face"), "face file")
-        return load_msms(vert, face)
+        return load_msms(_get(sec, "vert", str), _get(sec, "face", str))
     raise ConfigError(f"unknown mesh type {kind!r}")
 
 
@@ -141,10 +132,7 @@ def _build_background(cp) -> SurfaceMesh | None:
     if "background_level" in sec:
         return _icosphere(sec, "background_level")
     if "background_vert" in sec:
-        return load_msms(
-            _require_file(sec.get("background_vert"), "background vert file"),
-            _require_file(sec.get("background_face"), "background face file"),
-        )
+        return load_msms(_get(sec, "background_vert", str), _get(sec, "background_face", str))
     return None
 
 
@@ -153,7 +141,7 @@ def _build_charges(cp) -> ChargeSet:
         raise ConfigError("missing [charges] section")
     sec = cp["charges"]
     if sec.get("pqr"):
-        return load_pqr(_require_file(sec.get("pqr"), "pqr file"))
+        return load_pqr(sec["pqr"])
     inline = sec.get("inline")
     if not inline:
         raise ConfigError("[charges] needs either 'pqr' or 'inline'")
@@ -205,8 +193,12 @@ def _load_run(args):
 
 
 def _out_dir(args) -> Path:
+    """The run directory, made before any solve so a bad ``--out`` costs none."""
     out = Path(args.out or "runs")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
     return out
 
 
@@ -255,20 +247,21 @@ def _exact_reference(cp, mesh, charges, physics, config, energy) -> float | None
 
 def cmd_solve(args) -> int:
     _cp, mesh, charges, physics, config = _load_run(args)
+    out = _out_dir(args)
     history = uniform_loop(mesh, charges, physics, levels=1, gmres_tol=config.gmres_tol)
     energy = history[0].energy
     print(f"dG_solv = {energy.dG_solv:.6f} kcal/mol")
     print(f"N_panels = {mesh.n_panels}")
     print(f"gmres_iters = {energy.diagnostics['gmres_iters']}")
     print(f"gmres_tol = {config.gmres_tol:g}")
-    save_history(history, _out_dir(args))
+    save_history(history, out)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     cp, mesh, charges, physics, config = _load_run(args)
-    forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, adjoint=True)
     out = _out_dir(args)
+    forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, adjoint=True)
     maps = {tag: estimate(forward, adjoint, charges, physics)
             for tag, estimate in ESTIMATORS.items()}
     for tag, emap in maps.items():
@@ -346,13 +339,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PbAdaptError, FileNotFoundError) as exc:
+    except PbAdaptError as exc:
         # an aborted loop exits the way the error that stopped it would
         cause = exc.__cause__ if isinstance(exc, LoopAbortedError) else exc
         for kinds, prefix, code in (
             (ConfigError, "config error", EXIT_CONFIG),
-            ((ParseError, MeshInvariantError, DomainError, FileNotFoundError), "input error",
-             EXIT_INPUT),
+            ((ParseError, MeshInvariantError, DomainError), "input error", EXIT_INPUT),
             (SolverError, "solver error", EXIT_SOLVER),
             (object, "error", EXIT_INTERNAL),
         ):

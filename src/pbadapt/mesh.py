@@ -21,6 +21,7 @@ logger = logging.getLogger(__name__)
 
 DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
+INPUT_BOUND = 1e30      # Å or e; bounds outside input, so products of four lengths stay finite
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class SurfaceMesh:
         v, t = self.vertices, self.triangles
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshInvariantError("vertices must be (V, 3)")
-        if not np.all(np.isfinite(v)):
-            raise MeshInvariantError("non-finite vertex coordinate")
+        if not np.all(np.abs(v) <= INPUT_BOUND):
+            raise MeshInvariantError(f"non-finite vertex coordinate or one beyond {INPUT_BOUND:g}")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshInvariantError("triangles must be (T, 3)")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
@@ -251,19 +252,20 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of the UTF-8 text file ``path``. A directory, a file without
-    read permission or bytes that are not UTF-8 raise a ParseError."""
+    """The lines of the UTF-8 text file ``path``. A missing or unreadable file,
+    a directory or bytes that are not UTF-8 raise a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read().splitlines()
-    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read: {exc}") from exc
 
 
 def _msms_rows(path, min_fields, kind, what):
     """Yield (1-based line number, first three fields parsed by ``kind``) per
     data row, skipping '#' comments, blank lines and the counts line;
-    ``what`` names the parsed fields in errors."""
+    ``what`` names the parsed fields in errors. A value beyond INPUT_BOUND is
+    refused here, before load_msms multiplies it; NaN is left to SurfaceMesh."""
     lines = [(no, line.split()) for no, line in enumerate(read_lines(path), start=1)]
     for no, f in [(no, f) for no, f in lines if f and not f[0].startswith("#")][1:]:
         if len(f) < min_fields:
@@ -272,6 +274,8 @@ def _msms_rows(path, min_fields, kind, what):
             row = [kind(x) for x in f[:3]]
         except ValueError as exc:
             raise ParseError(path, no, f"bad {what}: {exc}") from exc
+        if max(map(abs, row)) > INPUT_BOUND:
+            raise ParseError(path, no, f"{what} beyond {INPUT_BOUND:g}")
         yield no, row
 
 

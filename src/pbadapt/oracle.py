@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import eval_legendre
 
 from .errors import ExtrapolationError, SeriesConvergenceError, UsageError
+from .mesh import INPUT_BOUND
 from .physics import BiePhysics, ChargeSet
 
 MAX_TERMS = 200
@@ -29,8 +30,8 @@ class SphereCase:
     n_terms: int = 50
 
     def __post_init__(self):
-        if not 0 < self.radius < np.inf:
-            raise UsageError("radius must be finite and positive")
+        if not 1 / INPUT_BOUND <= self.radius <= INPUT_BOUND:
+            raise UsageError(f"radius must be finite, in [{1 / INPUT_BOUND:g}, {INPUT_BOUND:g}]")
         if not 1 <= self.n_terms <= MAX_TERMS:
             raise UsageError(f"n_terms must lie in [1, {MAX_TERMS}]")
         if np.linalg.norm(self.charges.positions, axis=1).max() >= self.radius:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ParseError, SingularityError, UsageError
-from .mesh import SurfaceMesh, points_inside, read_lines
+from .mesh import INPUT_BOUND, SurfaceMesh, points_inside, read_lines
 from .sweep import sweep
 
 if TYPE_CHECKING:
@@ -39,8 +39,9 @@ class BiePhysics:
     energy_unit: ClassVar[float] = ENERGY_UNIT
 
     def __post_init__(self):
-        if not (0 < self.eps_m < np.inf and 0 < self.eps_w < np.inf):
-            raise UsageError("permittivities must be finite and positive")
+        if not (1 / INPUT_BOUND <= self.eps_m < np.inf and 0 < self.eps_w < np.inf):
+            raise UsageError("permittivities must be finite and positive, "
+                             f"eps_m >= {1 / INPUT_BOUND:g}")
         if not 0 <= self.kappa < np.inf:
             raise UsageError("kappa must be finite and >= 0")
 
@@ -61,8 +62,8 @@ class ChargeSet:
             raise UsageError("charges must match positions")
         if len(q) < 1:
             raise UsageError("at least one charge required")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(q))):
-            raise UsageError("charge positions and values must be finite")
+        if not (np.all(np.abs(pos) <= INPUT_BOUND) and np.all(np.abs(q) <= INPUT_BOUND)):
+            raise UsageError(f"charge positions and values must be finite, within {INPUT_BOUND:g}")
         pos.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -199,8 +200,9 @@ def load_pqr(path) -> ChargeSet:
             x, y, z, q, _radius = (float(v) for v in fields[-5:])
         except ValueError as exc:
             raise ParseError(path, no, f"bad numeric field: {exc}") from exc
-        if not np.all(np.isfinite([x, y, z, q])):
-            raise ParseError(path, no, "non-finite coordinate or charge")
+        if not np.all(np.abs([x, y, z, q]) <= INPUT_BOUND):
+            raise ParseError(path, no, "non-finite coordinate or charge, or one beyond "
+                             f"{INPUT_BOUND:g}")
         positions.append([x, y, z])
         charges.append(q)
     if not charges:

@@ -1,3 +1,4 @@
+import random
 import re
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def test_bad_settings_are_config_errors(tmp_path, capsys, command, text, flags):
 
 def test_unreachable_tolerance_is_solver_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
-    code = main(["solve", "--config", cfg, "--gmres-tol", "1e-30"])
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--gmres-tol", "1e-30"])
     assert code == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
 
@@ -128,7 +129,7 @@ def test_system_too_large_for_memory_is_solver_error(tmp_path, capsys, monkeypat
 
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     monkeypatch.setattr(solver, "_memory_budget", lambda: 0)
-    assert main(["solve", "--config", cfg]) == EXIT_SOLVER
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
     assert "needs" in capsys.readouterr().err
 
 
@@ -294,7 +295,7 @@ def test_born_config_oracle_closed_form(tmp_path, capsys):
     assert value == pytest.approx(pa.born_energy(1.0, 1.0, phys), rel=1e-10)
 
 
-@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1", "1e300"])
 def test_bad_oracle_radius_is_config_error(tmp_path, capsys, radius):
     cfg = write_config(tmp_path / "o.ini", f"[mesh]\nradius = {radius}\n\n"
                        "[charges]\ninline = 1.0  0.0 0.0 0.5\n")
@@ -450,6 +451,10 @@ def test_non_finite_vertex_is_input_error(tmp_path, capsys):
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "input error: non-finite vertex coordinate" in capsys.readouterr().err
+    coords[1, 0] = 1e155  # its squares overflow the duplicate check's k-d tree
+    vert.write_text("# v\n#\n4 1\n" + "".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in coords))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"input error: {vert}:5: vertex coordinate beyond 1e+30" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate", "solve", "adapt"])
@@ -474,8 +479,9 @@ def test_msms_mesh_with_unused_vertex_is_input_error(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "old, new",
     [("radius = 1.0", "radius = nan"), ("inline = 1.0  0.0 0.0 0.5", "inline = nan 0 0 0"),
-     ("inline = 1.0  0.0 0.0 0.5", "inline = 1.0  0.0 inf 0.5")],
-    ids=["radius", "charge", "position"],
+     ("inline = 1.0  0.0 0.0 0.5", "inline = 1.0  0.0 inf 0.5"),
+     ("inline = 1.0  0.0 0.0 0.5", "inline = 1e300  0.0 0.0 0.5"), ("eps_m = 4.0", "eps_m = 1e-300")],
+    ids=["radius", "charge", "position", "charge-1e300", "eps_m-1e-300"],
 )
 def test_non_finite_setting_is_config_error(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL.replace(old, new))
@@ -485,11 +491,12 @@ def test_non_finite_setting_is_config_error(tmp_path, capsys, old, new):
 
 def test_non_finite_pqr_charge_is_input_error(tmp_path, capsys):
     pqr = tmp_path / "c.pqr"
-    pqr.write_text("ATOM 1 N MET 1 0.0 0.0 0.5 nan 1.55\n")
     text = SPHERE_SMALL.replace("inline = 1.0  0.0 0.0 0.5", f"pqr = {pqr}")
     cfg = write_config(tmp_path / "c.ini", text)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
-    assert f"input error: {pqr}:1: non-finite" in capsys.readouterr().err
+    for row in ("0.0 0.0 0.5 nan", "0.0 0.0 0.5 1e300", "1e300 0.0 0.5 1.0"):
+        pqr.write_text(f"ATOM 1 N MET 1 {row} 1.55\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert f"input error: {pqr}:1: non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "estimate", "adapt"])
@@ -580,3 +587,99 @@ def test_estimate_richardson_reuses_the_input_mesh_solve(tmp_path, capsys, monke
     _cp, mesh, charges, physics, _config = _load_run(build_parser().parse_args(args[:3]))
     uniform = pa.uniform_loop(mesh, charges, physics, levels=3)
     assert histories == [[rec.energy.dG_solv for rec in uniform]]
+
+
+@pytest.mark.parametrize("fault, cause", [("missing", "No such file"), ("directory", "Is a directory"),
+                                          ("unreadable", "Permission denied")])
+def test_unreadable_config_is_config_error(tmp_path, capsys, monkeypatch, fault, cause):
+    import pbadapt.mesh
+
+    cfg = tmp_path / "s.ini"
+    if fault == "directory":
+        cfg.mkdir()
+    elif fault == "unreadable":  # read through the data files' reader, as if its mode denied it
+        cfg.write_text(SPHERE_SMALL)
+
+        def denied(name, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(name))
+
+        monkeypatch.setattr(pbadapt.mesh, "open", denied, raising=False)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: bad config file {cfg}: {cfg}:0: cannot read" in err and cause in err
+
+
+@pytest.mark.parametrize("command", ["solve", "estimate", "adapt"])
+def test_out_at_a_file_is_config_error_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    from pbadapt import driver
+
+    solved = []
+    monkeypatch.setattr(driver, "solve_forward", lambda *args, **kwargs: solved.append(args))
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([command, "--config", cfg, "--out", str(out), "--adjoint-levels", "0"]) == EXIT_CONFIG
+    assert f"config error: --out {out}:" in capsys.readouterr().err
+    assert solved == []
+
+
+FUZZ_TOKENS = ["x", "", "nan", "inf", "-1", "0", "1e300", "-1e300", "1e-300"]
+
+
+def _mutate(rng, path):
+    """Apply one random edit to ``path``: a line deleted, duplicated or cut
+    short, a token deleted or replaced, or a byte that is not UTF-8 inserted.
+    Returns the edit's name."""
+    kind = rng.choice(["delete line", "duplicate line", "truncate line", "delete token",
+                       "replace token", "non-utf-8 byte"])
+    if kind == "non-utf-8 byte":
+        data = path.read_bytes()
+        at = rng.randrange(len(data) + 1)
+        path.write_bytes(data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:])
+        return kind
+    lines = path.read_text().splitlines()
+    i = rng.randrange(len(lines))
+    if kind == "delete line":
+        del lines[i]
+    elif kind == "duplicate line":
+        lines.insert(i, lines[i])
+    elif kind == "truncate line":
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    else:
+        i = rng.choice([j for j, line in enumerate(lines) if line.split()])
+        tokens = lines[i].split()
+        at = rng.randrange(len(tokens))
+        if kind == "delete token":
+            del tokens[at]
+        else:
+            tokens[at] = rng.choice(FUZZ_TOKENS + " ".join(lines).split())
+        lines[i] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    return kind
+
+
+def test_mutated_input_files_exit_cleanly(tmp_path):
+    # a seeded fuzzer: one edit to one of the four input files of an MSMS
+    # solve may make the run fail, but only as a configuration or input error
+    sphere = pa.icosphere(1.0, 1)
+    vert, face, pqr, ini = (tmp_path / name for name in ("m.vert", "m.face", "c.pqr", "m.ini"))
+    texts = {
+        vert: f"# v\n#\n{sphere.n_vertices} 1\n" + "".join(
+            f"{x!r} {y!r} {z!r} {x!r} {y!r} {z!r}\n" for x, y, z in sphere.vertices.tolist()),
+        face: f"# f\n#\n{sphere.n_panels} 1\n" + "".join(
+            f"{a+1} {b+1} {c+1} 1 1\n" for a, b, c in sphere.triangles),
+        pqr: "ATOM 1 N MET 1 0.0 0.0 0.5 1.0 1.55\nATOM 2 CA MET 1 0.3 0.0 -0.4 -0.5 1.7\n",
+        ini: f"[mesh]\ntype = msms\nvert = {vert}\nface = {face}\n\n[charges]\npqr = {pqr}\n\n"
+             "[physics]\neps_m = 4.0\neps_w = 80.0\nkappa = 0.125\n",
+    }
+    rng = random.Random(0)
+    for case in range(500):
+        for path, text in texts.items():
+            path.write_text(text)
+        path = rng.choice(list(texts))
+        edit = f"case {case}: {_mutate(rng, path)} in {path.name}"
+        try:
+            code = main(["solve", "--config", str(ini), "--out", str(tmp_path / "o")])
+        except Exception as exc:
+            pytest.fail(f"{edit}: {exc!r}")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT), edit

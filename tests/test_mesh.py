@@ -244,6 +244,13 @@ def test_load_msms_bad_line_reports_number(tmp_path):
     with pytest.raises(ParseError) as err:
         pa.load_msms(vert, face)
     assert err.value.line_no == 5
+    # a coordinate that would overflow the orientation test's products
+    for value in ("inf", "1e155"):
+        body[4] = f"0.0 {value} 0.0 0.0 0.0 1.0"
+        vert.write_text("\n".join(body) + "\n")
+        with pytest.raises(ParseError, match="vertex coordinate beyond 1e\\+30") as err:
+            pa.load_msms(vert, face)
+        assert err.value.line_no == 5
 
 
 def test_load_msms_short_face_row_reports_number(tmp_path):
@@ -268,7 +275,7 @@ def test_load_msms_skips_comment_after_counts_line(tmp_path):
     assert np.array_equal(got.triangles, want.triangles)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e155], ids=["nan", "inf", "huge"])
 def test_non_finite_vertex_rejected(value):
     tet = make_tetrahedron()
     verts = tet.vertices.copy()

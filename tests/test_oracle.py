@@ -89,7 +89,7 @@ def test_sphere_case_validation():
         SphereCase(1.0, inside, phys, n_terms=500)
 
 
-@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0, 1e300, 1e-300])
 def test_sphere_case_rejects_bad_radius(radius):
     inside = pa.ChargeSet(np.array([[0.0, 0.0, 0.5]]), np.array([1.0]))
     with pytest.raises(UsageError, match="radius"):

@@ -346,9 +346,11 @@ def test_chargeset_validation():
         pa.ChargeSet(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(UsageError):
         pa.BiePhysics(eps_m=-1.0)
+    with pytest.raises(UsageError, match="eps_m >= 1e-30"):
+        pa.BiePhysics(eps_m=1e-300)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
 def test_chargeset_rejects_non_finite_values(value):
     with pytest.raises(UsageError, match="finite"):
         pa.ChargeSet(np.array([[0.0, value, 0.0]]), np.array([1.0]))
@@ -362,6 +364,11 @@ def test_load_pqr_non_finite_reports_line(tmp_path):
     with pytest.raises(ParseError, match="non-finite") as err:
         pa.load_pqr(p)
     assert err.value.line_no == 2
+    for row in ("0.1 0.0 0.0 1e300", "1e300 0.0 0.0 0.2"):  # a charge, then a coordinate
+        p.write_text(f"ATOM 1 N MET 1 0.0 0.0 0.0 -0.3 1.55\nATOM 2 CA MET 1 {row} 1.7\n")
+        with pytest.raises(ParseError, match="beyond 1e\\+30") as err:
+            pa.load_pqr(p)
+        assert err.value.line_no == 2
 
 
 def test_energy_unit_is_fixed():
