@@ -25,21 +25,21 @@ from .solver import PanelSolution
 class ErrorMap:
     """Per-panel error indicators (kcal/mol) for one estimator.
 
-    ``per_panel`` holds |panel contribution|; ``signed_per_panel`` the
-    contributions before taking absolute values, summing to ``signed_total``.
+    ``signed_per_panel`` holds each panel's contribution; ``per_panel`` its
+    absolute value and ``signed_total`` their sum are derived from it.
     """
 
     estimator_tag: str
-    per_panel: np.ndarray
     signed_per_panel: np.ndarray
-    signed_total: float
     mesh_ref: SurfaceMesh
 
-    def __post_init__(self):
-        if self.per_panel.shape != (self.mesh_ref.n_panels,):
-            raise UsageError("per_panel length must match the mesh")
-        if abs(self.signed_total) > self.per_panel.sum() * (1.0 + 1e-9) + 1e-300:
-            raise UsageError("inconsistent error map: |total| exceeds sum of panel terms")
+    @property
+    def per_panel(self) -> np.ndarray:
+        return np.abs(self.signed_per_panel)
+
+    @property
+    def signed_total(self) -> float:
+        return float(self.signed_per_panel.sum())
 
 
 def _panel_quadrature(mesh: SurfaceMesh, rule: QuadratureRule):
@@ -99,7 +99,7 @@ def _estimate(
     per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)
     signed = np.bincount(parents, weights=per_fine, minlength=coarse.n_panels) - forward_only
     signed *= physics.energy_unit
-    return ErrorMap(tag, np.abs(signed), signed, float(signed.sum()), coarse)
+    return ErrorMap(tag, signed, coarse)
 
 
 def estimate_Ephi(

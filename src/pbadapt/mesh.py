@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
 INPUT_BOUND = 1e30      # Å or e; bounds outside input, so products of four lengths stay finite
+MAX_LEVEL = 8           # icosphere levels; level 8 is 1.3 M panels, about 0.6 GB to build
 
 
 @dataclass(frozen=True)
@@ -232,10 +233,10 @@ def icosphere(radius: float, level: int) -> SurfaceMesh:
 
     Yields 20 * 4**level outward-oriented panels.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if not 0 < radius < np.inf:
-        raise ValueError("radius must be finite and positive")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
+    if not 1 / INPUT_BOUND <= radius <= INPUT_BOUND:
+        raise ValueError(f"radius must be finite, in [{1 / INPUT_BOUND:g}, {INPUT_BOUND:g}]")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
     faces = _ICO_FACES
     for _ in range(level):

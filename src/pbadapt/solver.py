@@ -29,6 +29,8 @@ left, so that the residual GMRES stops on is the true one.
 An adaptive loop changes a few panels per step. Assembly through a
 ``SystemCache`` copies every entry whose row and column geometry is
 unchanged from the system the cache holds and integrates only the rest.
+The copy, the free terms and the preconditioner read the stored rows as one
+view (block row, row, block column, column), one block row at kappa = 0.
 """
 
 from __future__ import annotations
@@ -165,15 +167,6 @@ def _unchanged(old: SurfaceMesh, mesh: SurfaceMesh, p1: bool):
     return rows, np.where(same, rows, -1)
 
 
-def _copy(a, old, dst_rows, src_rows, dst_cols, src_cols) -> None:
-    """a[dst_rows x dst_cols] = old[src_rows x src_cols], one slice copy per
-    pair of stretches (``sweep.runs``)."""
-    col_runs = runs(dst_cols, src_cols)
-    for rd, rs in runs(dst_rows, src_rows):
-        for cd, cs in col_runs:
-            a[rd, cd] = old[rs, cs]
-
-
 def _cgroup_headroom() -> int | None:
     """Bytes the process's cgroup (v2) memory limit leaves, None without a
     limit. What the process already holds counts against it. Only reads
@@ -229,8 +222,8 @@ def assemble_system(
     # headroom already counts it, physical memory does not
     held_bytes = 0 if held is None or _cgroup_headroom() is not None else held.matrix.nbytes
     top_only = physics.kappa == 0.0
-    stored = n if top_only else 2 * n
-    need, budget = 8 * stored * 2 * n, _memory_budget()
+    block_rows = 1 if top_only else 2
+    need, budget = 8 * block_rows * n * 2 * n, _memory_budget()
     if need + held_bytes > budget:
         what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
         raise SolverError(
@@ -239,22 +232,22 @@ def assemble_system(
             + (f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else "")
         )
     rows = cols = np.full(n, -1)
-    old = np.empty((0, 0))
+    old = None
     if held is not None and (held.space, held.physics, kernels.grades(held.mesh)) == (
             space, physics, kernels.grades(mesh)):
         rows, cols = _unchanged(held.mesh, mesh, p1)
-        old = held.matrix.top if top_only else held.matrix
+        m = len(held.matrix) // 2
+        old = (held.matrix.top if top_only else held.matrix).reshape(block_rows, m, 2, m)
     new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)
     new_cols, kept_cols = np.flatnonzero(cols < 0), np.flatnonzero(cols >= 0)
-    a = np.empty((stored, 2 * n))
-    old_n = old.shape[1] // 2
-    dst_rows, src_rows = kept_rows, rows[kept_rows]
-    if not top_only:
-        dst_rows, src_rows = np.r_[dst_rows, dst_rows + n], np.r_[src_rows, src_rows + old_n]
-    _copy(a, old, dst_rows, src_rows,
-          np.r_[kept_cols, kept_cols + n], np.r_[cols[kept_cols], cols[kept_cols] + old_n])
+    view = np.empty((block_rows, n, 2, n))  # block row, row, block column, column
+    col_runs = runs(kept_cols, cols[kept_cols])
+    for rd, rs in runs(kept_rows, rows[kept_rows]):
+        for cd, cs in col_runs:
+            view[:, rd, :, cd] = old[:, rs, :, cs]
     # VL, KL, VY, KY; at kappa = 0 the Yukawa blocks follow from the Laplace ones
-    blocks = (a[:n, n:], a[:n, :n]) + ((None, None) if top_only else (a[n:, n:], a[n:, :n]))
+    blocks = tuple(view[i, :, j] if i < block_rows else None
+                   for i, j in ((0, 1), (0, 0), (1, 1), (1, 0)))
     ratio = physics.eps_m / physics.eps_w
     scale = (-1.0, 1.0, ratio, -1.0)
     kernels.operator_blocks(colloc[new_rows], mesh, physics.kappa, blocks, p1, scale=scale,
@@ -276,13 +269,13 @@ def assemble_system(
     # the KL and KY diagonals are 0, the principal value on the target's own
     # panels; a copied KL diagonal still carries the old free term
     idx = np.arange(n)
-    a[idx, idx] = 0.0
+    view[0, idx, 0, idx] = 0.0
     # P0: flat panels, c = 1/2; P1: c is the interior solid-angle fraction at
     # each vertex, which the Laplace double layer's row sums give
-    c = -a[:n, :n].sum(axis=1) if p1 else np.full(n, 0.5)
-    a[idx, idx] = c
-    if not top_only:
-        a[n + idx, idx] = 1.0 - c
+    c = -view[0, :, 0].sum(axis=1) if p1 else np.full(n, 0.5)
+    view[0, idx, 0, idx] = c
+    view[1:, idx, 0, idx] = 1.0 - c
+    a = view.reshape(block_rows * n, 2 * n)
     system = _TopRow(a, ratio) if top_only else a
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
     if cache is not None:
@@ -304,12 +297,10 @@ def _block_jacobi(a):
     """
     n = len(a) // 2
     idx = np.arange(n)
-    if isinstance(a, _TopRow):
-        p, q = a.top[idx, idx], a.top[idx, n + idx]
-        r, s = 1.0 - p, q * -a.ratio
-    else:
-        p, q = a[idx, idx], a[idx, n + idx]
-        r, s = a[n + idx, idx], a[n + idx, n + idx]
+    # diag[j, k]: the diagonal of block row k, block column j
+    diag = (a.top if isinstance(a, _TopRow) else a).reshape(-1, n, 2, n)[:, idx, :, idx].T
+    p, q = diag[:, 0]
+    r, s = diag[:, 1] if diag.shape[1] == 2 else (1.0 - p, q * -a.ratio)
     det = p * s - q * r
     bad = np.flatnonzero(~np.isfinite(det) | (det == 0.0))
     if bad.size:

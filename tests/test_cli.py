@@ -117,6 +117,25 @@ def test_bad_settings_are_config_errors(tmp_path, capsys, command, text, flags):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("level = 1", f"level = {pa.mesh.MAX_LEVEL + 1}", "level"),
+        ("radius = 1.0", "radius = 1e300", "radius"),
+        ("radius = 1.0", "radius = 1e-300", "radius"),
+    ],
+    ids=["level", "radius-1e300", "radius-1e-300"],
+)
+def test_icosphere_out_of_bounds_is_config_error_before_any_build(tmp_path, capsys, monkeypatch,
+                                                                   old, new, key):
+    built = []
+    monkeypatch.setattr(pa.mesh, "_build_children", lambda *args: built.append(args))
+    cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: [mesh] {key} must be" in capsys.readouterr().err
+    assert built == []
+
+
 def test_unreachable_tolerance_is_solver_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--gmres-tol", "1e-30"])
@@ -658,6 +677,43 @@ def _mutate(rng, path):
     return kind
 
 
+# every integer token is at most 2, so no edit that reuses one builds more
+# than a level-2 mesh or runs more than two iterations
+FUZZ_ICOSPHERE = """
+[mesh]
+type = icosphere
+radius = 1.0
+level = 1
+background_level = 2
+
+[charges]
+inline = 1.0  0.0 0.0 0.5
+    -0.5  0.3 0.0 -0.4
+
+[physics]
+eps_m = 4.0
+eps_w = 80.0
+kappa = 0.125
+
+[adapt]
+estimator = Eu
+fraction = 0.2
+adjoint_levels = 1
+mode = conforming
+iterations = 2
+gmres_tol = 1e-6
+
+[oracle]
+mode = kirkwood
+"""
+
+
+def _edited_keys(before, after):
+    """The keys of the INI lines an edit changed, added or removed."""
+    changed = set(before.splitlines()) ^ set(after.splitlines())
+    return {line.split("=")[0].strip() for line in changed}
+
+
 def test_mutated_input_files_exit_cleanly(tmp_path):
     # a seeded fuzzer: one edit to one of the four input files of an MSMS
     # solve may make the run fail, but only as a configuration or input error
@@ -683,3 +739,21 @@ def test_mutated_input_files_exit_cleanly(tmp_path):
         except Exception as exc:
             pytest.fail(f"{edit}: {exc!r}")
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT), edit
+
+    # an icosphere INI with every section, each edit run by one of the four
+    # subcommands; a well-formed gmres_tol that GMRES cannot reach is a solver error
+    rng = random.Random(1)
+    for case in range(500):
+        ini.write_text(FUZZ_ICOSPHERE)
+        command = ("solve", "estimate", "adapt", "oracle")[case % 4]
+        edit = f"case {case}: {command}, {_mutate(rng, ini)}"
+        after = ini.read_bytes().decode(errors="replace")
+        out = [] if command == "oracle" else ["--out", str(tmp_path / "o")]
+        try:
+            code = main([command, "--config", str(ini), *out])
+        except Exception as exc:
+            pytest.fail(f"{edit}: {exc!r}")
+        allowed = (EXIT_OK, EXIT_CONFIG, EXIT_INPUT)
+        if "gmres_tol" in _edited_keys(FUZZ_ICOSPHERE, after):
+            allowed += (EXIT_SOLVER,)
+        assert code in allowed, f"{edit}: {after}"

@@ -284,10 +284,17 @@ def test_non_finite_vertex_rejected(value):
         pa.SurfaceMesh(verts, tet.triangles)
 
 
-@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, 1e300, 1e-300],
+                         ids=["nan", "inf", "zero", "1e300", "1e-300"])
 def test_icosphere_rejects_bad_radius(radius):
     with pytest.raises(ValueError, match="radius"):
         pa.icosphere(radius, 1)
+
+
+@pytest.mark.parametrize("level", [-1, pa.mesh.MAX_LEVEL + 1])
+def test_icosphere_rejects_level_out_of_bounds(level):
+    with pytest.raises(ValueError, match=rf"level must be in \[0, {pa.mesh.MAX_LEVEL}\]"):
+        pa.icosphere(1.0, level)
 
 
 def test_off_and_panel_csv_roundtrip(tmp_path):

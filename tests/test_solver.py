@@ -640,16 +640,29 @@ def test_kappa_zero_block_jacobi_matches_dense_view(pure_water, offcenter_charge
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_kappa_zero_cached_assembly_matches_scratch(pure_water, offcenter_charge, space):
+    """As ``test_incremental_assembly_matches_scratch``, for the stored top
+    block row: copied entries equal the held ones bit for bit in both of its
+    blocks, and the whole matrix agrees with one from scratch to 1e-13."""
+    from pbadapt import solver
     from pbadapt.mesh import close_marking, refine_flat
 
     mesh = pa.icosphere(1.0, 2)
     refined = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.6)))
     cache = pa.SystemCache()
     pa.assemble_system(mesh, pure_water, offcenter_charge, space, cache)
+    held = cache._held
     a, b = pa.assemble_system(refined, pure_water, offcenter_charge, space, cache)
     assert min(cache.reused) > 0 and min(cache.computed) > 0
     n = len(b) // 2
     assert cache._held.matrix.nbytes == 16 * n * n
+    rows, cols = solver._unchanged(held.mesh, refined, space == "P1")
+    old_n = len(held.matrix) // 2
+    r, c = np.flatnonzero(rows >= 0), np.flatnonzero(cols >= 0)
+    off_diagonal = r[:, None] != c[None, :]  # the diagonal carries the new free term
+    for j in (0, 1):
+        new = a.top[np.ix_(r, c + j * n)]
+        old = held.matrix.top[np.ix_(rows[r], cols[c] + j * old_n)]
+        assert np.array_equal(new[off_diagonal], old[off_diagonal])
     a0 = np.asarray(pa.assemble_system(refined, pure_water, offcenter_charge, space)[0])
     assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
 
