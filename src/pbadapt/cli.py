@@ -109,10 +109,12 @@ def _get(section, key, kind, default=None):
 
 
 def _icosphere(sec, level_key, default_level=None) -> SurfaceMesh:
+    """The icosphere of ``radius`` and ``level_key``; a bound error names the key set."""
     try:
         return icosphere(_get(sec, "radius", float, 1.0), _get(sec, level_key, int, default_level))
     except ValueError as exc:
-        raise ConfigError(f"[mesh] {exc}") from exc
+        message = str(exc).replace("level", level_key, 1)  # icosphere names its parameter
+        raise ConfigError(f"[mesh] {message}") from exc
 
 
 def _build_mesh(cp) -> SurfaceMesh:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .mesh import SurfaceMesh, half_solid_angles
 from .quadrature import E4, GAUSS7, QuadratureRule, subdivided
@@ -184,6 +183,28 @@ def basis_columns(mesh: SurfaceMesh, shape_functions: bool, panels) -> np.ndarra
     return np.unique(mesh.triangles[panels]) if shape_functions else panels
 
 
+def _fold_table(slot_cols, n_cols):
+    """(valence, n_cols) table of each column's slots, ascending, padded with
+    slot ``len(slot_cols)``; slot k of a P1 row is shape function k // T at
+    panel k % T, and ``slot_cols[k]`` its column."""
+    order = np.argsort(slot_cols, kind="stable")
+    count = np.bincount(slot_cols, minlength=n_cols)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full((count.max(), n_cols), len(order))
+    table[rank, slot_cols[order]] = order
+    return table
+
+
+def _fold(p, table):
+    """Sum each row's slots of every column, in ascending slot order: the
+    (rows, slots) ``p`` with a zero slot appended, gathered by ``_fold_table``."""
+    pz = np.concatenate([p, np.zeros((len(p), 1))], axis=1)
+    acc = pz[:, table[0]]
+    for slots in table[1:]:
+        acc += pz[:, slots]
+    return acc
+
+
 def _within_reach(targets, centroids, reach):
     """(c, d2): the panels, ascending, whose (3, T) coordinate-major ``centroids``
     pass the ``targets``' bounding-sphere cut for a per-panel ``reach``, widened
@@ -259,11 +280,7 @@ def kernel_row_blocks(
     wt = np.ascontiguousarray((rule.weights[:, None] * shape.reshape(nq, -1)).T)  # (1 or 3, nq)
     s = len(wt)
     areas = mesh.areas[sel]
-    fold = None  # P0 columns are the panels: no fold
-    if shape_functions:  # rows of the fold: shape function first, then panel
-        fold = csr_matrix(
-            (np.ones(cols.size), (np.arange(cols.size), cols.T.ravel())), shape=(cols.size, n_cols)
-        )
+    fold = _fold_table(cols.T.ravel(), n_cols) if shape_functions else None  # P0: no fold
     yukawa = out[2] is not None
     ti, pj = near[:2]
     values = near[2] if len(near) > 2 else (None,) * 4
@@ -319,7 +336,7 @@ def kernel_row_blocks(
         parts = []
         for p, value in zip(part, values):
             p[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
-            parts.append(p[:, 0] if fold is None else p.reshape(len(p), -1) @ fold)
+            parts.append(p[:, 0] if fold is None else _fold(p.reshape(len(p), -1), fold))
         # consecutive rows take one slice: array work per group holds the
         # interpreter lock that the other workers wait for
         first, last = rows[start], rows[stop - 1]

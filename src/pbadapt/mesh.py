@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import MeshInvariantError, ParseError, UsageError
+from .grid import CellGrid
 from .sweep import sweep
 
 logger = logging.getLogger(__name__)
@@ -75,10 +75,9 @@ class SurfaceMesh:
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 2] == t[:, 0]):
             raise MeshInvariantError("triangle with repeated vertex")
         if len(v) > 1:
-            pairs = self._vertex_tree.query_pairs(DUPLICATE_TOL)
-            if pairs:
-                i, j = sorted(next(iter(pairs)))
-                raise MeshInvariantError(f"duplicate vertices {i} and {j}")
+            pair = self._vertex_grid.first_pair(DUPLICATE_TOL)
+            if pair:
+                raise MeshInvariantError(f"duplicate vertices {pair[0]} and {pair[1]}")
         if np.any(self.areas < MIN_AREA):
             bad = int(np.argmin(self.areas))
             raise MeshInvariantError(f"triangle {bad} has (near) zero area")
@@ -97,10 +96,10 @@ class SurfaceMesh:
     # -- derived geometry (cached; arrays are read-only) --------------------
 
     @cached_property
-    def _vertex_tree(self) -> cKDTree:
-        """k-d tree of the vertices, shared by the duplicate check and the
+    def _vertex_grid(self) -> CellGrid:
+        """Cell grid of the vertices, shared by the duplicate check and the
         conforming snaps onto this mesh."""
-        return cKDTree(self.vertices)
+        return CellGrid(self.vertices, 2.0 * DUPLICATE_TOL)
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -147,11 +146,6 @@ class SurfaceMesh:
     @cached_property
     def signed_volume(self) -> float:
         return _signed_volume(self.corners)
-
-    @cached_property
-    def mean_edge_length(self) -> float:
-        e = self._edge_lengths()
-        return float((e[:, 0] + e[:, 1] + e[:, 2]).sum() / e.size)
 
     @cached_property
     def neighbors(self) -> np.ndarray:
@@ -465,25 +459,25 @@ def refine_conforming(
     """Apply a closed plan, snapping each new vertex onto the background mesh.
 
     New vertices are moved to the nearest background vertex (so they lie on
-    the true surface), then relaxed with a few Laplacian passes that re-snap
-    after every move. A background vertex is never claimed twice: a midpoint
-    whose nearest background vertex is already taken keeps its unsnapped
-    position.
+    the true surface; the lowest index at an exact distance tie), then
+    relaxed with a few Laplacian passes that re-snap after every move. A
+    background vertex is never claimed twice: a midpoint whose nearest
+    background vertex is already taken keeps its unsnapped position.
     """
     _check_plan_closed(mesh, plan)
-    tree, targets = background._vertex_tree, background.vertices
+    grid, targets = background._vertex_grid, background.vertices
     tris, parents, midpoints = _build_children(mesh.vertices, mesh.triangles, plan)
     coords = np.vstack([mesh.vertices, midpoints])
     first = mesh.n_vertices
     # owner[b]: the mesh vertex on background vertex b, or -1; spot[v] the inverse.
     owner = np.full(background.n_vertices, -1)
     spot = np.full(len(coords), -1)
-    dist, nearest = tree.query(mesh.vertices)
+    dist, nearest = grid.nearest(mesh.vertices)
     on = np.flatnonzero(dist <= DUPLICATE_TOL)
     owner[nearest[on]], spot[on] = on, nearest[on]
     # Midpoints claim their nearest background vertex in vertex order: the
     # first claimant of a free one snaps, every later one stays unsnapped.
-    _, nearest = tree.query(midpoints)
+    _, nearest = grid.nearest(midpoints)
     _, firsts = np.unique(nearest, return_index=True)
     snap = firsts[owner[nearest[firsts]] < 0]
     owner[nearest[snap]], spot[first + snap] = first + snap, nearest[snap]
@@ -516,7 +510,7 @@ def refine_conforming(
                 continue
             dirty[i] = False
             v = first + i
-            _, b = tree.query(coords[ring].mean(axis=0))
+            b = grid.nearest_one(coords[ring].mean(axis=0))
             queried[i] = b
             if owner[b] not in (-1, v):
                 continue  # target taken by someone else; stay put

@@ -8,10 +8,10 @@ computed by upward ratio recurrences (stable because k_n dominates).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .errors import ExtrapolationError, SeriesConvergenceError, UsageError
 from .mesh import INPUT_BOUND
@@ -51,6 +51,15 @@ def _kn_log_derivatives(x: float, nmax: int) -> np.ndarray:
     return out
 
 
+def _legendre(x):
+    """P_0(x), P_1(x), ... by the three-term recurrence
+    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, stable for |x| <= 1."""
+    prev, p = np.zeros_like(x), np.ones_like(x)
+    for n in itertools.count():
+        yield p
+        prev, p = p, ((2 * n + 1) * x * p - n * prev) / (n + 1)
+
+
 def series_terms(case: SphereCase) -> np.ndarray:
     """Per-order contributions of the multipole series, already in kcal/mol.
 
@@ -69,13 +78,13 @@ def series_terms(case: SphereCase) -> np.ndarray:
         log_der = _kn_log_derivatives(phys.kappa * case.radius, case.n_terms)
     scale = phys.energy_unit / (8.0 * np.pi * phys.eps_m * case.radius)
     terms = np.empty(case.n_terms + 1)
-    for n in range(case.n_terms + 1):
+    for n, legendre in zip(range(case.n_terms + 1), _legendre(cosg)):
         if phys.kappa > 0.0:
             ln = log_der[n]
             mult = ((n + 1) * phys.eps_m + phys.eps_w * ln) / (n * phys.eps_m - phys.eps_w * ln)
         else:
             mult = (n + 1) * (phys.eps_m - phys.eps_w) / (n * phys.eps_m + (n + 1) * phys.eps_w)
-        terms[n] = scale * mult * float((qq * radial_ratio**n * eval_legendre(n, cosg)).sum())
+        terms[n] = scale * mult * float((qq * radial_ratio**n * legendre).sum())
     return terms
 
 

@@ -35,12 +35,6 @@ class QuadratureRule:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def map_to(self, corners: np.ndarray) -> np.ndarray:
-        """Physical quadrature points for a triangle given as (3, 3) corner rows."""
-        return self.points @ np.asarray(corners, dtype=float)
-
-
-CENTROID = QuadratureRule(np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]), degree=1)
 
 GAUSS3 = QuadratureRule(
     np.array(

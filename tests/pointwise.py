@@ -15,7 +15,20 @@ from pbadapt.quadrature import GAUSS7, QuadratureRule, subdivided
 
 COINCIDENT_TOL = 1e-14
 NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature reference for near pairs
+CENTROID = QuadratureRule(np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]), degree=1)
 FOUR_PI = 4.0 * np.pi
+
+
+def map_to(rule: QuadratureRule, corners) -> np.ndarray:
+    """Physical quadrature points of ``rule`` for a triangle given as (3, 3) corner rows."""
+    return rule.points @ np.asarray(corners, dtype=float)
+
+
+def mean_edge_length(mesh) -> float:
+    """Mean length of the mesh's edges, each counted once per incident triangle."""
+    p = mesh.corners
+    e = np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
+    return float((e[:, 0] + e[:, 1] + e[:, 2]).sum() / e.size)
 
 
 def _dist(r, rp):
@@ -63,7 +76,7 @@ def panel_integral(kernel, target, panel, rule: QuadratureRule) -> float:
     the panel (regular quadrature only).
     """
     panel = np.asarray(panel, dtype=float)
-    pts = rule.map_to(panel)
+    pts = map_to(rule, panel)
     area = 0.5 * np.linalg.norm(np.cross(panel[1] - panel[0], panel[2] - panel[0]))
     vals = np.asarray(kernel(np.asarray(target, dtype=float), pts))
     return float(area * np.dot(rule.weights, vals))

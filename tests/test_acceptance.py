@@ -189,7 +189,6 @@ def test_criterion_7_property_suite(born_setup):
         )
 
     import pointwise as pw
-    from pbadapt.quadrature import CENTROID
 
     m3 = pa.icosphere(1.0, 3)
     corners = m3.vertices[m3.triangles]
@@ -198,7 +197,7 @@ def test_criterion_7_property_suite(born_setup):
             lambda t, x, n=m3.normals[i]: pw.dgdn_laplace(t, x, n),
             np.array([0.2, -0.1, 0.3]),
             corners[i],
-            CENTROID,
+            pw.CENTROID,
         )
         for i in range(m3.n_panels)
     )

@@ -136,6 +136,14 @@ def test_icosphere_out_of_bounds_is_config_error_before_any_build(tmp_path, caps
     assert built == []
 
 
+def test_background_level_out_of_bounds_names_its_key(tmp_path, capsys):
+    text = SPHERE_SMALL.replace("level = 1", f"level = 1\nbackground_level = {pa.mesh.MAX_LEVEL + 1}")
+    cfg = write_config(tmp_path / "c.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: [mesh] background_level must be in [0, {pa.mesh.MAX_LEVEL}]" in err
+
+
 def test_unreachable_tolerance_is_solver_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--gmres-tol", "1e-30"])
@@ -470,7 +478,7 @@ def test_non_finite_vertex_is_input_error(tmp_path, capsys):
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "input error: non-finite vertex coordinate" in capsys.readouterr().err
-    coords[1, 0] = 1e155  # its squares overflow the duplicate check's k-d tree
+    coords[1, 0] = 1e155  # its squares would overflow the duplicate check's distances
     vert.write_text("# v\n#\n4 1\n" + "".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in coords))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert f"input error: {vert}:5: vertex coordinate beyond 1e+30" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 import pbadapt.kernels as kn
 import pbadapt.sweep as sweep
 from pbadapt.errors import SingularityError
-from pbadapt.quadrature import CENTROID, E4, GAUSS7, subdivided
+from pbadapt.quadrature import E4, GAUSS7, subdivided
 
 import pointwise as pw
 from conftest import make_tetrahedron
@@ -155,7 +155,7 @@ def brute_single_layer(panel, target, psi_corner=None, eps_fracs=(0.1, 0.05), ma
             )
             rc = np.linalg.norm(cen - target)
             if rc - size >= eps and (depth >= 4 or size < 0.3 * rc):
-                pts = GAUSS7.map_to(tri)
+                pts = pw.map_to(GAUSS7, tri)
                 a = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
                 vals = 1.0 / (FOUR_PI * np.linalg.norm(pts - target, axis=1))
                 if linear:
@@ -748,7 +748,7 @@ def test_gauss_identity_interior_targets():
                 lambda t, x, n=mesh.normals[i]: pw.dgdn_laplace(t, x, n),
                 target,
                 corners[i],
-                CENTROID,
+                pw.CENTROID,
             )
             for i in range(mesh.n_panels)
         )

@@ -22,6 +22,7 @@ from pbadapt.mesh import (
 )
 
 from conftest import imbalanced_sphere_start, make_tetrahedron
+from pointwise import mean_edge_length
 
 
 # -- construction and invariants -------------------------------------------
@@ -72,6 +73,15 @@ def test_duplicate_vertices_rejected():
     tris = tet.triangles.copy()
     with pytest.raises(MeshInvariantError):
         pa.SurfaceMesh(verts, np.vstack([tris, [[4, 2, 1]]]))
+
+
+def test_duplicate_check_reports_the_lowest_pair():
+    # duplicate pairs (3, 70), (3, 80), (70, 80) and (5, 60); (3, 70) is lowest
+    ico = pa.icosphere(1.0, 2)
+    verts = ico.vertices.copy()
+    verts[80], verts[70], verts[60] = verts[3], verts[3] + [0.0, 1e-12, 0.0], verts[5]
+    with pytest.raises(MeshInvariantError, match=r"^duplicate vertices 3 and 70$"):
+        pa.SurfaceMesh(verts, ico.triangles)
 
 
 def test_unused_vertex_rejected():
@@ -613,7 +623,7 @@ def test_refine_conforming_snaps_to_background(background):
     for v in new[::17]:
         d = np.linalg.norm(background.vertices - v, axis=1)
         assert d.min() < 1e-12
-    assert np.abs(np.linalg.norm(new, axis=1) - 1.0).max() <= background.mean_edge_length
+    assert np.abs(np.linalg.norm(new, axis=1) - 1.0).max() <= mean_edge_length(background)
 
 
 def test_refine_conforming_matches_flat_when_background_is_flat_refinement():
@@ -645,20 +655,29 @@ def test_refine_conforming_degeneracy_guard(caplog):
     assert any("claimed" in rec.message for rec in caplog.records)
 
 
+def nearest_lowest(tree, points):
+    """(distance, index) of each point's nearest data point by a k-d tree, the
+    lower index of its two nearest at an exact distance tie."""
+    dist, idx = tree.query(points, k=2)
+    tie = dist[..., 1] == dist[..., 0]
+    return dist[..., 0], np.where(tie, idx.min(axis=-1), idx[..., 0])
+
+
 def snap_reference(mesh, plan, background, passes=3):
     """Conforming refinement by loops over the new vertices, claims kept in dicts.
 
     Returns the vertex coordinates and the number of midpoints whose nearest
-    background vertex was already claimed.
+    background vertex was already claimed. Nearest vertices come from a k-d
+    tree, the lowest index at an exact tie, as ``refine_conforming`` states.
     """
     tree, targets = cKDTree(background.vertices), background.vertices
-    dist, idx = tree.query(mesh.vertices)
+    dist, idx = nearest_lowest(tree, mesh.vertices)
     used = {int(b): v for v, (d, b) in enumerate(zip(dist, idx)) if d <= mesh_mod.DUPLICATE_TOL}
     flat = refine_flat(mesh, plan)
     coords, tris = flat.vertices.copy(), flat.triangles
     new = range(mesh.n_vertices, flat.n_vertices)
     claims, unsnapped = {}, 0
-    for v, b in zip(new, tree.query(coords[mesh.n_vertices :])[1].tolist()):
+    for v, b in zip(new, nearest_lowest(tree, coords[mesh.n_vertices :])[1].tolist()):
         if b in used:
             unsnapped += 1
             continue
@@ -674,7 +693,7 @@ def snap_reference(mesh, plan, background, passes=3):
     for _ in range(passes):
         for v in new:
             old = coords[v].copy()
-            b = int(tree.query(coords[sorted(ring[v])].mean(axis=0))[1])
+            b = int(nearest_lowest(tree, coords[sorted(ring[v])].mean(axis=0))[1])
             if used.get(b, v) != v or np.linalg.norm(targets[b] - old) <= mesh_mod.DUPLICATE_TOL:
                 continue
             coords[v] = targets[b]
@@ -722,17 +741,17 @@ def test_refine_conforming_matches_snap_loop_when_later_passes_move():
     assert np.array_equal(refine_conforming(mesh, plan, target).vertices, coords)
 
 
-def test_refine_conforming_builds_one_tree(background, monkeypatch):
-    # the background's tree is the one its own duplicate check built
+def test_refine_conforming_builds_one_grid(background, monkeypatch):
+    # the background's cell grid is the one its own duplicate check built
     m = pa.icosphere(1.0, 1)
     plan = close_marking(m, range(m.n_panels))
-    real, built = mesh_mod.cKDTree, []
+    real, built = mesh_mod.CellGrid, []
 
-    def counting(data, *args, **kwargs):
-        built.append(len(data))
-        return real(data, *args, **kwargs)
+    def counting(points, *args, **kwargs):
+        built.append(len(points))
+        return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(mesh_mod, "cKDTree", counting)
+    monkeypatch.setattr(mesh_mod, "CellGrid", counting)
     refined = refine_conforming(m, plan, background)
     assert built == [refined.n_vertices]  # the refined mesh's own, for its validation
 

@@ -2,16 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import spherical_kn
+from scipy.special import eval_legendre, spherical_kn
 
 import pbadapt as pa
 from pbadapt.errors import ExtrapolationError, SeriesConvergenceError, UsageError
 from pbadapt.oracle import (
+    MAX_TERMS,
     SphereCase,
     _kn_log_derivatives,
+    _legendre,
     charge_dipole_benchmark,
     offcenter_benchmark,
 )
+
+
+def test_legendre_recurrence_matches_scipy_through_max_terms():
+    x = np.concatenate([np.linspace(-1.0, 1.0, 2001), [np.cos(1e-8), -np.cos(1e-8), 1e-300]])
+    for n, p in zip(range(MAX_TERMS + 1), _legendre(x)):
+        assert np.abs(p - eval_legendre(n, x)).max() <= 2e-13, n
 
 
 def test_centered_charge_collapses_to_born():
