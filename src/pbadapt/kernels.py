@@ -247,9 +247,10 @@ def kernel_row_blocks(
     sorted by target as ``near_pairs`` returns them: these (target, panel)
     pairs are not integrated with ``rule``. Their entries are 0, or the pair
     integrals ``values`` = (VL, KL, VY, KY) laid out as ``near_pair_entries``
-    returns them. Each entry is written once: the batch's integrals times the
-    block's ``scale`` factor, to row ``rows[i]`` (ascending) of ``out`` for
-    target i, or row i when ``rows`` is None. At kappa = 0 the Yukawa
+    returns them. Each entry is written once: the batch's float64 integrals
+    times the block's ``scale`` factor (a number, or one per column), to row
+    ``rows[i]`` (ascending) of ``out`` for target i, or row i when ``rows`` is
+    None, rounded to the dtype of ``out``. At kappa = 0 the Yukawa
     integrals equal the Laplace ones bit for bit: exp(-0 r) = 1 and
     (0 r + 1) K = K. With ``panels`` (ascending) only those panels are
     integrated, ``pj`` counts positions in ``panels`` and the columns are

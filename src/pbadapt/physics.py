@@ -175,6 +175,8 @@ def solvation_energy(
         "space": solution.space,
         "gmres_iters": solution.gmres_iters,
         "gmres_residual": solution.gmres_residual,
+        "gmres_cycles": len(solution.gmres_history),
+        "gmres_history": list(solution.gmres_history),
     }
     return EnergyResult(float(per_charge.sum()), per_charge, diag)
 

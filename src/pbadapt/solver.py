@@ -16,8 +16,17 @@ double-layer row sums, which annihilates constants exactly.
 
 At kappa = 0 the Yukawa kernel is the Laplace kernel, so with the top block
 row [T | R] = [K_L + cI | -V_L] the bottom one is [I - T | -(eps_m/eps_w) R]
-bit for bit: negation is exact. Only the top row is stored (``_TopRow``),
-half the bytes, and the product applies the bottom row from it.
+bit for bit: negation is exact. Only the top row is stored then, half the
+bytes, and the product applies the bottom row from it.
+
+Every system is stored in float32 (``System``) and solved by GMRES with
+iterative refinement (GMRES-IR: Carson & Higham, SIAM J. Sci. Comput. 39
+(2017) A2834 and 40 (2018) A817): each GMRES cycle runs on float32 products
+and the true residual b - Ax between cycles on float64 ones. Each entry is
+rounded once, when it is written. A single-layer column, the only part of
+the operator that carries a length, is stored divided by a length of its
+own basis function's support, so the stored values, and their rounding, do
+not change when every length is scaled.
 
 GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856) solves the
 system right-preconditioned by the point block-Jacobi inverse D^-1: D
@@ -48,10 +57,12 @@ from . import kernels
 from .errors import SolverError, UsageError
 from .mesh import SurfaceMesh, refine
 from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
-from .sweep import runs
+from .sweep import chunks, run_parallel, runs
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
+CYCLE_REDUCTION = 1e-4     # a GMRES-IR cycle stops when it has cut the true residual this much
+PRODUCT_VALUES = 1 << 17   # stored values a float64 product upcasts at once (1 MB), per worker
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
 
@@ -64,6 +75,9 @@ class PanelSolution:
     (one value per vertex); ``mesh_ref`` is the mesh the solve ran on.
     ``charges``, when set, are the charges the solve found inside
     ``mesh_ref``; ``reaction_potential`` does not test them again.
+    ``gmres_history`` is the true relative residual after each refinement
+    cycle, the last of which is ``gmres_residual``; a zero right-hand side
+    takes none.
     """
 
     space: str
@@ -73,6 +87,7 @@ class PanelSolution:
     gmres_residual: float
     gmres_iters: int
     charges: ChargeSet | None = None
+    gmres_history: tuple[float, ...] = ()
 
     def __post_init__(self):
         n = self.mesh_ref.n_panels if self.space == "P0" else self.mesh_ref.n_vertices
@@ -80,49 +95,105 @@ class PanelSolution:
             raise UsageError("trace length does not match the discretization")
 
 
-class _TopRow:
-    """The kappa = 0 system, stored as its top block row ``top`` = [T | R].
+class System:
+    """A 2N x 2N collocation system as it is stored, for x = [u, v] of length 2N.
 
-    ``a @ x``, x = [u, v] of length 2N, applies the bottom row
-    [I - T | -ratio R], ratio = eps_m/eps_w, from the two products T u and
-    R v; ``len(a)`` is 2N and ``a.nbytes`` the stored bytes. ``np.asarray(a)``
-    builds the dense 2N x 2N matrix, which equals the one assembled with
-    every block bit for bit.
+    ``blocks`` is the float32 view (block row, row, block column, column).
+    At kappa = 0 it holds the top block row [T | R] alone, and the products
+    apply the bottom row [I - T | -ratio R], ratio = eps_m/eps_w, from T u
+    and R v. Column j of the single-layer block column is stored divided by
+    ``lengths[j]``; the products multiply v by the lengths, so they act on
+    the unknowns themselves.
+
+    ``a @ x`` accumulates in float64, upcasting one chunk of rows at a time
+    on ``sweep.run_parallel``; ``a.single(x)`` rounds x to float32 and
+    accumulates in float32 (BLAS sgemv). ``np.asarray(a)`` builds the dense
+    float64 matrix of the stored values times their lengths, on request.
+    ``len(a)`` is 2N and ``a.nbytes`` the stored bytes.
     """
 
-    def __init__(self, top: np.ndarray, ratio: float):
-        self.top, self.ratio = top, ratio
+    def __init__(self, blocks: np.ndarray, ratio: float, lengths: np.ndarray):
+        self.blocks, self.ratio, self.lengths = blocks, ratio, lengths
 
     def __len__(self):
-        return 2 * len(self.top)
+        return 2 * self.blocks.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), len(self)
 
     @property
     def nbytes(self) -> int:
-        return self.top.nbytes
+        return self.blocks.nbytes
+
+    def _apply(self, x, halves):
+        n = len(x) // 2
+        t, w = halves(self.blocks.reshape(-1, 2 * n), x[:n], self.lengths * x[n:])
+        if len(self.blocks) == 2:
+            return t + w
+        return np.concatenate([t + w, x[:n] - t - self.ratio * w])
 
     def __matmul__(self, x):
-        n = len(self.top)
-        t, w = self.top[:, :n] @ x[:n], self.top[:, n:] @ x[n:]
-        return np.concatenate([t + w, x[:n] - t - self.ratio * w])
+        return self._apply(x, _float64_halves)
+
+    def single(self, x):
+        return self._apply(x, _float32_halves)
+
+    def point_blocks(self):
+        """(p, q, r, s): each collocation point's 2x2 block [[p, q], [r, s]],
+        float64, as the products apply it."""
+        n = len(self) // 2
+        idx = np.arange(n)
+        # diag[j, k]: the diagonal of block row k, block column j
+        diag = self.blocks[:, idx, :, idx].T.astype(float)
+        p, q = diag[0, 0], diag[1, 0] * self.lengths
+        if len(self.blocks) == 1:
+            return p, q, 1.0 - p, -self.ratio * q
+        return p, q, diag[0, 1], diag[1, 1] * self.lengths
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("the dense system is built on request, so it is always a copy")
-        n = len(self.top)
+        n = len(self) // 2
         a = np.empty((2 * n, 2 * n))
-        a[:n] = self.top
-        np.negative(self.top[:, :n], out=a[n:, :n])
-        np.multiply(self.top[:, n:], -self.ratio, out=a[n:, n:])
-        idx = np.arange(n)
-        a[n + idx, idx] = 1.0 - self.top[idx, idx]
+        stored = a[: len(self.blocks) * n]
+        stored[:] = self.blocks.reshape(-1, 2 * n)
+        stored[:, n:] *= self.lengths
+        if len(self.blocks) == 1:
+            np.negative(a[:n, :n], out=a[n:, :n])
+            np.multiply(a[:n, n:], -self.ratio, out=a[n:, n:])
+            idx = np.arange(n)
+            a[n + idx, idx] = 1.0 - a[idx, idx]
         return a if dtype is None else a.astype(dtype)
+
+
+def _float32_halves(rows, u, v):
+    """(rows[:, :n] @ u, rows[:, n:] @ v) with u and v rounded to float32, in float32."""
+    n = len(u)
+    return ((rows[:, :n] @ u.astype(np.float32)).astype(float),
+            (rows[:, n:] @ v.astype(np.float32)).astype(float))
+
+
+def _float64_halves(rows, u, v):
+    """(rows[:, :n] @ u, rows[:, n:] @ v) accumulated in float64, from one
+    cache-sized chunk of rows upcast at a time: no float64 copy of ``rows``."""
+    n = len(u)
+    t, w = np.empty(len(rows)), np.empty(len(rows))
+
+    def run(sl):
+        chunk = rows[sl].astype(float)
+        np.matmul(chunk[:, :n], u, out=t[sl])
+        np.matmul(chunk[:, n:], v, out=w[sl])
+
+    run_parallel(run, chunks(len(rows), 2 * n, PRODUCT_VALUES))
+    return t, w
 
 
 class _Held(NamedTuple):
     space: str
     physics: BiePhysics
     mesh: SurfaceMesh
-    matrix: np.ndarray | _TopRow
+    matrix: System
 
 
 class SystemCache:
@@ -131,8 +202,7 @@ class SystemCache:
     ``assemble_system(..., cache=...)`` copies from the held system every
     entry whose row and column are unchanged, integrates the others, and
     then holds the new system in place of the old one. The held matrix is
-    the one ``assemble_system`` returned, so callers must not modify it; at
-    kappa = 0 that is the top block row alone (``_TopRow``), half the bytes.
+    the one ``assemble_system`` returned, so callers must not modify it.
     ``reused`` and ``computed`` count that assembly's (rows, columns) of
     each N x N block.
     """
@@ -191,6 +261,17 @@ def _memory_budget() -> int:
     return budget if headroom is None else min(budget, headroom)
 
 
+def _column_lengths(mesh: SurfaceMesh, p1: bool) -> np.ndarray:
+    """The length each single-layer column is stored divided by: the panel's
+    diameter (P0), or the largest diameter in the vertex's star (P1). It
+    depends only on the panels the column integrates over."""
+    if not p1:
+        return mesh.diameters
+    lengths = np.zeros(mesh.n_vertices)
+    np.maximum.at(lengths, mesh.triangles, mesh.diameters[:, None])
+    return lengths
+
+
 def assemble_system(
     mesh: SurfaceMesh,
     physics: BiePhysics,
@@ -198,18 +279,17 @@ def assemble_system(
     space: str = "P0",
     cache: SystemCache | None = None,
 ):
-    """2N x 2N collocation system and right-hand side.
+    """2N x 2N collocation system (a ``System``) and right-hand side.
 
     Unknown ordering: [u-, du-/dn]; the second block row is homogeneous.
-    The system is a dense ndarray, or at kappa = 0 a ``_TopRow``, which
-    stores only the top block row (16 N^2 bytes instead of 32 N^2) and
-    supports ``a @ x``, ``len(a)`` and ``nbytes``. With a ``cache`` that
-    holds a system of the same space and physics, the entries of unchanged
-    rows and columns (``_unchanged``) are copied from it; the cache then
-    holds the new system. Freshly integrated far entries
-    can differ from the copied ones in the last bit, as between row batches
-    of different sizes (``kernels.kernel_row_blocks``). Raises SolverError
-    when the matrix would not fit in memory beside the held one.
+    The system stores 4 bytes per entry: 16 N^2 bytes, or 8 N^2 at kappa = 0,
+    where only the top block row is stored. With a ``cache`` that holds a
+    system of the same space and physics, the entries of unchanged rows and
+    columns (``_unchanged``) are copied from it; the cache then holds the
+    new system. Freshly integrated far entries can differ from the copied
+    ones in the last bit, as between row batches of different sizes
+    (``kernels.kernel_row_blocks``). Raises SolverError when the system would
+    not fit in memory beside the held one.
     """
     require_charges_inside(charges, mesh)
     if space not in ("P0", "P1"):
@@ -223,7 +303,7 @@ def assemble_system(
     held_bytes = 0 if held is None or _cgroup_headroom() is not None else held.matrix.nbytes
     top_only = physics.kappa == 0.0
     block_rows = 1 if top_only else 2
-    need, budget = 8 * block_rows * n * 2 * n, _memory_budget()
+    need, budget = 4 * block_rows * n * 2 * n, _memory_budget()
     if need + held_bytes > budget:
         what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
         raise SolverError(
@@ -236,11 +316,10 @@ def assemble_system(
     if held is not None and (held.space, held.physics, kernels.grades(held.mesh)) == (
             space, physics, kernels.grades(mesh)):
         rows, cols = _unchanged(held.mesh, mesh, p1)
-        m = len(held.matrix) // 2
-        old = (held.matrix.top if top_only else held.matrix).reshape(block_rows, m, 2, m)
+        old = held.matrix.blocks
     new_rows, kept_rows = np.flatnonzero(rows < 0), np.flatnonzero(rows >= 0)
     new_cols, kept_cols = np.flatnonzero(cols < 0), np.flatnonzero(cols >= 0)
-    view = np.empty((block_rows, n, 2, n))  # block row, row, block column, column
+    view = np.empty((block_rows, n, 2, n), dtype=np.float32)
     col_runs = runs(kept_cols, cols[kept_cols])
     for rd, rs in runs(kept_rows, rows[kept_rows]):
         for cd, cs in col_runs:
@@ -249,7 +328,9 @@ def assemble_system(
     blocks = tuple(view[i, :, j] if i < block_rows else None
                    for i, j in ((0, 1), (0, 0), (1, 1), (1, 0)))
     ratio = physics.eps_m / physics.eps_w
-    scale = (-1.0, 1.0, ratio, -1.0)
+    lengths = _column_lengths(mesh, p1)
+    # the row batches round each value once, as they write it times its factor
+    scale = (-1.0 / lengths, 1.0, ratio / lengths, -1.0)
     kernels.operator_blocks(colloc[new_rows], mesh, physics.kappa, blocks, p1, scale=scale,
                             rows=new_rows)
     if len(kept_rows) and len(new_cols):
@@ -261,7 +342,8 @@ def assemble_system(
         columns = kernels.basis_columns(mesh, p1, panels)
         values = tuple(None if block is None else np.empty((len(kept_rows), len(columns)))
                        for block in blocks)
-        kernels.operator_blocks(colloc[kept_rows], mesh, physics.kappa, values, p1, panels, scale)
+        kernels.operator_blocks(colloc[kept_rows], mesh, physics.kappa, values, p1, panels,
+                                tuple(f if np.isscalar(f) else f[columns] for f in scale))
         pick = np.searchsorted(columns, new_cols)
         for block, value in zip(blocks, values):
             if block is not None:
@@ -271,12 +353,12 @@ def assemble_system(
     idx = np.arange(n)
     view[0, idx, 0, idx] = 0.0
     # P0: flat panels, c = 1/2; P1: c is the interior solid-angle fraction at
-    # each vertex, which the Laplace double layer's row sums give
-    c = -view[0, :, 0].sum(axis=1) if p1 else np.full(n, 0.5)
+    # each vertex, which the Laplace double layer's row sums give, summed in
+    # float64 over the stored values
+    c = -view[0, :, 0].sum(axis=1, dtype=float) if p1 else np.full(n, 0.5)
     view[0, idx, 0, idx] = c
     view[1:, idx, 0, idx] = 1.0 - c
-    a = view.reshape(block_rows * n, 2 * n)
-    system = _TopRow(a, ratio) if top_only else a
+    system = System(view, ratio, lengths)
     b = np.concatenate([coulomb_potential(charges, physics, colloc), np.zeros(n)])
     if cache is not None:
         cache._held = _Held(space, physics, mesh, system)
@@ -285,22 +367,17 @@ def assemble_system(
     return system, b
 
 
-def _block_jacobi(a):
+def _block_jacobi(a: System):
     """(y, out) -> out = D^-1 y, where D holds the 2x2 block of ``a`` at each
-    collocation point.
+    collocation point (``System.point_blocks``).
 
     Point i's block couples its u- and du-/dn unknowns, rows and columns i
-    and n+i; each is inverted in closed form, so no copy of ``a`` is made.
-    A ``_TopRow`` gives its bottom diagonals as its product applies them,
-    r = 1 - p and s = -(eps_m/eps_w) q. Raises SolverError naming the first
-    point whose block is singular.
+    and n+i; each is inverted in closed form in float64, so no copy of ``a``
+    is made. Raises SolverError naming the first point whose block is
+    singular.
     """
     n = len(a) // 2
-    idx = np.arange(n)
-    # diag[j, k]: the diagonal of block row k, block column j
-    diag = (a.top if isinstance(a, _TopRow) else a).reshape(-1, n, 2, n)[:, idx, :, idx].T
-    p, q = diag[:, 0]
-    r, s = diag[:, 1] if diag.shape[1] == 2 else (1.0 - p, q * -a.ratio)
+    p, q, r, s = a.point_blocks()
     det = p * s - q * r
     bad = np.flatnonzero(~np.isfinite(det) | (det == 0.0))
     if bad.size:
@@ -370,51 +447,57 @@ def gmres(operator, b, *, restart: int, atol: float):
     return np.asarray(y) @ basis[:steps], steps
 
 
-def _gmres_solve(a, b, tol: float, max_iters: int):
-    """GMRES on A D^-1 y = b, returning x = D^-1 y, with D^-1 from ``_block_jacobi``.
-
-    ``a`` is a square array or a ``_TopRow``; both take their products as ``a @ x``.
+def _gmres_solve(a: System, b, tol: float, max_iters: int):
+    """GMRES-IR on A D^-1 y = b, x = D^-1 y, with D^-1 from ``_block_jacobi``;
+    returns (x, history, iterations).
 
     Right, not left, preconditioning: the residual GMRES minimises,
     b - A D^-1 y, is then the true residual b - A x. Each ``gmres`` cycle
-    stops on its own residual estimate; the true residual b - A x is then
-    computed, one product with A, and the next cycle starts from it, until
-    the true relative residual is at most ``tol``. Raises SolverError once
-    ``max_iters`` steps are spent or a cycle takes no step.
+    runs on the float32 products ``a.single`` and stops once its residual
+    estimate is CYCLE_REDUCTION times the residual it started from; the
+    true residual b - A x is then computed in float64, one ``a @ x``, and
+    the next cycle starts from it, until the true relative residual is at
+    most ``tol``. ``history`` holds that residual after each cycle. Raises
+    SolverError once ``max_iters`` steps are spent, or when a cycle takes no
+    step or does not lower the true residual: the float32 products then
+    cannot take it further.
     """
     n = len(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(n), 0.0, 0
+        return np.zeros(n), [], 0
     precondition = _block_jacobi(a)
     buffer = np.empty(n)
 
     def operator(y):
-        return a @ precondition(y, buffer)
+        return a.single(precondition(y, buffer))
 
-    x, r, iters = np.zeros(n), b, 0
+    x, r, iters, history = np.zeros(n), b, 0, [1.0]
     while True:
-        y, steps = gmres(operator, r, restart=min(max_iters - iters, n), atol=tol * b_norm)
+        y, steps = gmres(operator, r, restart=min(max_iters - iters, n),
+                         atol=CYCLE_REDUCTION * history[-1] * b_norm)
         iters += steps
         x += precondition(y, buffer)
         r = b - a @ x
-        residual = float(np.linalg.norm(r)) / b_norm
-        if residual <= tol:
-            return x, residual, iters
-        if iters >= max_iters or steps == 0:
+        history.append(float(np.linalg.norm(r)) / b_norm)
+        if history[-1] <= tol:
+            return x, history[1:], iters
+        if iters >= max_iters or steps == 0 or history[-1] >= history[-2]:
             raise SolverError(
-                f"GMRES stalled at relative residual {residual:.3e} after {iters} iterations",
-                residual=residual,
+                f"GMRES stalled at relative residual {history[-1]:.3e} after {iters} "
+                f"iterations in {len(history) - 1} refinement cycles",
+                residual=history[-1],
                 iterations=iters,
             )
 
 
 def _solve(mesh, physics, charges, space, gmres_tol, max_iters, cache) -> PanelSolution:
-    """Assemble the system of ``space`` on ``mesh`` and solve it with GMRES."""
+    """Assemble the system of ``space`` on ``mesh`` and solve it with GMRES-IR."""
     a, b = assemble_system(mesh, physics, charges, space=space, cache=cache)
-    x, residual, iters = _gmres_solve(a, b, gmres_tol, max_iters)
+    x, history, iters = _gmres_solve(a, b, gmres_tol, max_iters)
     n = len(b) // 2
-    return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, charges)
+    residual = history[-1] if history else 0.0  # a zero right-hand side takes no cycle
+    return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, charges, tuple(history))
 
 
 def solve_forward(

@@ -203,23 +203,29 @@ def test_preconditioned_solve_matches_direct_solve(salty, offcenter_charge, spac
     assert np.linalg.norm(x - direct) <= np.linalg.cond(a) * 1e-8 * np.linalg.norm(direct)
 
 
-def test_born_solve_needs_one_gmres_call(born_setup, monkeypatch):
-    # GMRES on the right-preconditioned system stops on the true residual, so
-    # even at 1e-12 one call converges; left preconditioning (scipy's M=)
-    # stops short and restarts, and no preconditioning takes about 38 iterations
+def test_born_solve_needs_one_gmres_call_per_cycle(born_setup, monkeypatch):
+    # GMRES on the right-preconditioned system stops on the true residual, up
+    # to its float32 products, so each refinement cycle is one call that cuts
+    # the true residual by CYCLE_REDUCTION: at 1e-12 that is three calls
+    # (1e-4, 1e-8, 1e-12); left preconditioning (scipy's M=) stops short and
+    # restarts, and no preconditioning takes about 38 iterations
     phys, charges = born_setup
     real = pa.solver.gmres
     calls = []
 
     def counted(a, b, **kwargs):
-        calls.append(kwargs["restart"])
-        return real(a, b, **kwargs)
+        y, steps = real(a, b, **kwargs)
+        calls.append(steps)
+        return y, steps
 
     monkeypatch.setattr(pa.solver, "gmres", counted)
     sol = pa.solve_forward(pa.icosphere(1.0, 3), phys, charges, gmres_tol=1e-12)
-    assert len(calls) == 1
-    assert sol.gmres_residual <= 1e-12
-    assert sol.gmres_iters <= 25
+    assert pa.solver.CYCLE_REDUCTION == 1e-4
+    assert len(calls) == len(sol.gmres_history) == 3
+    assert sol.gmres_residual == sol.gmres_history[-1] <= 1e-12
+    for before, after in zip((1.0,) + sol.gmres_history, sol.gmres_history):
+        assert after <= 2.0 * pa.solver.CYCLE_REDUCTION * before
+    assert max(calls) <= 25 and sol.gmres_iters == sum(calls)
 
 
 def test_gmres_matches_direct_solve_on_nonsymmetric_system():
@@ -249,25 +255,23 @@ def test_gmres_one_step_cycle():
     assert np.allclose(y, (ab @ b) / (ab @ ab) * b, rtol=1e-12, atol=0.0)
 
 
-class _CountedMatrix(np.ndarray):
-    """A system matrix that counts its products with vectors."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        _CountedMatrix.products += 1
-        return np.asarray(self) @ other
-
-
 def test_each_cycle_makes_one_residual_product(salty, offcenter_charge, monkeypatch):
-    # every step is one product through the operator, and every cycle one
-    # more, for the true residual; the first cycle is cut short so there are two
-    real_gmres, real_assemble = pa.solver.gmres, pa.solver.assemble_system
-    cycles, steps = [], []
+    # every step is one float32 product through the operator, and every cycle
+    # one float64 product, for the true residual; the first cycle is cut short
+    # so there are at least two
+    from pbadapt.solver import System
 
-    def assemble(*args, **kwargs):
-        a, b = real_assemble(*args, **kwargs)
-        return a.view(_CountedMatrix), b
+    real_gmres = pa.solver.gmres
+    real_single, real_matmul = System.single, System.__matmul__
+    cycles, steps, products = [], [], {"single": 0, "float64": 0}
+
+    def single(self, x):
+        products["single"] += 1
+        return real_single(self, x)
+
+    def matmul(self, x):
+        products["float64"] += 1
+        return real_matmul(self, x)
 
     def counted_gmres(operator, b, **kwargs):
         if not cycles:
@@ -280,13 +284,20 @@ def test_each_cycle_makes_one_residual_product(salty, offcenter_charge, monkeypa
 
         return real_gmres(counted, b, **kwargs)
 
-    monkeypatch.setattr(pa.solver, "assemble_system", assemble)
+    monkeypatch.setattr(System, "single", single)
+    monkeypatch.setattr(System, "__matmul__", matmul)
     monkeypatch.setattr(pa.solver, "gmres", counted_gmres)
-    _CountedMatrix.products = 0
     sol = pa.solve_forward(pa.icosphere(1.0, 2), salty, offcenter_charge)
     assert len(cycles) >= 2 and sol.gmres_residual <= 1e-8
-    assert len(steps) == sol.gmres_iters
-    assert _CountedMatrix.products == sol.gmres_iters + len(cycles)
+    assert len(steps) == sol.gmres_iters == products["single"]
+    assert products["float64"] == len(cycles) == len(sol.gmres_history)
+
+
+def _stored(a):
+    """A square float64 array as a ``System`` of two block rows: rounded once
+    to float32, unit column lengths."""
+    n = len(a) // 2
+    return pa.solver.System(a.astype(np.float32).reshape(2, n, 2, n), 1.0, np.ones(n))
 
 
 def test_gmres_stalls_after_max_iters():
@@ -295,7 +306,7 @@ def test_gmres_stalls_after_max_iters():
     v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     a = u @ np.diag(np.logspace(0, -8, 40)) @ v.T
     with pytest.raises(SolverError, match="stalled") as err:
-        pa.solver._gmres_solve(a, rng.standard_normal(40), 1e-8, 3)
+        pa.solver._gmres_solve(_stored(a), rng.standard_normal(40), 1e-8, 3)
     assert err.value.iterations == 3
     assert err.value.residual > 1e-8
 
@@ -305,7 +316,7 @@ def test_singular_point_block_is_solver_error(corner):
     a = np.eye(6) + 0.1 * np.ones((6, 6))  # three collocation points
     a[1, 1], a[1, 4], a[4, 1], a[4, 4] = 1.0, 2.0, 2.0, corner  # point 1's block
     with pytest.raises(SolverError, match="collocation point 1"):
-        pa.solver._gmres_solve(a, np.ones(6), 1e-8, 100)
+        pa.solver._gmres_solve(_stored(a), np.ones(6), 1e-8, 100)
 
 
 def test_adjoint_dof_counts(salty, offcenter_charge):
@@ -398,20 +409,20 @@ def test_incremental_assembly_matches_scratch(background, levels, monkeypatch):
         held = cache._held
         a, b = real(mesh, physics, charges, space, cache)
         a0, b0 = real(mesh, physics, charges, space)
-        assert np.abs(a - a0).max() <= 1e-13 * np.abs(a0).max()
+        dense0 = np.asarray(a0)
+        assert np.abs(np.asarray(a) - dense0).max() <= 1e-13 * np.abs(dense0).max()
         assert np.array_equal(b, b0)
-        n = len(b) // 2
         if held is not None:
             rows, cols = solver._unchanged(held.mesh, mesh, space == "P1")
             assert cache.reused == (np.count_nonzero(rows >= 0), np.count_nonzero(cols >= 0))
             assert cache.computed == (np.count_nonzero(rows < 0), np.count_nonzero(cols < 0))
-            old_n = len(held.matrix) // 2
             r, c = np.flatnonzero(rows >= 0), np.flatnonzero(cols >= 0)
             off_diagonal = r[:, None] != c[None, :]  # the diagonal carries the new free term
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                new = a[np.ix_(r + i * n, c + j * n)]
-                old = held.matrix[np.ix_(rows[r] + i * old_n, cols[c] + j * old_n)]
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # the stored float32 values
+                new = a.blocks[i, :, j][np.ix_(r, c)]
+                old = held.matrix.blocks[i, :, j][np.ix_(rows[r], cols[c])]
                 assert np.array_equal(new[off_diagonal], old[off_diagonal])
+            assert np.array_equal(a.lengths[c], held.matrix.lengths[cols[c]])
             reused.append(min(cache.reused))
         return a, b
 
@@ -444,8 +455,8 @@ def test_graded_incremental_assembly_matches_scratch(salty, offcenter_charge, sp
     pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
     a, _ = pa.assemble_system(refined, salty, offcenter_charge, space, cache)
     assert min(cache.reused) > 0
-    a0, _ = pa.assemble_system(refined, salty, offcenter_charge, space)
-    assert np.abs(a - a0).max() <= 1e-13 * np.abs(a0).max()
+    a0 = np.asarray(pa.assemble_system(refined, salty, offcenter_charge, space)[0])
+    assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
     monkeypatch.setattr(kernels, "grades", lambda m: m is refined)
     pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
     pa.assemble_system(refined, salty, offcenter_charge, space, cache)
@@ -479,13 +490,17 @@ def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space
 
 
 def _scaled_operator_rows(mesh, physics, targets):
-    """P0 (VL, KL, VY, KY) rows of ``targets`` times the system's block scales."""
+    """P0 (VL, KL, VY, KY) rows of ``targets`` as the system stores them: times
+    the block scales, the single layers divided by their panels' diameters,
+    rounded once to float32."""
     from pbadapt import kernels
 
     n = mesh.n_panels
     blocks = tuple(np.empty((len(targets), n)) for _ in range(4))
     kernels.operator_blocks(mesh.centroids[targets], mesh, physics.kappa, blocks)
-    return [b * s for b, s in zip(blocks, (-1.0, 1.0, physics.eps_m / physics.eps_w, -1.0))]
+    d = mesh.diameters
+    scales = (-1.0 / d, 1.0, physics.eps_m / physics.eps_w / d, -1.0)
+    return [(b * s).astype(np.float32) for b, s in zip(blocks, scales)]
 
 
 def _system_blocks(a):
@@ -493,14 +508,21 @@ def _system_blocks(a):
     return a[:n, n:], a[:n, :n], a[n:, n:], a[n:, :n]  # VL, KL, VY, KY
 
 
+def _stored_blocks(a):
+    """VL, KL, VY, KY of a two-block-row ``System`` as stored, float32."""
+    return tuple(a.blocks[i, :, j] for i, j in ((0, 1), (0, 0), (1, 1), (1, 0)))
+
+
 def test_p0_system_blocks_are_scaled_operator_blocks(salty, offcenter_charge):
-    """Off the diagonal, where the free terms go, the P0 system is the operator
-    blocks times (-1, 1, eps_m/eps_w, -1) bit for bit."""
+    """Off the diagonal, where the free terms go, the P0 system stores the
+    operator blocks times (-1, 1, eps_m/eps_w, -1), the single layers divided
+    by their panels' diameters, rounded once to float32, bit for bit."""
     mesh = pa.icosphere(1.0, 2)
     a, _ = pa.assemble_system(mesh, salty, offcenter_charge)
+    assert a.blocks.dtype == np.float32 and np.array_equal(a.lengths, mesh.diameters)
     off = ~np.eye(mesh.n_panels, dtype=bool)
     want = _scaled_operator_rows(mesh, salty, np.arange(mesh.n_panels))
-    for got, w in zip(_system_blocks(a), want):
+    for got, w in zip(_stored_blocks(a), want):
         assert np.array_equal(got[off], w[off])
 
 
@@ -519,7 +541,7 @@ def test_reused_p0_system_writes_new_rows_as_one_call(salty, offcenter_charge, b
     assert 0 < len(new_rows) < mesh.n_panels and len(sweep.runs(new_rows, new_rows)) > 1
     off = new_rows[:, None] != np.arange(mesh.n_panels)
     want = _scaled_operator_rows(mesh, salty, new_rows)
-    for got, w in zip(_system_blocks(a), want):
+    for got, w in zip(_stored_blocks(a), want):
         assert np.array_equal(got[new_rows][off], w[off])
 
 
@@ -528,12 +550,13 @@ def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monk
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n - 1)
+    # 4 bytes for each of the (2n)^2 stored values
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n - 1)
     with pytest.raises(SolverError, match="needs"):
         pa.assemble_system(mesh, salty, offcenter_charge)
     with pytest.raises(SolverError):
         pa.solve_forward(mesh, salty, offcenter_charge)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n)
     pa.assemble_system(mesh, salty, offcenter_charge)
 
 
@@ -547,12 +570,12 @@ def test_held_system_counts_against_physical_memory(salty, offcenter_charge, mon
     n = mesh.n_panels
     cache = pa.SystemCache()
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 32 * n * n + 1)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n + 1)
     monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
     with pytest.raises(SolverError, match="held system"):
         pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
     pa.assemble_system(mesh, salty, offcenter_charge)  # nothing held
-    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: 32 * n * n + 1)
+    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: 16 * n * n + 1)
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
 
 
@@ -596,48 +619,87 @@ def _dense_reference(mesh, physics, space):
                      [(1.0 - c) * eye - ky, physics.eps_m / physics.eps_w * vy]]), c
 
 
+def _star_lengths(mesh, space):
+    """Each single-layer column's length: its panel's diameter (P0), or the
+    largest diameter among the panels at its vertex (P1)."""
+    if space == "P0":
+        return mesh.diameters
+    return np.array([mesh.diameters[(mesh.triangles == v).any(axis=1)].max()
+                     for v in range(mesh.n_vertices)])
+
+
+def _at_stored_precision(ref, physics, space, lengths):
+    """The kappa = 0 ``_dense_reference`` as the system stores and applies it:
+    the top block row rounded once to float32, each single-layer column
+    divided by its length before and multiplied by it after; the P1 free term
+    summed in float64 from the rounded double-layer row; and the bottom row
+    [I - T | -(eps_m/eps_w) R] of that top row."""
+    n = len(lengths)
+    idx = np.arange(n)
+    kl = ref[:n, :n].copy()
+    kl[idx, idx] = 0.0
+    kl = kl.astype(np.float32)
+    kl[idx, idx] = -kl.sum(axis=1, dtype=float) if space == "P1" else 0.5
+    top = np.hstack([kl, (ref[:n, n:] * (1.0 / lengths)).astype(np.float32)]).astype(float)
+    top[:, n:] *= lengths
+    bottom = np.hstack([-top[:, :n], top[:, n:] * -(physics.eps_m / physics.eps_w)])
+    bottom[idx, idx] = 1.0 - top[idx, idx]
+    return np.vstack([top, bottom])
+
+
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_kappa_zero_system_stores_the_top_block_row(pure_water, offcenter_charge, space):
-    """At kappa = 0 the system keeps N x 2N values, and its product equals the
-    dense reference's."""
+    """At kappa = 0 the system keeps N x 2N float32 values, and its product
+    equals the dense reference's at that precision."""
     mesh = pa.icosphere(1.0, 2)
     a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
     n = len(b) // 2
-    assert len(a) == 2 * n and a.nbytes == 16 * n * n
+    assert len(a) == 2 * n and a.nbytes == 8 * n * n
     ref, _ = _dense_reference(mesh, pure_water, space)
     x = np.random.default_rng(11).standard_normal(2 * n)
-    want = ref @ x
+    want = _at_stored_precision(ref, pure_water, space, _star_lengths(mesh, space)) @ x
     assert np.linalg.norm(a @ x - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_kappa_zero_dense_view_is_the_scaled_operator_blocks(pure_water, offcenter_charge, space):
-    """Off the diagonal the dense view is the operator blocks times
-    (-1, 1, eps_m/eps_w, -1) bit for bit; on it, c and 1 - c."""
+    """Off the diagonal the float64 reference's bottom block row is its top one
+    times -1 and -eps_m/eps_w bit for bit, so the top row is all the system
+    stores; the dense view equals that reference at the stored precision bit
+    for bit, free terms included."""
     mesh = pa.icosphere(1.0, 2)
     a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
     n = len(b) // 2
     dense = np.asarray(a)
     assert dense.shape == (2 * n, 2 * n)
-    ref, c = _dense_reference(mesh, pure_water, space)
+    ref, _ = _dense_reference(mesh, pure_water, space)
     off = ~np.eye(n, dtype=bool)
-    for got, want in zip(_system_blocks(dense), _system_blocks(ref)):
-        assert np.array_equal(got[off], want[off])
-    idx = np.arange(n)
-    assert np.array_equal(dense[idx, idx], c)
-    assert np.array_equal(dense[n + idx, idx], 1.0 - c)
+    vl, kl, vy, ky = _system_blocks(ref)
+    assert np.array_equal(ky[off], -kl[off])
+    assert np.array_equal(vy, -(pure_water.eps_m / pure_water.eps_w) * vl)
+    assert np.array_equal(a.lengths, _star_lengths(mesh, space))
+    assert np.array_equal(dense, _at_stored_precision(ref, pure_water, space, a.lengths))
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_kappa_zero_block_jacobi_matches_dense_view(pure_water, offcenter_charge, space):
+    """The preconditioner reads each point's 2x2 block as the dense view holds
+    it, bit for bit, and applies its inverse."""
     from pbadapt import solver
 
     mesh = pa.icosphere(1.0, 2)
     a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
+    n = len(b) // 2
+    dense, idx = np.asarray(a), np.arange(n)
+    p, q, r, s = a.point_blocks()
+    for got, (i, j) in zip((p, q, r, s), ((0, 0), (0, 1), (1, 0), (1, 1))):
+        assert np.array_equal(got, dense[i * n + idx, j * n + idx])
     y = np.random.default_rng(12).standard_normal(len(b))
     got = solver._block_jacobi(a)(y, np.empty(len(b)))
-    want = solver._block_jacobi(np.asarray(a))(y, np.empty(len(b)))
-    assert np.array_equal(got, want)
+    blocks = np.stack([np.stack([p, q], axis=1), np.stack([r, s], axis=1)], axis=1)
+    want = np.linalg.solve(blocks, np.stack([y[:n], y[n:]], axis=1)[..., None])[..., 0]
+    want = np.concatenate([want[:, 0], want[:, 1]])
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
@@ -656,31 +718,32 @@ def test_kappa_zero_cached_assembly_matches_scratch(pure_water, offcenter_charge
     a, b = pa.assemble_system(refined, pure_water, offcenter_charge, space, cache)
     assert min(cache.reused) > 0 and min(cache.computed) > 0
     n = len(b) // 2
-    assert cache._held.matrix.nbytes == 16 * n * n
+    assert cache._held.matrix.nbytes == 8 * n * n
     rows, cols = solver._unchanged(held.mesh, refined, space == "P1")
-    old_n = len(held.matrix) // 2
     r, c = np.flatnonzero(rows >= 0), np.flatnonzero(cols >= 0)
     off_diagonal = r[:, None] != c[None, :]  # the diagonal carries the new free term
     for j in (0, 1):
-        new = a.top[np.ix_(r, c + j * n)]
-        old = held.matrix.top[np.ix_(rows[r], cols[c] + j * old_n)]
+        new = a.blocks[0, :, j][np.ix_(r, c)]
+        old = held.matrix.blocks[0, :, j][np.ix_(rows[r], cols[c])]
         assert np.array_equal(new[off_diagonal], old[off_diagonal])
     a0 = np.asarray(pa.assemble_system(refined, pure_water, offcenter_charge, space)[0])
     assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
 
 
-def test_kappa_zero_solves_never_build_the_dense_matrix(pure_water, offcenter_charge,
+def test_kappa_zero_solves_never_build_the_dense_matrix(pure_water, salty, offcenter_charge,
                                                         monkeypatch):
+    """Nor do the kappa > 0 ones: no solve path calls the system's ``__array__``."""
     from pbadapt import solver
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the dense kappa = 0 system was built")
+        raise AssertionError("the dense system was built")
 
-    monkeypatch.setattr(solver._TopRow, "__array__", refuse)
+    monkeypatch.setattr(solver.System, "__array__", refuse)
     mesh = pa.icosphere(1.0, 1)
-    for sol in (pa.solve_forward(mesh, pure_water, offcenter_charge),
-                pa.solve_adjoint(mesh, pure_water, offcenter_charge, refine_levels=0)):
-        assert sol.gmres_residual <= 1e-8
+    for physics in (pure_water, salty):
+        for sol in (pa.solve_forward(mesh, physics, offcenter_charge),
+                    pa.solve_adjoint(mesh, physics, offcenter_charge, refine_levels=0)):
+            assert sol.gmres_residual <= 1e-8
 
 
 def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_charge,
@@ -689,9 +752,76 @@ def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_ch
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n - 1)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 8 * n * n - 1)
     with pytest.raises(SolverError, match="needs") as err:
         pa.assemble_system(mesh, pure_water, offcenter_charge)
     assert f"top block row ({n} x {2 * n})" in str(err.value)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 8 * n * n)
     pa.assemble_system(mesh, pure_water, offcenter_charge)
+
+
+@pytest.mark.parametrize("path", [(0.0, False), (0.125, False), (0.125, True)],
+                         ids=["kappa0", "kappa", "graded"])
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_float32_storage_keeps_the_float64_direct_solve_energy(path, space, monkeypatch):
+    """Energies solved from the float32 system agree within 1e-8 relative with
+    np.linalg.solve on the float64 ``_dense_reference``, on each operator path
+    (the graded one with ``kernels.grades`` forced on)."""
+    from pbadapt import kernels
+    from pbadapt.physics import coulomb_potential
+
+    kappa, graded = path
+    if graded:
+        monkeypatch.setattr(kernels, "grades", lambda mesh: True)
+    mesh = pa.icosphere(1.0, 2)
+    charges = pa.ChargeSet(np.array([[0.1, -0.2, 0.5], [-0.3, 0.1, -0.2]]), np.array([1.0, -0.6]))
+    physics = pa.BiePhysics(eps_m=4.0, eps_w=80.0, kappa=kappa)
+    ref, _ = _dense_reference(mesh, physics, space)
+    colloc = mesh.vertices if space == "P1" else mesh.centroids
+    n = len(colloc)
+    x = np.linalg.solve(ref, np.concatenate([coulomb_potential(charges, physics, colloc),
+                                             np.zeros(n)]))
+    direct = pa.PanelSolution(space, x[:n], x[n:], mesh, 0.0, 0)
+    if space == "P0":
+        sol = pa.solve_forward(mesh, physics, charges)
+    else:
+        sol = pa.solve_adjoint(mesh, physics, charges, refine_levels=0)
+    want = pa.solvation_energy(direct, charges, physics).dG_solv
+    assert pa.solvation_energy(sol, charges, physics).dG_solv == pytest.approx(want, rel=1e-8)
+
+
+def test_refinement_cycle_that_does_not_lower_the_residual_is_solver_error(
+        salty, offcenter_charge, tmp_path, monkeypatch):
+    """A tolerance below what float64 residuals resolve ends at the first cycle
+    that does not lower the true residual, not after max_iters steps; the CLI
+    then exits 4."""
+    from pbadapt.cli import EXIT_SOLVER, main
+
+    real = pa.solver.gmres
+    calls = []
+
+    def counted(operator, b, **kwargs):
+        calls.append(kwargs["restart"])
+        return real(operator, b, **kwargs)
+
+    monkeypatch.setattr(pa.solver, "gmres", counted)
+    with pytest.raises(SolverError, match="stalled") as err:
+        pa.solve_forward(pa.icosphere(1.0, 1), salty, offcenter_charge, gmres_tol=1e-17)
+    assert len(calls) <= 8 and err.value.iterations < pa.solver.DEFAULT_MAX_ITERS
+    assert err.value.residual > 1e-17
+    cfg = tmp_path / "s.ini"
+    cfg.write_text("[mesh]\ntype = icosphere\nlevel = 1\n\n[charges]\ninline = 1.0  0.0 0.0 0.5\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--gmres-tol", "1e-17"]) == EXIT_SOLVER
+
+
+def test_residual_history_reaches_the_energy_diagnostics(salty, offcenter_charge):
+    """Each refinement cycle's true relative residual, in order, on the
+    solution and in ``solvation_energy``'s diagnostics with the cycle count."""
+    sol = pa.solve_forward(pa.icosphere(1.0, 2), salty, offcenter_charge)
+    history = sol.gmres_history
+    assert len(history) >= 2 and sol.gmres_residual == history[-1] <= 1e-8
+    assert all(later < earlier for earlier, later in zip(history, history[1:]))
+    diagnostics = pa.solvation_energy(sol, offcenter_charge, salty).diagnostics
+    assert diagnostics["gmres_history"] == list(history)
+    assert diagnostics["gmres_cycles"] == len(history)
