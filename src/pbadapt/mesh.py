@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MeshInvariantError, ParseError, UsageError
 from .grid import CellGrid
-from .sweep import sweep
+from .sweep import CHUNK_PAIRS, sweep
 
 logger = logging.getLogger(__name__)
 
@@ -23,6 +23,9 @@ DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
 INPUT_BOUND = 1e30      # Å or e; bounds outside input, so products of four lengths stay finite
 MAX_LEVEL = 8           # icosphere levels; level 8 is 1.3 M panels, about 0.6 GB to build
+RAY_TOL = 1e-8          # x largest |vertex coordinate|: nearer the surface, winding_number decides
+THIN_RATIO = 1e-4       # projected panels with an edge below this x their longest are degenerate
+RAY_CHUNK = 1 << 16     # (point, panel) candidate pairs tested at once
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,11 @@ class SurfaceMesh:
         """Cell grid of the vertices, shared by the duplicate check and the
         conforming snaps onto this mesh."""
         return CellGrid(self.vertices, 2.0 * DUPLICATE_TOL)
+
+    @cached_property
+    def _crossing_grid(self) -> "_CrossingGrid":
+        """Projected panels in a cell grid, for ``points_inside``."""
+        return _CrossingGrid(self)
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -554,6 +562,14 @@ def refine(mesh: SurfaceMesh, marked, background: SurfaceMesh | None = None) -> 
 # ---------------------------------------------------------------------------
 # point-in-volume test
 
+# a fixed direction, along no axis, face diagonal or body diagonal, and the
+# plane normal to it: _PLANE's columns e1, e2 have e1 x e2 = _RAY
+_RAY = np.array([0.2718281828459045, 0.5772156649015329, 0.7853981633974483])
+_RAY /= np.linalg.norm(_RAY)
+_E1 = np.cross(_RAY, [1.0, 0.0, 0.0])
+_E1 /= np.linalg.norm(_E1)
+_PLANE = np.stack([_E1, np.cross(_RAY, _E1)], axis=1)
+
 
 def half_solid_angles(rel, lens) -> np.ndarray:
     """Half the signed solid angle each triangle subtends at a point.
@@ -583,13 +599,135 @@ def winding_number(mesh: SurfaceMesh, points) -> np.ndarray:
     """Fraction of the full solid angle each point sees (1 inside, 0 outside).
 
     Sums ``half_solid_angles`` over the panels of ``sweep.sweep``'s offsets,
-    so the inner loops run over the panels.
+    so the inner loops run over the panels: one arctan2 per (point, panel)
+    pair. ``points_inside`` falls back on it for points near the surface.
     """
     (half,) = sweep(points, mesh.corners.transpose(1, 2, 0),  # (corner, coordinate, panel)
                     lambda rel, lens: (half_solid_angles(rel, lens).sum(axis=1),), ())
     return half / (2.0 * np.pi)
 
 
+class _CrossingGrid:
+    """The panels of a mesh projected along ``_RAY``, binned in a 2-D cell grid
+    of about one cell per panel by their projected bounding boxes widened by
+    ``tol``.
+
+    ``tol`` is ``RAY_TOL`` times L, the largest vertex coordinate magnitude.
+    Projected coordinates carry rounding errors of about 1e-16 L, and a unit
+    edge direction errs by that over the edge's length. With every projected
+    edge at least ``THIN_RATIO`` of the longest, a point's distance inside an
+    edge line, for a point in the panel's box, errs by under 1e-11 L; its
+    distance to the panel's plane by about 1e-15 L. Both are a thousandth of
+    ``tol`` or less, so a distance beyond ``tol`` has its true sign. A panel
+    whose projection is narrower than ``tol``, or has a shorter edge, is
+    degenerate.
+    """
+
+    def __init__(self, mesh: SurfaceMesh):
+        v, n = mesh.vertices, mesh.n_panels
+        self.tol = tol = RAY_TOL * float(np.abs(v).max())
+        self.box = v.min(axis=0) - tol, v.max(axis=0) + tol
+        self.px, self.py = (v @ _PLANE)[mesh.triangles].transpose(2, 1, 0)  # (corner, panel)
+        # edge k runs from corner k to corner k + 1
+        ex, ey = np.roll(self.px, -1, axis=0) - self.px, np.roll(self.py, -1, axis=0) - self.py
+        lengths = np.hypot(ex, ey)
+        area2 = ey[0] * ex[2] - ex[0] * ey[2]  # twice the signed projected area, sign(d . n)
+        longest = lengths.max(axis=0)
+        self.degenerate = ((np.abs(area2) <= tol * longest)
+                           | (lengths.min(axis=0) < THIN_RATIO * longest))
+        self.sign = np.sign(area2)
+        # ux (qy - py) - uy (qx - px): the distance of q inside edge k's line
+        scale = self.sign / np.where(self.degenerate, 1.0, lengths)
+        self.ux, self.uy = ex * scale, ey * scale
+        self.lo = np.stack([self.px.min(axis=0), self.py.min(axis=0)]) - tol
+        self.hi = np.stack([self.px.max(axis=0), self.py.max(axis=0)]) + tol
+        self.normal = np.ascontiguousarray(mesh.normals.T)
+        self.offset = np.einsum("tx,tx->t", mesh.normals, mesh.corners[:, 0])
+        self.origin = self.lo.min(axis=1)
+        extent = self.hi.max(axis=1) - self.origin
+        self.side = max(float(np.sqrt(extent.prod() / n)), float(extent.max()) / n)
+        self.dims = (extent // self.side).astype(np.int64) + 1
+        first = self._cells(self.lo)
+        span = self._cells(self.hi) - first + 1
+        counts = span[0] * span[1]
+        panel = np.repeat(np.arange(n), counts)
+        k = np.arange(len(panel)) - np.repeat(np.cumsum(counts) - counts, counts)
+        key = ((first[0, panel] + k // span[1, panel]) * self.dims[1]
+               + first[1, panel] + k % span[1, panel])
+        self.panels = panel[np.argsort(key, kind="stable")]
+        counts = np.bincount(key, minlength=int(self.dims.prod()))
+        self.start = np.concatenate([[0], np.cumsum(counts)])  # cell c: start[c] .. start[c + 1]
+
+    def _cells(self, q):
+        """(2, m) cell indices of the (2, m) projected ``q``, clipped to the grid."""
+        f = np.floor((q - self.origin[:, None]) / self.side)
+        return np.clip(f, 0, (self.dims - 1)[:, None]).astype(np.int64)
+
+    def count(self, x):
+        """(crossings, unclear) for the (m, 3) points ``x``: the signed count of
+        the panels the ray x + t d, t > 0, crosses, and where a candidate panel
+        not clearly behind the point lies within ``tol`` of the ray or of the
+        point, or projects degenerate."""
+        crossings, unclear = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
+        near = np.flatnonzero(np.all((x >= self.box[0]) & (x <= self.box[1]), axis=1))
+        x = x[near]
+        q = (x @ _PLANE).T
+        cell = self._cells(q)
+        cell = cell[0] * self.dims[1] + cell[1]
+        first = self.start[cell]
+        counts = self.start[cell + 1] - first
+        ends = np.cumsum(counts)
+        cuts = np.searchsorted(ends, np.arange(RAY_CHUNK, ends[-1] if len(ends) else 0, RAY_CHUNK))
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(near)]):
+            c = counts[a:b]
+            point = np.repeat(np.arange(a, b), c)
+            # candidate k of point j is panels[first[j] + k]
+            k = np.arange(len(point)) - np.repeat(np.cumsum(c) - c, c)
+            panel = self.panels[first[point] + k]
+            qx, qy = q[0, point], q[1, point]
+            held = ((qx >= self.lo[0, panel]) & (qx <= self.hi[0, panel])
+                    & (qy >= self.lo[1, panel]) & (qy <= self.hi[1, panel]))
+            point, panel, qx, qy = point[held], panel[held], qx[held], qy[held]
+            inner = np.min([self.ux[k, panel] * (qy - self.py[k, panel])
+                            - self.uy[k, panel] * (qx - self.px[k, panel]) for k in range(3)],
+                           axis=0)
+            nrm, xp = self.normal[:, panel], x[point]
+            # distance of the plane ahead of the point along the ray's side
+            ahead = self.sign[panel] * (self.offset[panel] - (
+                xp[:, 0] * nrm[0] + xp[:, 1] * nrm[1] + xp[:, 2] * nrm[2]))
+            degenerate = self.degenerate[panel]
+            crossed = (inner > self.tol) & (ahead > self.tol) & ~degenerate
+            doubt = degenerate | ((inner >= -self.tol) & (ahead >= -self.tol) & ~crossed)
+            unclear[near[point[doubt]]] = True
+            crossings[near[a:b]] = np.bincount(point[crossed] - a, self.sign[panel[crossed]],
+                                               b - a)
+        return crossings, unclear
+
+
 def points_inside(mesh: SurfaceMesh, points) -> np.ndarray:
-    """Boolean mask of points strictly inside the closed surface."""
-    return winding_number(mesh, points) > 0.5
+    """Boolean mask of points strictly inside the closed surface:
+    ``winding_number(mesh, points) > 0.5``, computed by ray crossings.
+
+    Each point casts the ray x + t d, t > 0, along the fixed generic
+    direction ``_RAY`` and adds sign(d . n) for every panel the ray crosses;
+    on a closed, consistently oriented surface that sum is the winding
+    number, self-intersections included. The candidates are the panels of
+    the point's cell in the mesh's cached ``_CrossingGrid``. A point whose
+    ray passes within the grid's ``tol`` (``RAY_TOL`` of the largest vertex
+    coordinate) of a candidate's edge or vertex, that lies within ``tol``
+    of a crossed panel's plane, or that meets a degenerate projection is
+    decided by ``winding_number``, as is every input of at most
+    ``CHUNK_PAIRS`` (point, panel) pairs; the DEBUG log counts the former.
+    A point farther than ``tol`` from the surface has a winding number
+    within rounding of an integer, so the masks agree everywhere.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(points) * mesh.n_panels <= CHUNK_PAIRS:
+        return winding_number(mesh, points) > 0.5  # one chunk: cheaper than building the grid
+    crossings, unclear = mesh._crossing_grid.count(points)
+    inside = crossings > 0.5
+    if unclear.any():
+        logger.debug("inside test: %d of %d points near the surface take the winding number",
+                     int(unclear.sum()), len(points))
+        inside[unclear] = winding_number(mesh, points[unclear]) > 0.5
+    return inside

@@ -81,7 +81,12 @@ def _require_inside(mesh: SurfaceMesh, points, what: str) -> None:
 
 
 def require_charges_inside(charges: ChargeSet, mesh: SurfaceMesh) -> None:
-    """Raise DomainError unless every charge sits strictly inside the surface."""
+    """Raise DomainError unless every charge sits strictly inside the surface.
+
+    Cost (``mesh.points_inside``): a ray-crossing test of each charge
+    against the few panels of its grid cell, after one grid build per mesh
+    (a few passes over the panels); at most ``sweep.CHUNK_PAIRS`` (charge,
+    panel) pairs take the solid-angle sum instead, one arctan2 per pair."""
     _require_inside(mesh, charges.positions, "charge")
 
 
@@ -113,13 +118,25 @@ def _sweep(charges: ChargeSet, points, evaluate, *shapes) -> list[np.ndarray]:
 
 
 def _potential(charges: ChargeSet, physics: BiePhysics, r) -> np.ndarray:
-    return (charges.charges[None, :] / (kernels.FOUR_PI * r)).sum(axis=1) / physics.eps_m
+    """sum_k q_k / (4 pi r) / eps_m per row, in one chunk-sized array."""
+    w = kernels.FOUR_PI * r
+    np.divide(charges.charges, w, out=w)
+    return w.sum(axis=1) / physics.eps_m
 
 
 def _gradient(charges: ChargeSet, physics: BiePhysics, d, r) -> np.ndarray:
-    w = charges.charges[None, :] / (kernels.FOUR_PI * (r * r * r))
-    g = np.stack([(w * di).sum(axis=1) for di in d], axis=1)
-    return g / physics.eps_m
+    """sum_k q_k d_k / (4 pi r^3) / eps_m per row, in one chunk-sized array
+    and the offsets ``d``, which it overwrites."""
+    w = r * r
+    w *= r
+    np.multiply(kernels.FOUR_PI, w, out=w)
+    np.divide(charges.charges, w, out=w)
+    g = np.empty((len(r), 3))
+    for i, di in enumerate(d):
+        di *= w
+        di.sum(axis=1, out=g[:, i])
+    g /= physics.eps_m
+    return g
 
 
 def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:

@@ -57,12 +57,13 @@ from . import kernels
 from .errors import SolverError, UsageError
 from .mesh import SurfaceMesh, refine
 from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
-from .sweep import chunks, run_parallel, runs
+from .sweep import chunks, per_worker, run_parallel, runs
 
 DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
 CYCLE_REDUCTION = 1e-4     # a GMRES-IR cycle stops when it has cut the true residual this much
 PRODUCT_VALUES = 1 << 17   # stored values a float64 product upcasts at once (1 MB), per worker
+_PROC_MEMINFO = Path("/proc/meminfo")
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
 
@@ -175,17 +176,22 @@ def _float32_halves(rows, u, v):
 
 
 def _float64_halves(rows, u, v):
-    """(rows[:, :n] @ u, rows[:, n:] @ v) accumulated in float64, from one
-    cache-sized chunk of rows upcast at a time: no float64 copy of ``rows``."""
+    """(rows[:, :n] @ u, rows[:, n:] @ v) accumulated in float64. Each worker
+    takes one run of consecutive cache-sized chunks of rows and upcasts them
+    one at a time into one reused buffer: no float64 copy of ``rows``."""
     n = len(u)
     t, w = np.empty(len(rows)), np.empty(len(rows))
+    spans = chunks(len(rows), 2 * n, PRODUCT_VALUES)
 
-    def run(sl):
-        chunk = rows[sl].astype(float)
-        np.matmul(chunk[:, :n], u, out=t[sl])
-        np.matmul(chunk[:, n:], v, out=w[sl])
+    def run(run_spans):
+        buf = np.empty((run_spans[0].stop - run_spans[0].start, 2 * n))
+        for sl in run_spans:
+            chunk = buf[: sl.stop - sl.start]
+            np.copyto(chunk, rows[sl])
+            np.matmul(chunk[:, :n], u, out=t[sl])
+            np.matmul(chunk[:, n:], v, out=w[sl])
 
-    run_parallel(run, chunks(len(rows), 2 * n, PRODUCT_VALUES))
+    run_parallel(run, per_worker(spans))
     return t, w
 
 
@@ -253,12 +259,24 @@ def _cgroup_headroom() -> int | None:
     return None
 
 
+def _available_memory() -> int | None:
+    """Bytes the kernel reports as ``MemAvailable``, None where it cannot be
+    read. What the process already holds is not available. Only reads
+    system files."""
+    try:
+        line = next(line for line in _PROC_MEMINFO.read_text().splitlines()
+                    if line.startswith("MemAvailable:"))
+        return int(line.split()[1]) * 1024  # kB
+    except (OSError, StopIteration, ValueError, IndexError):
+        return None
+
+
 def _memory_budget() -> int:
-    """Bytes a new allocation may take: physical memory, or less if the
-    process's cgroup (v2) limit leaves less."""
-    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    headroom = _cgroup_headroom()
-    return budget if headroom is None else min(budget, headroom)
+    """Bytes a new allocation may take: the smaller of the available memory
+    and the process's cgroup (v2) headroom, both of which count what the
+    process holds; physical memory, which does not, when neither is known."""
+    known = [m for m in (_available_memory(), _cgroup_headroom()) if m is not None]
+    return min(known) if known else os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _column_lengths(mesh: SurfaceMesh, p1: bool) -> np.ndarray:
@@ -298,9 +316,10 @@ def assemble_system(
     colloc = mesh.vertices if p1 else mesh.centroids
     n = len(colloc)
     held = None if cache is None else cache._held
-    # the held system stays allocated while the new one is built; a cgroup's
-    # headroom already counts it, physical memory does not
-    held_bytes = 0 if held is None or _cgroup_headroom() is not None else held.matrix.nbytes
+    # the held system stays allocated while the new one is built; the available
+    # memory and a cgroup's headroom already count it, physical memory does not
+    counted = _available_memory() is not None or _cgroup_headroom() is not None
+    held_bytes = 0 if held is None or counted else held.matrix.nbytes
     top_only = physics.kappa == 0.0
     block_rows = 1 if top_only else 2
     need, budget = 4 * block_rows * n * 2 * n, _memory_budget()

@@ -28,6 +28,15 @@ def chunks(n: int, per_item, budget=None) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
+def _length(x, y, z) -> np.ndarray:
+    """sqrt(x * x + z * z + y * y), in that order, in one new array."""
+    out, tmp = x * x, z * z
+    out += tmp
+    np.multiply(y, y, out=tmp)
+    out += tmp
+    return np.sqrt(out, out=out)
+
+
 def sweep(points, sources, evaluate, *shapes) -> list[np.ndarray]:
     """Arrays of trailing ``shapes``, one row per point, that ``evaluate(rel, lens)``
     fills chunk by chunk on the pool.
@@ -44,7 +53,7 @@ def sweep(points, sources, evaluate, *shapes) -> list[np.ndarray]:
     def run(sl):
         p = points[sl].T[:, :, None]                        # (coordinate, point, 1)
         rel = [[corner[i] - p[i] for i in range(3)] for corner in sources]
-        lens = [np.sqrt(x * x + z * z + y * y) for x, y, z in rel]
+        lens = [_length(*r) for r in rel]
         for o, value in zip(out, evaluate(rel, lens)):
             o[sl] = value
 
@@ -59,6 +68,13 @@ def runs(dst, src) -> list[tuple[slice, slice]]:
     cut = np.flatnonzero((np.diff(dst) != 1) | (np.diff(src) != 1)) + 1
     return [(slice(dst[i], dst[j - 1] + 1), slice(src[i], src[j - 1] + 1))
             for i, j in zip(np.r_[0, cut], np.r_[cut, len(dst)])]
+
+
+def per_worker(items) -> list:
+    """``items`` cut into runs of consecutive items, one run per usable CPU
+    (fewer when there are fewer items), for ``run_parallel``."""
+    parts = min(_usable_cpus(), len(items))
+    return [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
 
 
 def run_parallel(fn, items) -> None:

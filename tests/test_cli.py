@@ -160,6 +160,17 @@ def test_system_too_large_for_memory_is_solver_error(tmp_path, capsys, monkeypat
     assert "needs" in capsys.readouterr().err
 
 
+def test_system_beyond_available_memory_exits_solver(tmp_path, capsys, monkeypatch):
+    from pbadapt import solver
+
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       8000000 kB\nMemAvailable:        1 kB\n")
+    monkeypatch.setattr(solver, "_PROC_MEMINFO", meminfo)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    assert "needs" in capsys.readouterr().err
+
+
 def test_estimate_sphere_reports_gamma_both_estimators(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     out_dir = tmp_path / "est"

@@ -8,6 +8,7 @@ import pytest
 
 import pbadapt as pa
 from pbadapt import kernels
+from pbadapt.mesh import points_inside, winding_number
 from pbadapt.oracle import offcenter_benchmark
 
 GMRES_TOL = 1e-12
@@ -101,3 +102,23 @@ def test_p0_and_p1_converge_together_on_an_ellipsoid():
                            physics)
         gaps.append(abs(p0 - p1))
     assert gaps[1] <= gaps[0] / 3.0 and gaps[2] <= gaps[1] / 3.0
+
+
+@pytest.mark.parametrize(("shift", "scale"), [(0.0, 1.0), (1e3, 1.0), (0.0, 1e-3), (0.0, 1e3)],
+                         ids=["rotation", "shift-1e3", "scale-1e-3", "scale-1e3"])
+def test_inside_masks_do_not_depend_on_placement(capped, shift, scale):
+    """The ray-crossing inside test gives the same mask, and the mask of
+    ``winding_number > 0.5``, after a rotation with a translation or a scaling."""
+    mesh = capped[0]
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-1.3, 1.3, (3000, 3))
+    want = points_inside(mesh, points)
+    assert 0 < want.sum() < len(points)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    if np.linalg.det(rotation) < 0:
+        rotation[:, 0] *= -1.0
+    moved, charges = _moved(mesh, pa.ChargeSet(points, np.ones(len(points))), rotation, shift, scale)
+    got = points_inside(moved, charges.positions)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, winding_number(moved, charges.positions) > 0.5)

@@ -204,6 +204,149 @@ def test_winding_number_inside_outside():
     assert list(points_inside(m, [[0, 0, 0.9], [0, 0, 1.1]])) == [True, False]
 
 
+def crossing_masks(m, points):
+    """(points_inside mask, unclear mask of the grid) after checking both
+    against ``winding_number(...) > 0.5``; the grid's clear answers are whole
+    crossing counts that agree with it."""
+    points = np.asarray(points, dtype=float)
+    want = winding_number(m, points) > 0.5
+    crossings, unclear = m._crossing_grid.count(points)
+    assert np.array_equal(crossings, np.round(crossings))
+    assert np.array_equal((crossings > 0.5)[~unclear], want[~unclear])
+    got = points_inside(m, points)
+    assert np.array_equal(got, want)
+    return got, unclear
+
+
+def ball_and_shell(rng, n, radius=1.0):
+    """n points uniform in a ball of 1.3 ``radius`` and n in a shell 0.9-1.1 ``radius``."""
+    ball = rng.standard_normal((n, 3))
+    ball *= 1.3 * radius * rng.uniform(0, 1, n)[:, None] ** (1 / 3) / np.linalg.norm(ball, axis=1)[:, None]
+    shell = rng.standard_normal((n, 3))
+    shell *= radius * rng.uniform(0.9, 1.1, n)[:, None] / np.linalg.norm(shell, axis=1)[:, None]
+    return np.concatenate([ball, shell])
+
+
+@pytest.mark.parametrize("which", ["sphere", "uneven"])
+def test_ray_crossings_match_the_winding_number(which, uneven_mesh):
+    m = pa.icosphere(1.0, 2) if which == "sphere" else uneven_mesh
+    points = ball_and_shell(np.random.default_rng(5), 2000)
+    assert len(points) * m.n_panels > sweep.CHUNK_PAIRS  # the grid decides
+    got, unclear = crossing_masks(m, points)
+    assert not unclear.any()
+    assert 0 < got.sum() < len(points)
+
+
+def test_ray_crossings_do_not_depend_on_the_chunk(monkeypatch):
+    """Chunks of 7 candidate pairs, where one point's candidates outnumber a
+    chunk, give the counts of one chunk."""
+    m = pa.icosphere(1.0, 3)
+    points = ball_and_shell(np.random.default_rng(9), 1000)
+    whole = m._crossing_grid.count(points)
+    monkeypatch.setattr(mesh_mod, "RAY_CHUNK", 7)
+    cut = m._crossing_grid.count(points)
+    assert np.array_equal(whole[0], cut[0]) and np.array_equal(whole[1], cut[1])
+
+
+@pytest.mark.parametrize("which", ["sphere", "uneven"])
+def test_points_on_the_surface_take_the_winding_number(which, uneven_mesh):
+    m = pa.icosphere(1.0, 2) if which == "sphere" else uneven_mesh
+    midpoints = 0.5 * (m.corners + np.roll(m.corners, -1, axis=1)).reshape(-1, 3)
+    for points in (m.vertices, midpoints, m.centroids):
+        _, unclear = crossing_masks(m, points)
+        assert unclear.all()
+
+
+def bumpy_sphere(level, bumps):
+    """Icosphere mapped radially by r = 1 + sum a exp(-|x - c|^2 / w^2) over
+    ``bumps`` of (a, c, w); negative heights dent it, so it is not convex."""
+    sphere = pa.icosphere(1.0, level)
+    x = sphere.vertices
+    r = 1.0 + sum(a * np.exp(-((x - np.asarray(c) / np.linalg.norm(c)) ** 2).sum(axis=1) / w**2)
+                  for a, c, w in bumps)
+    return pa.SurfaceMesh(x * r[:, None], sphere.triangles)
+
+
+def test_ray_crossings_on_a_non_convex_surface():
+    m = bumpy_sphere(4, [(0.6, (1, 0, 0), 0.3), (-0.5, (0, 1, 1), 0.35), (0.4, (-1, -1, 0), 0.25),
+                         (-0.4, (0, 0, -1), 0.3)])
+    assert m.signed_volume > 0
+    points = ball_and_shell(np.random.default_rng(6), 1500, radius=1.2)
+    deep = np.array([[0.0, 0.0, -0.5]])  # under the dent at -z, whose surface is at 0.6
+    got, unclear = crossing_masks(m, np.concatenate([points, deep]))
+    assert not unclear.any() and got[-1]
+    crossings, _ = m._crossing_grid.count(points)
+    assert crossings.min() >= 0 and crossings.max() == 1
+
+
+def box_mesh(n):
+    """Closed, outward-oriented surface of the cube [-1, 1]^3, each face an
+    n x n grid of squares split into two triangles; faces parallel to the axes."""
+    t = np.linspace(-1.0, 1.0, n + 1)
+    verts, tris, index = [], [], {}
+
+    def vertex(p):
+        key = tuple(np.round(p, 12))
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(p)
+        return index[key]
+
+    for axis in range(3):
+        for side in (-1.0, 1.0):
+            u, v = (axis + 1) % 3, (axis + 2) % 3
+            for i in range(n):
+                for j in range(n):
+                    quad = []
+                    for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                        p = np.zeros(3)
+                        p[axis], p[u], p[v] = side, t[i + di], t[j + dj]
+                        quad.append(vertex(p))
+                    a, b, c, d = quad if side > 0 else quad[::-1]
+                    tris += [[a, b, c], [a, c, d]]
+    return pa.SurfaceMesh(np.array(verts), np.array(tris))
+
+
+def test_ray_crossings_on_an_axis_aligned_box():
+    m = box_mesh(3)
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1.4, 1.4, (4000, 3))
+    # on the grid of face lines, where axis-aligned rays would meet edges
+    grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 7)] * 3), axis=-1).reshape(-1, 3) * 0.999
+    got, unclear = crossing_masks(m, np.concatenate([points, grid]))
+    assert not unclear.any()
+    inside = np.all(np.abs(points) < 1.0, axis=1)
+    assert np.array_equal(got[: len(points)], inside)
+
+
+def rotation(seed):
+    if seed == 0:
+        return np.eye(3)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_many_charges_need_no_winding_number(seed, background):
+    """1,000 charges uniform in a ball of 0.7, rotated with the forward
+    level-2 sphere and its conforming refinement, the adjoint mesh: every
+    charge is decided by its ray."""
+    rng = np.random.default_rng(0)
+    direction = rng.standard_normal((1000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    charges = direction * (0.7 * rng.random(1000) ** (1.0 / 3.0))[:, None]
+    rot = rotation(seed)
+    forward = pa.SurfaceMesh(pa.icosphere(1.0, 2).vertices @ rot.T, pa.icosphere(1.0, 2).triangles)
+    moved = pa.SurfaceMesh(background.vertices @ rot.T, background.triangles)
+    adjoint = mesh_mod.refine(forward, range(forward.n_panels), moved)
+    for m in (forward, adjoint):
+        got, unclear = crossing_masks(m, charges @ rot.T)
+        assert got.all() and not unclear.any()
+
+
 # -- MSMS I/O ----------------------------------------------------------------
 
 

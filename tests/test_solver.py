@@ -300,6 +300,31 @@ def _stored(a):
     return pa.solver.System(a.astype(np.float32).reshape(2, n, 2, n), 1.0, np.ones(n))
 
 
+def _chunkwise_upcast(rows, u, v):
+    """The float64 halves with every chunk of rows upcast into its own array."""
+    n = len(u)
+    parts = [rows[sl].astype(float)
+             for sl in pa.sweep.chunks(len(rows), 2 * n, pa.solver.PRODUCT_VALUES)]
+    return (np.concatenate([p[:, :n] @ u for p in parts]),
+            np.concatenate([p[:, n:] @ v for p in parts]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_float64_product_is_the_chunkwise_upcast(salty, offcenter_charge, cpus, monkeypatch):
+    """One reused buffer per worker gives the rows of every chunk upcast on its
+    own, bit for bit: on a system and on rows whose last chunk is one row."""
+    _use_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(8)
+    a, _ = pa.assemble_system(pa.icosphere(1.0, 2), salty, offcenter_charge)
+    n = 1200
+    per_chunk = pa.solver.PRODUCT_VALUES // (2 * n)
+    for rows in (a.blocks.reshape(len(a), len(a)),
+                 rng.standard_normal((2 * per_chunk + 1, 2 * n)).astype(np.float32)):
+        u, v = rng.standard_normal((2, rows.shape[1] // 2))
+        got, want = pa.solver._float64_halves(rows, u, v), _chunkwise_upcast(rows, u, v)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_gmres_stalls_after_max_iters():
     rng = np.random.default_rng(6)
     u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
@@ -560,10 +585,11 @@ def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monk
     pa.assemble_system(mesh, salty, offcenter_charge)
 
 
-def test_held_system_counts_against_physical_memory(salty, offcenter_charge, monkeypatch):
-    """Without a cgroup limit the budget is physical memory, which does not
-    know what the process holds: the cache's system counts beside the new one.
-    A cgroup's headroom already counts it."""
+def test_held_system_counts_against_physical_memory(salty, offcenter_charge, monkeypatch,
+                                                    tmp_path):
+    """Without a cgroup limit or a readable meminfo the budget is physical
+    memory, which does not know what the process holds: the cache's system
+    counts beside the new one. A cgroup's headroom already counts it."""
     from pbadapt import solver
 
     mesh = pa.icosphere(1.0, 1)
@@ -571,6 +597,7 @@ def test_held_system_counts_against_physical_memory(salty, offcenter_charge, mon
     cache = pa.SystemCache()
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
     monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n + 1)
+    monkeypatch.setattr(solver, "_PROC_MEMINFO", tmp_path / "missing")
     monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
     with pytest.raises(SolverError, match="held system"):
         pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
@@ -589,13 +616,39 @@ def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
     group.mkdir(parents=True)
     monkeypatch.setattr(solver, "_PROC_CGROUP", proc)
     monkeypatch.setattr(solver, "_CGROUP_ROOT", tmp_path / "fs")
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8000 kB\nMemAvailable:    6000 kB\n")
+    available = 6000 * 1024
+    monkeypatch.setattr(solver, "_PROC_MEMINFO", meminfo)
     (group / "memory.max").write_text("5000000\n")
     (group / "memory.current").write_text("1200000\n")
     assert solver._memory_budget() == min(physical, 3800000)
     (group / "memory.max").write_text("max\n")
+    assert solver._memory_budget() == available
+    proc.write_text("4:memory:/jobs/one\n")  # cgroup v1 only: the available memory
+    assert solver._memory_budget() == available
+    monkeypatch.setattr(solver, "_PROC_MEMINFO", tmp_path / "missing")  # neither: physical memory
     assert solver._memory_budget() == physical
-    proc.write_text("4:memory:/jobs/one\n")  # cgroup v1 only: physical memory
-    assert solver._memory_budget() == physical
+
+
+def test_system_beyond_available_memory_is_solver_error(salty, offcenter_charge, monkeypatch,
+                                                        tmp_path):
+    """MemAvailable below the 16 N^2 bytes a system needs refuses it, and a
+    held system is not counted again: the available memory already counts it."""
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 1)
+    n = mesh.n_panels
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(solver, "_PROC_MEMINFO", meminfo)
+    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
+    cache = pa.SystemCache()
+    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {16 * n * n // 1024 - 1} kB\n")
+    with pytest.raises(SolverError, match="needs"):
+        pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
+    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {16 * n * n // 1024 + 1} kB\n")
+    pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
+    pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)  # the held one beside it
 
 
 @pytest.fixture(scope="module")
