@@ -109,53 +109,52 @@ def panel_quad_points(mesh: SurfaceMesh, rule: QuadratureRule, panels=None) -> n
     return np.einsum("qk,tkx->tqx", rule.points, mesh.corners[_panel_index(panels)])
 
 
-def _batch_kernels(tb, xq, xx, xn, normals, kappa, yukawa, near):
-    """Kernel values for a batch of targets against n panels' quad points.
+def _batch_kernels(tb, xq, xx, kappa, yukawa, near):
+    """1/r, 1/r^3 and, with ``yukawa``, exp(-kappa r)/r, (1 + kappa r) exp(-kappa r)/r^3
+    for a batch of targets at n panels' quad points: the kernels less 1/(4 pi),
+    the double layers less their normal height (t - y).n, constant on a flat panel.
 
     Every batch-sized array is laid out (rows, rule point, panel): the
-    quadrature points ``xq`` are (3, nq * n), their squared norms ``xx``
-    (nq * n,), ``xn`` (nq, n) their dot products with their panel's normal,
-    ``normals`` (n, 3), and the inner loops run over the panels. The
-    distance product stays a k = 3 BLAS product with nothing else folded
-    in: a wider one can be large enough for OpenBLAS to thread inside each
-    pool worker and oversubscribe the cores.
+    quadrature points ``xq`` are (3, nq, n), their squared norms ``xx``
+    (nq, n). Each point takes one divide, 1/r^2, and one square root, 1/r.
+    The distance product stays a k = 3 BLAS product with nothing else
+    folded in: a wider one can be large enough for OpenBLAS to thread
+    inside each pool worker and oversubscribe the cores.
 
     ``near`` = (batch rows, panels) of the pairs integrated elsewhere: their
     distances are set to 1, so no kernel divides by zero, and the caller
     writes their entries. A target can only sit on a quadrature point of its
-    own panel, and that pair is always near.
+    own panel, and that pair is always near; every other pair lies a panel
+    diameter or more from the points, so r^2 needs no clamp at 0.
 
     Returns the kernels stacked, (2 or 4, rows, nq, n): GL and KL, then GY
-    and KY with ``yukawa``. Every batch-sized array lives in one block
-    allocated here: a block that large is mapped and unmapped as a whole,
-    so batches run on worker threads leave no freed heap memory behind in
-    the threads' arenas.
+    and KY with ``yukawa``, equal to GL and KL bit for bit at kappa = 0.
+    Every batch-sized array lives in one block allocated here: a block that
+    large is mapped and unmapped as a whole, so batches run on worker
+    threads leave no freed heap memory behind in the threads' arenas.
     """
-    b, (nq, T) = len(tb), xn.shape
-    work = np.empty((6 if yukawa else 4, b, nq, T))
-    r2, r, gl, klk = work[:4]
-    tt = np.einsum("ij,ij->i", tb, tb)
-    np.matmul(-2.0 * tb, xq, out=r2.reshape(b, nq * T))  # scaling by -2 is exact
-    r2 += tt[:, None, None]
-    r2 += xx.reshape(1, nq, T)
-    np.maximum(r2, 0.0, out=r2)
+    b, (_, nq, n) = len(tb), xq.shape
+    work = np.empty((5 if yukawa else 3, b, nq, n))
+    r2, gl, kl = work[:3]
+    np.matmul(-2.0 * tb, xq.reshape(3, nq * n), out=r2.reshape(b, nq * n))  # scaling by -2 is exact
+    r2 += np.einsum("ij,ij->i", tb, tb)[:, None, None]
+    r2 += xx
     rows, panels = near
     r2[rows, :, panels] = 1.0
-    np.sqrt(r2, out=r)
-    np.divide(1.0 / FOUR_PI, r, out=gl)
-    np.subtract((tb @ normals.T)[:, None, :], xn, out=klk)
-    klk *= gl
-    klk /= r2
+    np.divide(1.0, r2, out=kl)
+    np.sqrt(kl, out=gl)
+    kl *= gl
     if yukawa:
-        ex, gy, kyk = r2, work[4], work[5]
-        np.multiply(r, -kappa, out=ex)
-        np.exp(ex, out=ex)
-        np.multiply(gl, ex, out=gy)
-        np.multiply(r, kappa, out=kyk)
-        kyk += 1.0
-        kyk *= klk
-        kyk *= ex
-    return work[2:]
+        r, gy, ky = r2, work[3], work[4]
+        r *= gl
+        np.multiply(r, -kappa, out=gy)
+        np.exp(gy, out=gy)  # exp(-kappa r), times 1/r last
+        np.multiply(r, kappa, out=ky)
+        ky += 1.0
+        ky *= kl
+        ky *= gy
+        gy *= gl
+    return work[1:]
 
 
 def basis_tables(mesh: SurfaceMesh, rule: QuadratureRule, shape_functions: bool, panels=None):
@@ -240,21 +239,22 @@ def kernel_row_blocks(
 
     Fills ``out`` = (VL, KL, VY, KY), arrays or views with ``n_cols`` columns
     (see ``basis_tables``); VY and KY may be None to skip the Yukawa kernel.
-    Each kernel is reduced over the rule by one BLAS product of the
-    (weights x shape functions) table with the batch, then scaled by the
-    panel areas; P1 integrals are folded into vertex columns group by group
-    (keeps memory at O(group * T)). ``near`` = (ti, pj) or (ti, pj, values),
-    sorted by target as ``near_pairs`` returns them: these (target, panel)
-    pairs are not integrated with ``rule``. Their entries are 0, or the pair
-    integrals ``values`` = (VL, KL, VY, KY) laid out as ``near_pair_entries``
-    returns them. Each entry is written once: the batch's float64 integrals
-    times the block's ``scale`` factor (a number, or one per column), to row
-    ``rows[i]`` (ascending) of ``out`` for target i, or row i when ``rows`` is
-    None, rounded to the dtype of ``out``. At kappa = 0 the Yukawa
-    integrals equal the Laplace ones bit for bit: exp(-0 r) = 1 and
-    (0 r + 1) K = K. With ``panels`` (ascending) only those panels are
-    integrated, ``pj`` counts positions in ``panels`` and the columns are
-    those of ``basis_columns``. Groups of batches of targets run on
+    Each kernel of ``_batch_kernels`` is reduced over the rule by one BLAS
+    product with the (weights x shape functions / (4 pi)) table, then scaled
+    by the panel areas and, in the double layers, by the height (t - c).n
+    over the panel's centroid c; P1 integrals are folded into vertex columns
+    group by group (memory O(group * T)). ``near`` = (ti, pj) or (ti, pj,
+    values), sorted by target as ``near_pairs`` returns them: these (target,
+    panel) pairs are not integrated with ``rule``. Their entries are 0, or
+    the pair integrals ``values`` = (VL, KL, VY, KY) laid out as
+    ``near_pair_entries`` returns them. Each entry is written once: the
+    batch's float64 integrals times the block's ``scale`` factor (a number,
+    or one per column), to row ``rows[i]`` (ascending) of ``out`` for target
+    i, or row i when ``rows`` is None, rounded to the dtype of ``out``. At
+    kappa = 0 the Yukawa integrals equal the Laplace ones bit for bit, as
+    the batch's kernels do. With ``panels`` (ascending) only those panels
+    are integrated, ``pj`` counts positions in ``panels`` and the columns
+    are those of ``basis_columns``. Groups of batches of targets run on
     ``run_parallel``, one batch per group unless graded.
 
     With ``rule`` GAUSS7 on a mesh that ``grades``, the far field is graded
@@ -265,20 +265,19 @@ def kernel_row_blocks(
     the kernels at E4's points for every panel and reduces them by E4's
     weights, and by GAUSS7's at the panels of those pairs; the group then
     evaluates GAUSS7's other three points at those panels and gives those
-    pairs GAUSS7. A pair's rule depends on the pair alone, not on its batch
-    or group.
+    pairs GAUSS7; the heights come after. A pair's rule depends on the pair
+    alone, not on its batch or group.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     graded = rule is GAUSS7 and grades(mesh)
     sel = _panel_index(panels)
     normals = mesh.normals[sel]
     T, nq = len(normals), rule.n_points
-    xq = panel_quad_points(mesh, rule, panels)
-    xn = np.einsum("tqx,tx->qt", xq, normals)
-    xq = np.ascontiguousarray(xq.transpose(2, 1, 0).reshape(3, nq * T))  # coordinate first
-    xx = np.einsum("in,in->n", xq, xq)
+    cn = np.einsum("tx,tx->t", mesh.centroids[sel], normals)
+    xq = np.ascontiguousarray(panel_quad_points(mesh, rule, panels).transpose(2, 1, 0))
+    xx = np.einsum("iqt,iqt->qt", xq, xq)  # xq and xx: coordinate, then rule point first
     shape, cols, n_cols = basis_tables(mesh, rule, shape_functions, panels)
-    wt = np.ascontiguousarray((rule.weights[:, None] * shape.reshape(nq, -1)).T)  # (1 or 3, nq)
+    wt = np.ascontiguousarray((rule.weights[:, None] * shape.reshape(nq, -1)).T) / FOUR_PI
     s = len(wt)
     areas = mesh.areas[sel]
     fold = _fold_table(cols.T.ravel(), n_cols) if shape_functions else None  # P0: no fold
@@ -290,15 +289,13 @@ def kernel_row_blocks(
     # a fixed budget per batch, whatever the CPU count: the batch size can move
     # the last bit of the BLAS distance product in ``_batch_kernels``; a graded
     # batch holds E4's points, so more rows; at least 16 groups share the workers
-    batches = chunks(len(targets), T * (E4.n_points if graded else nq), ROW_BATCH_VALUES)
+    nh = E4.n_points if graded else nq  # the points a batch evaluates
+    batches = chunks(len(targets), T * nh, ROW_BATCH_VALUES)
     size = max(1, min(GROUP_BATCHES, len(batches) // 16)) if graded else 1
     groups = [batches[i:i + size] for i in range(0, len(batches), size)]
-    head = (xq, xx, xn, normals)
     if graded:  # the batches evaluate E4's points, the first of GAUSS7's
-        nh = E4.n_points
-        head = (np.ascontiguousarray(xq[:, : nh * T]), xx[: nh * T], xn[:nh], normals)
         w_head, w_tail = np.ascontiguousarray(wt[:, :nh]), np.ascontiguousarray(wt[:, nh:])
-        wt = np.ascontiguousarray((E4.weights[:, None] * shape.reshape(nq, -1)[:nh]).T)
+        wt = np.ascontiguousarray((E4.weights[:, None] * shape.reshape(nq, -1)[:nh]).T) / FOUR_PI
         centroids = np.ascontiguousarray(mesh.centroids[sel].T)
         reach = FAR_FACTOR * mesh.diameters[sel]
 
@@ -317,7 +314,8 @@ def kernel_row_blocks(
         for sl in group:
             i, j = sl.start - start, sl.stop - start
             a, b = np.searchsorted(rb, (i, j))
-            kern = _batch_kernels(targets[sl], *head, kappa, yukawa, (rb[a:b] - i, pb[a:b]))
+            kern = _batch_kernels(targets[sl], xq[:, :nh], xx[:nh], kappa, yukawa,
+                                  (rb[a:b] - i, pb[a:b]))
             np.matmul(wt, kern, out=part[:, i:j])  # (kernels, rows, 1 or 3, T)
             if graded:
                 np.matmul(w_head, np.take(kern, c, axis=-1), out=full[:, i:j])
@@ -325,15 +323,16 @@ def kernel_row_blocks(
         if graded and len(c):  # ... and at its other points
             at = np.minimum(np.searchsorted(c, pb), len(c) - 1)
             hit = c[at] == pb
-            tail = _batch_kernels(tg, xq.reshape(3, nq, T)[:, nh:, c].reshape(3, -1),
-                                  xx.reshape(nq, T)[nh:, c].ravel(), xn[nh:, c], normals[c],
-                                  kappa, yukawa, (rb[hit], at[hit]))
+            tail = _batch_kernels(tg, xq[:, nh:, c], xx[nh:, c], kappa, yukawa, (rb[hit], at[hit]))
             full += np.matmul(w_tail, tail)
-            flat = part.reshape(-1, T)
-            mixed = np.take(flat, c, axis=1)
-            np.copyto(mixed.reshape(full.shape), full, where=within[:, None])
-            flat[:, c] = mixed
-        part *= areas
+            mixed = np.take(part, c, axis=-1)
+            np.copyto(mixed, full, where=within[:, None])
+            part[..., c] = mixed
+        height = tg @ normals.T  # (t - c).n, in place: a group's arrays are large
+        height -= cn
+        height *= areas
+        part[0::2] *= areas
+        part[1::2] *= height[:, None]
         parts = []
         for p, value in zip(part, values):
             p[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
@@ -345,8 +344,9 @@ def kernel_row_blocks(
                else runs(rows[start:stop], np.arange(stop - start)))
         for block, part, factor in zip(out, parts, scale):
             if block is not None:
+                part *= factor  # in float64: a float32 ``out`` would buffer the product
                 for d, src in dst:
-                    np.multiply(part[src], factor, out=block[d])
+                    block[d] = part[src]
 
     run_parallel(run, groups)
 

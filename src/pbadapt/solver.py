@@ -63,6 +63,11 @@ DEFAULT_GMRES_TOL = 1e-8
 DEFAULT_MAX_ITERS = 1000
 CYCLE_REDUCTION = 1e-4     # a GMRES-IR cycle stops when it has cut the true residual this much
 PRODUCT_VALUES = 1 << 17   # stored values a float64 product upcasts at once (1 MB), per worker
+# bytes per collocation point that a solve holds besides its system: near pairs
+# and their integrals, row batches, GMRES basis. A level-4 sphere at kappa =
+# 0.125 peaked 39 MB (P0, 5,120 points) and 70 MB (P1, 2,562 points) above its
+# RSS before the solve plus the system: 7.7 and 27.3 kB a point, rounded up
+SOLVE_BYTES_PER_POINT = {"P0": 10_000, "P1": 32_000}
 _PROC_MEMINFO = Path("/proc/meminfo")
 _PROC_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -306,8 +311,9 @@ def assemble_system(
     columns (``_unchanged``) are copied from it; the cache then holds the
     new system. Freshly integrated far entries can differ from the copied
     ones in the last bit, as between row batches of different sizes
-    (``kernels.kernel_row_blocks``). Raises SolverError when the system would
-    not fit in memory beside the held one.
+    (``kernels.kernel_row_blocks``). Raises SolverError when the system and
+    an allowance of SOLVE_BYTES_PER_POINT per point for the rest of the solve
+    would not fit in memory beside the held system.
     """
     require_charges_inside(charges, mesh)
     if space not in ("P0", "P1"):
@@ -323,11 +329,12 @@ def assemble_system(
     top_only = physics.kappa == 0.0
     block_rows = 1 if top_only else 2
     need, budget = 4 * block_rows * n * 2 * n, _memory_budget()
-    if need + held_bytes > budget:
+    allowance = SOLVE_BYTES_PER_POINT[space] * n
+    if need + allowance + held_bytes > budget:
         what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
         raise SolverError(
-            f"the {what} {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, "
-            f"more than the {budget / 1e9:.2f} GB available"
+            f"the {what} {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, and the rest "
+            f"of the solve {allowance / 1e9:.2f} GB, more than the {budget / 1e9:.2f} GB available"
             + (f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else "")
         )
     rows = cols = np.full(n, -1)

@@ -2,13 +2,16 @@
 and the stretches that turn index copies into slice copies.
 
 Each point's sum stays inside one chunk, so results depend neither on the
-chunk size nor on the number of workers.
+chunk size nor on the number of workers. The pool's threads persist between
+calls: an adaptive run makes hundreds of calls, most with two items or fewer,
+and starting threads for each would cost more than many of them compute.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -77,18 +80,58 @@ def per_worker(items) -> list:
     return [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
 
 
-def run_parallel(fn, items) -> None:
-    """Call ``fn(item)`` for every item, one worker thread per usable CPU.
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+_local = threading.local()  # ``worker`` is set in the pool's threads
 
-    With one usable CPU (``taskset -c 0``) or one item the calls run serially
-    in the caller. Each call writes its own output slice, so results do not
-    depend on how many workers share the items. The numpy kernels release
-    the interpreter lock, so the workers overlap.
+
+def _mark_worker() -> None:
+    _local.worker = True
+
+
+def _forget_pool() -> None:
+    """Drop the pool and its lock without joining: a forked child has none
+    of the parent's threads, which may have held the lock."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor(size: int) -> ThreadPoolExecutor:
+    """The shared pool of ``size`` threads, replaced when the size changes.
+    A replaced pool is not shut down, as a concurrent call may still submit to
+    it; its threads end once no caller holds it."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size != size:
+            _pool = ThreadPoolExecutor(max_workers=size, initializer=_mark_worker)
+            _pool_size = size
+        return _pool
+
+
+def run_parallel(fn, items) -> None:
+    """Call ``fn(item)`` for every item on one persistent pool of a thread per
+    usable CPU, and return once every call has ended.
+
+    With one usable CPU (``taskset -c 0``) or one item, and for calls made
+    from a pool thread, the calls run serially in the caller: a nested call
+    cannot wait on threads that are all busy waiting on it, and a single CPU
+    starts no thread. The pool is rebuilt only when the usable CPU count
+    changes. Each call writes its own output slice, so results do not depend
+    on how many workers share the items. The numpy kernels release the
+    interpreter lock, so the workers overlap. The first exception, in item
+    order, is raised after all the calls have ended; the pool stays usable.
     """
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1:
+    cpus = _usable_cpus()
+    if min(cpus, len(items)) <= 1 or getattr(_local, "worker", False):
         for item in items:
             fn(item)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, items))  # re-raises the first worker exception
+    pool = _executor(cpus)
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()

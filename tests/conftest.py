@@ -11,6 +11,21 @@ def make_tetrahedron():
     return pa.SurfaceMesh(verts, tris)
 
 
+# (height, centre direction, width) of two bumps and two dents
+BUMPS = [(0.6, (1, 0, 0), 0.3), (-0.5, (0, 1, 1), 0.35), (0.4, (-1, -1, 0), 0.25),
+         (-0.4, (0, 0, -1), 0.3)]
+
+
+def bumpy_sphere(level, bumps):
+    """Icosphere mapped radially by r = 1 + sum a exp(-|x - c|^2 / w^2) over
+    ``bumps`` of (a, c, w); negative heights dent it, so it is not convex."""
+    sphere = pa.icosphere(1.0, level)
+    x = sphere.vertices
+    r = 1.0 + sum(a * np.exp(-((x - np.asarray(c) / np.linalg.norm(c)) ** 2).sum(axis=1) / w**2)
+                  for a, c, w in bumps)
+    return pa.SurfaceMesh(x * r[:, None], sphere.triangles)
+
+
 def imbalanced_sphere_start(case, background, level=1, away_rounds=2, cap_angle_deg=42.0):
     """Sphere start mesh that is coarse around the charge hotspots.
 

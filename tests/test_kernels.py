@@ -7,7 +7,7 @@ from pbadapt.errors import SingularityError
 from pbadapt.quadrature import E4, GAUSS7, subdivided
 
 import pointwise as pw
-from conftest import make_tetrahedron
+from conftest import BUMPS, bumpy_sphere, make_tetrahedron
 
 FOUR_PI = 4.0 * np.pi
 
@@ -505,19 +505,30 @@ def test_row_blocks_independent_of_cpu_count(shape_functions, monkeypatch):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("subset", [False, True])
+def _reference_surface(name):
+    """A sphere with a refined cap, or the dented and bumped sphere, on which
+    the targets' heights above far panels take both signs."""
+    import pbadapt as pa
+    from pbadapt.mesh import close_marking, refine_flat
+
+    if name == "bumpy":
+        return bumpy_sphere(3, BUMPS)
+    mesh = pa.icosphere(1.0, 2)
+    return refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.4)))
+
+
+# the capped sphere's cases are named by ``subset`` alone
+@pytest.mark.parametrize("surface, subset", [("capped", False), ("capped", True),
+                                             ("bumpy", False), ("bumpy", True)],
+                         ids=["False", "True", "bumpy", "bumpy-True"])
 @pytest.mark.parametrize("kappa", [0.0, 0.125])
 @pytest.mark.parametrize("shape_functions", [False, True])
-def test_row_blocks_match_per_pair_reference(shape_functions, kappa, subset):
+def test_row_blocks_match_per_pair_reference(shape_functions, kappa, surface, subset):
     """Every far (target, panel) pair integrated on its own with GAUSS7 and
     summed into its columns; near pairs are left out of both."""
     import warnings
 
-    import pbadapt as pa
-    from pbadapt.mesh import close_marking, refine_flat
-
-    mesh = pa.icosphere(1.0, 2)
-    mesh = refine_flat(mesh, close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.4)))
+    mesh = _reference_surface(surface)
     targets = mesh.vertices if shape_functions else mesh.centroids
     panels = np.flatnonzero(mesh.centroids[:, 0] > -0.3) if subset else None
     _, cols, n_cols = kn.basis_tables(mesh, GAUSS7, shape_functions, panels)
@@ -532,12 +543,43 @@ def test_row_blocks_match_per_pair_reference(shape_functions, kappa, subset):
     far = np.ones((len(targets), len(ids)), dtype=bool)
     far[near] = False
     ti, pos = ti[far.ravel()], pos[far.ravel()]
+    height = np.einsum("px,px->p", targets[ti] - mesh.centroids[ids[pos]], mesh.normals[ids[pos]])
+    assert (height < 0).any() and (height > 0).any() == (surface == "bumpy")
     vals = _pair_entries_mapped_per_pair(targets[ti], mesh, ids[pos], GAUSS7, kappa,
                                          shape_functions)
     for block, val in zip(got, vals):
         want = np.zeros_like(block)
         np.add.at(want, (ti[:, None], cols[pos]), val.reshape(len(ti), -1))
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+@pytest.mark.parametrize("shape_functions", [False, True])
+def test_target_in_a_far_panels_plane_gets_no_double_layer(shape_functions, kappa):
+    """A target in the plane of a far panel, four diameters from its centroid
+    along an edge, sees a double layer of 0 from it, as (t - y).n vanishes at
+    every point of the panel; its single layers match the per-pair reference."""
+    mesh = bumpy_sphere(2, BUMPS)
+    for j in range(0, mesh.n_panels, 7):
+        corners = mesh.corners[j]
+        edge = (corners[1] - corners[0]) / np.linalg.norm(corners[1] - corners[0])
+        distance = 4.0 * mesh.diameters[j]
+        target = (mesh.centroids[j] + distance * edge)[None]
+        panel = np.array([j])
+        near = kn.near_pairs(target, mesh, panel)
+        assert len(near[0]) == 0
+        got = tuple(np.zeros((1, 3 if shape_functions else 1)) for _ in range(4))
+        kn.kernel_row_blocks(target, mesh, GAUSS7, kappa, got, near, shape_functions, panel)
+        want = _pair_entries_mapped_per_pair(target, mesh, panel, GAUSS7, kappa, shape_functions)
+        _, cols, _ = kn.basis_tables(mesh, GAUSS7, shape_functions, panel)
+        got = tuple(g[:, cols[0]] for g in got)  # P1: corner order
+        # the size of a double layer at that distance off the plane
+        bound = 1e-14 * mesh.areas[j] / (FOUR_PI * distance**2)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if k % 2:  # KL, KY
+                assert np.abs(g).max() <= bound and np.abs(w).max() <= bound
+            else:
+                assert np.abs(g - w.reshape(g.shape)).max() <= 1e-13 * np.abs(w).max()
 
 
 def _graded_mesh():
@@ -732,6 +774,135 @@ def test_run_parallel_raises_worker_errors(monkeypatch):
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     with pytest.raises(SingularityError):
         sweep.run_parallel(fail, range(20))
+
+
+def test_run_parallel_keeps_its_threads(monkeypatch):
+    """Every call runs on the same pool threads; a fresh pool per call would
+    name its threads after a new executor each time."""
+    import threading
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    names = set()
+    lock = threading.Lock()
+
+    def note(i):
+        with lock:
+            names.add(threading.current_thread().name)
+
+    for _ in range(20):
+        sweep.run_parallel(note, range(8))
+    assert 1 <= len(names) <= 2 and threading.current_thread().name not in names
+    assert sweep._executor(2) is sweep._executor(2)
+
+
+def test_run_parallel_error_waits_for_every_item_and_keeps_the_pool(monkeypatch):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    seen = np.zeros(20, dtype=int)
+
+    def fail(i):
+        seen[i] += 1
+        if i in (3, 7):
+            raise SingularityError(f"item {i}")
+
+    with pytest.raises(SingularityError, match="item 3"):  # the first in item order
+        sweep.run_parallel(fail, range(20))
+    assert np.all(seen == 1)  # no call is still running once the error is raised
+    pool = sweep._executor(2)
+    sweep.run_parallel(lambda i: seen.__setitem__(i, seen[i] + 1), range(20))
+    assert np.all(seen == 2) and sweep._executor(2) is pool
+
+
+def test_nested_run_parallel_completes(monkeypatch):
+    """A call from inside a worker runs serially in that worker, so it cannot
+    wait on pool threads that are all busy waiting on it."""
+    import threading
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    seen = np.zeros((4, 6), dtype=int)
+
+    def outer(i):
+        def inner(j):
+            seen[i, j] += 1
+        sweep.run_parallel(inner, range(seen.shape[1]))
+
+    caller = threading.Thread(target=sweep.run_parallel, args=(outer, range(len(seen))))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert np.all(seen == 1)
+
+
+def test_concurrent_callers_while_the_pool_is_replaced(monkeypatch):
+    """Callers on several threads, with the CPU count switching between 2 and
+    3 so the pool is replaced under them: every call runs each of its items
+    exactly once and returns."""
+    import itertools
+    import sys
+    import threading
+
+    counts = itertools.cycle([2, 3])
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: next(counts))
+    seen = np.zeros((6, 30, 16), dtype=int)
+    errors = []
+
+    def caller(k):
+        try:
+            for call in range(seen.shape[1]):
+                sweep.run_parallel(lambda i: seen[k, call].__setitem__(i, seen[k, call, i] + 1),
+                                   range(seen.shape[2]))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(seen))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == [] and np.all(seen == 1)
+
+
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    """A child forked after the pool started has none of its threads; it must
+    not queue work for them."""
+    import os
+    import time
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    sweep.run_parallel(lambda i: None, range(4))
+    pid = os.fork()
+    if pid == 0:
+        seen = np.zeros(4)
+        sweep.run_parallel(lambda i: seen.__setitem__(i, 1.0), range(4))
+        os._exit(0 if seen.all() else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(sweep, "_pool", None)
+    monkeypatch.setattr(sweep, "_pool_size", 0)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
+    before = threading.active_count()
+    callers = []
+    sweep.run_parallel(lambda i: callers.append(threading.current_thread()), range(10))
+    assert callers == [threading.current_thread()] * 10
+    assert sweep._pool is None and threading.active_count() == before
 
 
 # -- Gauss identity -----------------------------------------------------------

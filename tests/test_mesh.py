@@ -21,7 +21,7 @@ from pbadapt.mesh import (
     winding_number,
 )
 
-from conftest import imbalanced_sphere_start, make_tetrahedron
+from conftest import BUMPS, bumpy_sphere, imbalanced_sphere_start, make_tetrahedron
 from pointwise import mean_edge_length
 
 
@@ -257,19 +257,8 @@ def test_points_on_the_surface_take_the_winding_number(which, uneven_mesh):
         assert unclear.all()
 
 
-def bumpy_sphere(level, bumps):
-    """Icosphere mapped radially by r = 1 + sum a exp(-|x - c|^2 / w^2) over
-    ``bumps`` of (a, c, w); negative heights dent it, so it is not convex."""
-    sphere = pa.icosphere(1.0, level)
-    x = sphere.vertices
-    r = 1.0 + sum(a * np.exp(-((x - np.asarray(c) / np.linalg.norm(c)) ** 2).sum(axis=1) / w**2)
-                  for a, c, w in bumps)
-    return pa.SurfaceMesh(x * r[:, None], sphere.triangles)
-
-
 def test_ray_crossings_on_a_non_convex_surface():
-    m = bumpy_sphere(4, [(0.6, (1, 0, 0), 0.3), (-0.5, (0, 1, 1), 0.35), (0.4, (-1, -1, 0), 0.25),
-                         (-0.4, (0, 0, -1), 0.3)])
+    m = bumpy_sphere(4, BUMPS)
     assert m.signed_volume > 0
     points = ball_and_shell(np.random.default_rng(6), 1500, radius=1.2)
     deep = np.array([[0.0, 0.0, -0.5]])  # under the dent at -z, whose surface is at 0.6

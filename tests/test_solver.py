@@ -575,14 +575,32 @@ def test_system_larger_than_memory_is_solver_error(salty, offcenter_charge, monk
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
-    # 4 bytes for each of the (2n)^2 stored values
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n - 1)
+    # 4 bytes for each of the (2n)^2 stored values, and the rest of the solve
+    need = 16 * n * n + solver.SOLVE_BYTES_PER_POINT["P0"] * n
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need - 1)
     with pytest.raises(SolverError, match="needs"):
         pa.assemble_system(mesh, salty, offcenter_charge)
     with pytest.raises(SolverError):
         pa.solve_forward(mesh, salty, offcenter_charge)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need)
     pa.assemble_system(mesh, salty, offcenter_charge)
+
+
+@pytest.mark.parametrize("space", ["P0", "P1"])
+def test_memory_guard_counts_the_rest_of_the_solve(salty, offcenter_charge, space, monkeypatch):
+    """Beside the 16 N^2 stored bytes the guard counts SOLVE_BYTES_PER_POINT
+    for each of the N collocation points, and says so."""
+    from pbadapt import solver
+
+    mesh = pa.icosphere(1.0, 1)
+    n = mesh.n_panels if space == "P0" else mesh.n_vertices
+    allowance = solver.SOLVE_BYTES_PER_POINT[space] * n
+    assert allowance > 0
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n + allowance - 1)
+    with pytest.raises(SolverError, match=f"rest of the solve {allowance / 1e9:.2f} GB"):
+        pa.assemble_system(mesh, salty, offcenter_charge, space=space)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n + allowance)
+    pa.assemble_system(mesh, salty, offcenter_charge, space=space)
 
 
 def test_held_system_counts_against_physical_memory(salty, offcenter_charge, monkeypatch,
@@ -594,15 +612,16 @@ def test_held_system_counts_against_physical_memory(salty, offcenter_charge, mon
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
+    need = 16 * n * n + solver.SOLVE_BYTES_PER_POINT["P0"] * n
     cache = pa.SystemCache()
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 16 * n * n + 1)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need + 1)
     monkeypatch.setattr(solver, "_PROC_MEMINFO", tmp_path / "missing")
     monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
     with pytest.raises(SolverError, match="held system"):
         pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
     pa.assemble_system(mesh, salty, offcenter_charge)  # nothing held
-    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: 16 * n * n + 1)
+    monkeypatch.setattr(solver, "_cgroup_headroom", lambda: need + 1)
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
 
 
@@ -633,20 +652,22 @@ def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
 
 def test_system_beyond_available_memory_is_solver_error(salty, offcenter_charge, monkeypatch,
                                                         tmp_path):
-    """MemAvailable below the 16 N^2 bytes a system needs refuses it, and a
-    held system is not counted again: the available memory already counts it."""
+    """MemAvailable below the 16 N^2 bytes a system needs, and the rest of the
+    solve, refuses it, and a held system is not counted again: the available
+    memory already counts it."""
     from pbadapt import solver
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
+    need = 16 * n * n + solver.SOLVE_BYTES_PER_POINT["P0"] * n
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(solver, "_PROC_MEMINFO", meminfo)
     monkeypatch.setattr(solver, "_cgroup_headroom", lambda: None)
     cache = pa.SystemCache()
-    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {16 * n * n // 1024 - 1} kB\n")
+    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {need // 1024 - 1} kB\n")
     with pytest.raises(SolverError, match="needs"):
         pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
-    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {16 * n * n // 1024 + 1} kB\n")
+    meminfo.write_text(f"MemTotal: 99999999 kB\nMemAvailable: {need // 1024 + 1} kB\n")
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)  # the held one beside it
 
@@ -805,11 +826,12 @@ def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_ch
 
     mesh = pa.icosphere(1.0, 1)
     n = mesh.n_panels
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 8 * n * n - 1)
+    need = 8 * n * n + solver.SOLVE_BYTES_PER_POINT["P0"] * n
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need - 1)
     with pytest.raises(SolverError, match="needs") as err:
         pa.assemble_system(mesh, pure_water, offcenter_charge)
     assert f"top block row ({n} x {2 * n})" in str(err.value)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 8 * n * n)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need)
     pa.assemble_system(mesh, pure_water, offcenter_charge)
 
 
