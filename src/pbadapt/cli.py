@@ -213,7 +213,7 @@ def _kirkwood_reference(cp, charges, physics) -> float:
     if not _is_sphere(cp):
         raise ConfigError("kirkwood reference needs an icosphere [mesh]")
     radius = _get(cp["mesh"], "radius", float, 1.0)
-    n_terms = _get(cp["oracle"], "n_terms", int, 80) if "oracle" in cp else 80
+    n_terms = _get(cp["oracle"] if "oracle" in cp else {}, "n_terms", int, SphereCase.n_terms)
     try:
         case = SphereCase(radius, charges, physics, n_terms)
     except UsageError as exc:

@@ -75,7 +75,7 @@ def adaptive_loop(
 
     Runs ``config.max_iterations`` solves and refines only between them.
     Any stage failure aborts with the partial history attached to the raised
-    error. Deterministic for identical inputs.
+    error. Deterministic for identical inputs and BLAS thread count.
     """
     return _refinement_loop(mesh0, charges, physics, config, estimate=True)
 

@@ -34,7 +34,6 @@ NEAR_FACTOR = 2.0                  # targets within this many diameters are "nea
 FAR_FACTOR = 6.0                   # graded far pairs beyond this many diameters take E4
 GRADED_FAR_SHARE = 0.9             # meshes with this share of pairs beyond FAR_FACTOR are graded
 GROUP_BATCHES = 4                  # graded row batches that share one pass over the nearer pairs
-SMOOTH_RULE = subdivided(GAUSS7, 2)
 REMAINDER_RULE = subdivided(GAUSS7, 1)  # 28 points: remainder error in dG < 1e-8 relative
 FOUR_PI = 4.0 * np.pi
 ROW_BATCH_VALUES = 1.2e5           # values per kernel array in one row batch (~1 MB, cache-sized)
@@ -243,10 +242,10 @@ def kernel_row_blocks(
     product with the (weights x shape functions / (4 pi)) table, then scaled
     by the panel areas and, in the double layers, by the height (t - c).n
     over the panel's centroid c; P1 integrals are folded into vertex columns
-    group by group (memory O(group * T)). ``near`` = (ti, pj) or (ti, pj,
-    values), sorted by target as ``near_pairs`` returns them: these (target,
-    panel) pairs are not integrated with ``rule``. Their entries are 0, or
-    the pair integrals ``values`` = (VL, KL, VY, KY) laid out as
+    group by group (memory O(group * T)). ``near`` = (ti, pj, values),
+    sorted by target as ``near_pairs`` returns the pairs: these (target,
+    panel) pairs are not integrated with ``rule``; their entries are the
+    pair integrals ``values`` = (VL, KL, VY, KY), laid out as
     ``near_pair_entries`` returns them. Each entry is written once: the
     batch's float64 integrals times the block's ``scale`` factor (a number,
     or one per column), to row ``rows[i]`` (ascending) of ``out`` for target
@@ -282,8 +281,7 @@ def kernel_row_blocks(
     areas = mesh.areas[sel]
     fold = _fold_table(cols.T.ravel(), n_cols) if shape_functions else None  # P0: no fold
     yukawa = out[2] is not None
-    ti, pj = near[:2]
-    values = near[2] if len(near) > 2 else (None,) * 4
+    ti, pj, values = near
     rows = np.arange(len(targets)) if rows is None else rows
     n_kernels = 4 if yukawa else 2
     # a fixed budget per batch, whatever the CPU count: the batch size can move
@@ -335,7 +333,7 @@ def kernel_row_blocks(
         part[1::2] *= height[:, None]
         parts = []
         for p, value in zip(part, values):
-            p[rb, :, pb] = 0.0 if value is None else value[lo:hi].reshape(len(rb), s)
+            p[rb, :, pb] = value[lo:hi].reshape(len(rb), s)
             parts.append(p[:, 0] if fold is None else _fold(p.reshape(len(p), -1), fold))
         # consecutive rows take one slice: array work per group holds the
         # interpreter lock that the other workers wait for
@@ -527,8 +525,7 @@ def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.nd
     return near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
 
 
-def yukawa_regular_part(points, mesh: SurfaceMesh, panels, kappa: float,
-                        rule: QuadratureRule = SMOOTH_RULE):
+def yukawa_regular_part(points, mesh: SurfaceMesh, panels, kappa: float, rule: QuadratureRule):
     """Integrals of (exp(-kappa*r) - 1) / (4*pi*r), the bounded Yukawa remainder.
 
     Adding this to the Laplace self integral gives the Yukawa self integral.

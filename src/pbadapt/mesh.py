@@ -26,6 +26,7 @@ MAX_LEVEL = 8           # icosphere levels; level 8 is 1.3 M panels, about 0.6 G
 RAY_TOL = 1e-8          # x largest |vertex coordinate|: nearer the surface, winding_number decides
 THIN_RATIO = 1e-4       # projected panels with an edge below this x their longest are degenerate
 RAY_CHUNK = 1 << 16     # (point, panel) candidate pairs tested at once
+SMOOTHING_PASSES = 3    # Laplacian relax-and-snap passes of conforming refinement
 
 
 @dataclass(frozen=True)
@@ -462,15 +463,14 @@ def refine_conforming(
     mesh: SurfaceMesh,
     plan: MarkedSet,
     background: SurfaceMesh,
-    smoothing_passes: int = 3,
 ) -> SurfaceMesh:
     """Apply a closed plan, snapping each new vertex onto the background mesh.
 
     New vertices are moved to the nearest background vertex (so they lie on
     the true surface; the lowest index at an exact distance tie), then
-    relaxed with a few Laplacian passes that re-snap after every move. A
-    background vertex is never claimed twice: a midpoint whose nearest
-    background vertex is already taken keeps its unsnapped position.
+    relaxed with SMOOTHING_PASSES Laplacian passes that re-snap after every
+    move. A background vertex is never claimed twice: a midpoint whose
+    nearest background vertex is already taken keeps its unsnapped position.
     """
     _check_plan_closed(mesh, plan)
     grid, targets = background._vertex_grid, background.vertices
@@ -511,7 +511,7 @@ def refine_conforming(
     new_rings = [ring[ring >= first] - first for ring in rings]
     dirty = np.ones(len(stars), dtype=bool)
     queried = np.full(len(stars), -1)
-    for _ in range(smoothing_passes):
+    for _ in range(SMOOTHING_PASSES):
         moved = False
         for i, (star, ring) in enumerate(zip(stars, rings)):
             if not dirty[i]:

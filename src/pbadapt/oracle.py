@@ -27,7 +27,7 @@ class SphereCase:
     radius: float
     charges: ChargeSet
     physics: BiePhysics
-    n_terms: int = 50
+    n_terms: int = 80
 
     def __post_init__(self):
         if not 1 / INPUT_BOUND <= self.radius <= INPUT_BOUND:
@@ -144,29 +144,10 @@ def richardson(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# reference sphere benchmarks (unit sphere, unit charges, salty water)
+# the reference sphere benchmark (unit sphere, unit charge, salty water)
 
 
-def _benchmark_physics() -> BiePhysics:
-    return BiePhysics(eps_m=4.0, eps_w=80.0, kappa=0.125)
-
-
-def offcenter_benchmark(n_terms: int = 80) -> SphereCase:
+def offcenter_benchmark() -> SphereCase:
     """Unit charge displaced half a radius from the center of a unit sphere."""
     charges = ChargeSet(np.array([[0.0, 0.0, 0.5]]), np.array([1.0]))
-    return SphereCase(1.0, charges, _benchmark_physics(), n_terms)
-
-
-def charge_dipole_benchmark(n_terms: int = 80) -> SphereCase:
-    """Unit charge at 0.62 R opposed by a two-charge dipole spanning 10 degrees."""
-    half = np.radians(5.0)
-    r = 0.62
-    positions = np.array(
-        [
-            [0.0, 0.0, r],
-            [0.0, -r * np.sin(half), -r * np.cos(half)],
-            [0.0, r * np.sin(half), -r * np.cos(half)],
-        ]
-    )
-    charges = ChargeSet(positions, np.array([1.0, -1.0, 1.0]))
-    return SphereCase(1.0, charges, _benchmark_physics(), n_terms)
+    return SphereCase(1.0, charges, BiePhysics(eps_m=4.0, eps_w=80.0, kappa=0.125))

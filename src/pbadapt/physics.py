@@ -144,11 +144,6 @@ def coulomb_potential(charges: ChargeSet, physics: BiePhysics, points) -> np.nda
     return _sweep(charges, points, lambda d, r: (_potential(charges, physics, r),), ())[0]
 
 
-def coulomb_gradient(charges: ChargeSet, physics: BiePhysics, points) -> np.ndarray:
-    """Gradient of the Coulomb potential at the given points, (M, 3)."""
-    return _sweep(charges, points, lambda d, r: (_gradient(charges, physics, d, r),), (3,))[0]
-
-
 def coulomb_trace(charges: ChargeSet, physics: BiePhysics, points, normals):
     """Coulomb potential and its normal derivative at surface points."""
     normals = np.atleast_2d(np.asarray(normals, dtype=float))

@@ -113,9 +113,8 @@ class System:
 
     ``a @ x`` accumulates in float64, upcasting one chunk of rows at a time
     on ``sweep.run_parallel``; ``a.single(x)`` rounds x to float32 and
-    accumulates in float32 (BLAS sgemv). ``np.asarray(a)`` builds the dense
-    float64 matrix of the stored values times their lengths, on request.
-    ``len(a)`` is 2N and ``a.nbytes`` the stored bytes.
+    accumulates in float32 (BLAS sgemv). ``len(a)`` is 2N and ``a.nbytes``
+    the stored bytes.
     """
 
     def __init__(self, blocks: np.ndarray, ratio: float, lengths: np.ndarray):
@@ -123,10 +122,6 @@ class System:
 
     def __len__(self):
         return 2 * self.blocks.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self), len(self)
 
     @property
     def nbytes(self) -> int:
@@ -156,21 +151,6 @@ class System:
         if len(self.blocks) == 1:
             return p, q, 1.0 - p, -self.ratio * q
         return p, q, diag[0, 1], diag[1, 1] * self.lengths
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("the dense system is built on request, so it is always a copy")
-        n = len(self) // 2
-        a = np.empty((2 * n, 2 * n))
-        stored = a[: len(self.blocks) * n]
-        stored[:] = self.blocks.reshape(-1, 2 * n)
-        stored[:, n:] *= self.lengths
-        if len(self.blocks) == 1:
-            np.negative(a[:n, :n], out=a[n:, :n])
-            np.multiply(a[:n, n:], -self.ratio, out=a[n:, n:])
-            idx = np.arange(n)
-            a[n + idx, idx] = 1.0 - a[idx, idx]
-        return a if dtype is None else a.astype(dtype)
 
 
 def _float32_halves(rows, u, v):
@@ -517,10 +497,11 @@ def _gmres_solve(a: System, b, tol: float, max_iters: int):
             )
 
 
-def _solve(mesh, physics, charges, space, gmres_tol, max_iters, cache) -> PanelSolution:
-    """Assemble the system of ``space`` on ``mesh`` and solve it with GMRES-IR."""
+def _solve(mesh, physics, charges, space, gmres_tol, cache) -> PanelSolution:
+    """Assemble the system of ``space`` on ``mesh`` and solve it with GMRES-IR
+    in at most DEFAULT_MAX_ITERS steps."""
     a, b = assemble_system(mesh, physics, charges, space=space, cache=cache)
-    x, history, iters = _gmres_solve(a, b, gmres_tol, max_iters)
+    x, history, iters = _gmres_solve(a, b, gmres_tol, DEFAULT_MAX_ITERS)
     n = len(b) // 2
     residual = history[-1] if history else 0.0  # a zero right-hand side takes no cycle
     return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, charges, tuple(history))
@@ -531,12 +512,11 @@ def solve_forward(
     physics: BiePhysics,
     charges: ChargeSet,
     gmres_tol: float = DEFAULT_GMRES_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     cache: SystemCache | None = None,
 ) -> PanelSolution:
     """Piecewise-constant traces collocated at panel centroids; ``cache`` as
     in ``assemble_system``."""
-    return _solve(mesh, physics, charges, "P0", gmres_tol, max_iters, cache)
+    return _solve(mesh, physics, charges, "P0", gmres_tol, cache)
 
 
 def solve_adjoint(
@@ -546,7 +526,6 @@ def solve_adjoint(
     refine_levels: int = 1,
     background: SurfaceMesh | None = None,
     gmres_tol: float = DEFAULT_GMRES_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     cache: SystemCache | None = None,
 ) -> PanelSolution:
     """Dual traces on a uniformly refined mesh, continuous piecewise linear.
@@ -566,4 +545,4 @@ def solve_adjoint(
         fine = refine(fine, range(fine.n_panels), background)
         parents = parents[fine.parent_map]
     fine = dataclasses.replace(fine, parent_map=parents)
-    return _solve(fine, physics, charges, "P1", gmres_tol, max_iters, cache)
+    return _solve(fine, physics, charges, "P1", gmres_tol, cache)

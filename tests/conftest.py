@@ -3,6 +3,7 @@ import pytest
 
 import pbadapt as pa
 from pbadapt.mesh import close_marking, refine_conforming
+from pbadapt.oracle import offcenter_benchmark
 
 
 def make_tetrahedron():
@@ -24,6 +25,22 @@ def bumpy_sphere(level, bumps):
     r = 1.0 + sum(a * np.exp(-((x - np.asarray(c) / np.linalg.norm(c)) ** 2).sum(axis=1) / w**2)
                   for a, c, w in bumps)
     return pa.SurfaceMesh(x * r[:, None], sphere.triangles)
+
+
+def charge_dipole_benchmark() -> pa.SphereCase:
+    """Unit charge at 0.62 R opposed by a two-charge dipole spanning 10 degrees,
+    in the unit sphere and salty water of ``offcenter_benchmark``."""
+    half = np.radians(5.0)
+    r = 0.62
+    positions = np.array(
+        [
+            [0.0, 0.0, r],
+            [0.0, -r * np.sin(half), -r * np.cos(half)],
+            [0.0, r * np.sin(half), -r * np.cos(half)],
+        ]
+    )
+    charges = pa.ChargeSet(positions, np.array([1.0, -1.0, 1.0]))
+    return pa.SphereCase(1.0, charges, offcenter_benchmark().physics)
 
 
 def imbalanced_sphere_start(case, background, level=1, away_rounds=2, cap_angle_deg=42.0):
@@ -81,13 +98,9 @@ def _benchmark_bundle(case, background):
 
 @pytest.fixture(scope="session")
 def offcenter_bundle(background):
-    from pbadapt.oracle import offcenter_benchmark
-
     return _benchmark_bundle(offcenter_benchmark(), background)
 
 
 @pytest.fixture(scope="session")
 def dipole_bundle(background):
-    from pbadapt.oracle import charge_dipole_benchmark
-
     return _benchmark_bundle(charge_dipole_benchmark(), background)

@@ -1,4 +1,5 @@
-"""Pointwise Laplace and Yukawa kernels and a plain panel quadrature.
+"""Pointwise Laplace and Yukawa kernels, a plain panel quadrature, and the
+dense matrix and Coulomb gradient that pbadapt computes only as products.
 
 Quadrature references for the tests: they check pbadapt's vectorized and
 closed-form integrals against one kernel value at a time. Same conventions
@@ -11,12 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from pbadapt.errors import SingularityError, UsageError
+from pbadapt.physics import coulomb_trace
 from pbadapt.quadrature import GAUSS7, QuadratureRule, subdivided
 
 COINCIDENT_TOL = 1e-14
 NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature reference for near pairs
+SMOOTH_RULE = subdivided(GAUSS7, 2)  # 112 points, for smooth integrands: the Yukawa remainder
 CENTROID = QuadratureRule(np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]), degree=1)
 FOUR_PI = 4.0 * np.pi
+
+
+def dense(a):  # the dense float64 matrix of a ``solver.System``, one product per column
+    return np.column_stack([a @ e for e in np.eye(len(a))])
+
+
+def coulomb_gradient(charges, physics, points):  # (M, 3): ``coulomb_trace`` along each axis
+    axes = (np.broadcast_to(e, points.shape) for e in np.eye(3))
+    return np.column_stack([coulomb_trace(charges, physics, points, n)[1] for n in axes])
 
 
 def map_to(rule: QuadratureRule, corners) -> np.ndarray:

@@ -6,8 +6,10 @@ import pytest
 import pbadapt as pa
 from pbadapt.errors import EffectivityUndefinedError, UsageError
 from pbadapt.oracle import offcenter_benchmark
-from pbadapt.physics import coulomb_gradient, coulomb_potential
+from pbadapt.physics import coulomb_potential
 from pbadapt.quadrature import GAUSS3
+
+from pointwise import coulomb_gradient
 
 
 @pytest.fixture(scope="module")

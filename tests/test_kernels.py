@@ -241,7 +241,7 @@ def test_yukawa_self_decomposition():
     kappa = 0.5
     idx = np.arange(mesh.n_panels)
     lap = kn.centroid_self_single_layer(mesh)
-    rem = kn.yukawa_regular_part(mesh.centroids, mesh, idx, kappa)
+    rem = kn.yukawa_regular_part(mesh.centroids, mesh, idx, kappa, pw.SMOOTH_RULE)
     fine = kn.yukawa_regular_part(mesh.centroids, mesh, idx, kappa, rule=subdivided(GAUSS7, 4))
     assert np.allclose(rem, fine, rtol=5e-4, atol=1e-12)
     assert np.all(lap + rem < lap)  # screening strictly reduces the potential
@@ -468,13 +468,19 @@ def test_p1_operator_matches_per_pair_reference():
         assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _zero_near(near, shape_functions):
+    """``near`` pairs with zero values, so their entries are left 0."""
+    zero = np.zeros((len(near[0]), 3) if shape_functions else len(near[0]))
+    return (*near, (zero,) * 4)
+
+
 def _row_blocks(mesh, shape_functions, kappa):
     """Far-field (VL, KL, VY, KY) rows of the collocation points of a basis."""
     targets = mesh.vertices if shape_functions else mesh.centroids
     n_cols = mesh.n_vertices if shape_functions else mesh.n_panels
     out = tuple(np.zeros((len(targets), n_cols)) for _ in range(4))
-    kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, kn.near_pairs(targets, mesh),
-                         shape_functions)
+    near = _zero_near(kn.near_pairs(targets, mesh), shape_functions)
+    kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, near, shape_functions)
     return out
 
 
@@ -538,7 +544,8 @@ def test_row_blocks_match_per_pair_reference(shape_functions, kappa, surface, su
     got = tuple(np.zeros((len(targets), n_cols)) for _ in range(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, near, shape_functions, panels)
+        kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, _zero_near(near, shape_functions),
+                             shape_functions, panels)
     ti, pos = np.divmod(np.arange(len(targets) * len(ids)), len(ids))
     far = np.ones((len(targets), len(ids)), dtype=bool)
     far[near] = False
@@ -569,7 +576,8 @@ def test_target_in_a_far_panels_plane_gets_no_double_layer(shape_functions, kapp
         near = kn.near_pairs(target, mesh, panel)
         assert len(near[0]) == 0
         got = tuple(np.zeros((1, 3 if shape_functions else 1)) for _ in range(4))
-        kn.kernel_row_blocks(target, mesh, GAUSS7, kappa, got, near, shape_functions, panel)
+        kn.kernel_row_blocks(target, mesh, GAUSS7, kappa, got, _zero_near(near, shape_functions),
+                             shape_functions, panel)
         want = _pair_entries_mapped_per_pair(target, mesh, panel, GAUSS7, kappa, shape_functions)
         _, cols, _ = kn.basis_tables(mesh, GAUSS7, shape_functions, panel)
         got = tuple(g[:, cols[0]] for g in got)  # P1: corner order
@@ -719,7 +727,7 @@ def test_row_blocks_write_near_values_and_scales(shape_functions, kappa, monkeyp
         else:
             want[ti, pj] = value
             assert np.array_equal(got, want * factor)
-    if shape_functions:  # zero near values leave the far rows bit for bit
+    if shape_functions:  # into uninitialised rows, zero near values give the far rows bit for bit
         zero = tuple(np.zeros_like(v) for v in values)
         got = tuple(np.empty((len(targets), n_cols)) for _ in range(4))
         kn.kernel_row_blocks(targets, mesh, GAUSS7, kappa, got, (ti, pj, zero), shape_functions)

@@ -758,10 +758,11 @@ def test_refine_conforming_snaps_to_background(background):
     assert np.abs(np.linalg.norm(new, axis=1) - 1.0).max() <= mean_edge_length(background)
 
 
-def test_refine_conforming_matches_flat_when_background_is_flat_refinement():
+def test_refine_conforming_matches_flat_when_background_is_flat_refinement(monkeypatch):
     m = pa.icosphere(1.0, 1)
     plan = close_marking(m, range(m.n_panels))
-    conf = refine_conforming(m, plan, refine_all(m), smoothing_passes=0)
+    monkeypatch.setattr(mesh_mod, "SMOOTHING_PASSES", 0)
+    conf = refine_conforming(m, plan, refine_all(m))
     flat = refine_flat(m, plan)
     assert np.array_equal(conf.triangles, flat.triangles)
     assert np.allclose(conf.vertices, flat.vertices, atol=1e-14)

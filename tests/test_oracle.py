@@ -6,14 +6,10 @@ from scipy.special import eval_legendre, spherical_kn
 
 import pbadapt as pa
 from pbadapt.errors import ExtrapolationError, SeriesConvergenceError, UsageError
-from pbadapt.oracle import (
-    MAX_TERMS,
-    SphereCase,
-    _kn_log_derivatives,
-    _legendre,
-    charge_dipole_benchmark,
-    offcenter_benchmark,
-)
+from pbadapt.oracle import (MAX_TERMS, SphereCase, _kn_log_derivatives, _legendre,
+                            offcenter_benchmark)
+
+from conftest import charge_dipole_benchmark
 
 
 def test_legendre_recurrence_matches_scipy_through_max_terms():

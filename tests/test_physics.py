@@ -8,12 +8,9 @@ import pytest
 import pbadapt as pa
 import pbadapt.sweep as sweep
 from pbadapt.errors import DomainError, ParseError, SingularityError, UsageError
-from pbadapt.physics import (
-    ENERGY_UNIT,
-    coulomb_gradient,
-    coulomb_potential,
-    require_charges_inside,
-)
+from pbadapt.physics import ENERGY_UNIT, coulomb_potential, require_charges_inside
+
+from pointwise import coulomb_gradient
 
 FOUR_PI = 4.0 * np.pi
 

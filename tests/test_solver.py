@@ -8,7 +8,7 @@ import pbadapt as pa
 from pbadapt.errors import DomainError, SolverError, UsageError
 from pbadapt.mesh import refine
 
-from pointwise import mean_edge_length
+from pointwise import dense, mean_edge_length
 
 FOUR_PI = 4.0 * np.pi
 
@@ -27,7 +27,7 @@ def test_system_shape_and_rhs_structure(salty, offcenter_charge):
     mesh = pa.icosphere(1.0, 1)
     a, b = pa.assemble_system(mesh, salty, offcenter_charge)
     n = mesh.n_panels
-    assert a.shape == (2 * n, 2 * n)
+    assert len(a) == 2 * n
     assert b.shape == (2 * n,)
     assert np.all(b[n:] == 0.0)
     # first block of the rhs is the Coulomb potential; direct-sum oracle
@@ -47,7 +47,7 @@ def test_system_shape_and_rhs_structure(salty, offcenter_charge):
 def test_kernel_degeneracy_when_kappa_zero_and_equal_eps(offcenter_charge):
     phys = pa.BiePhysics(eps_m=80.0, eps_w=80.0, kappa=0.0)
     mesh = pa.icosphere(1.0, 1)
-    a = np.asarray(pa.assemble_system(mesh, phys, offcenter_charge)[0])  # the dense view
+    a = dense(pa.assemble_system(mesh, phys, offcenter_charge)[0])
     n = mesh.n_panels
     eye = np.eye(n)
     kl = a[:n, :n] - 0.5 * eye
@@ -64,9 +64,10 @@ def test_single_layer_kernel_symmetry(born_setup):
     # panel's area); the kernel symmetry shows once areas are divided out
     phys, charges = born_setup
     mesh = pa.icosphere(1.0, 3)
-    a = np.asarray(pa.assemble_system(mesh, phys, charges)[0])  # the dense view
-    n = mesh.n_panels
-    vl = -a[:n, n:] / mesh.areas[None, :]
+    a = pa.assemble_system(mesh, phys, charges)[0]
+    # the stored single layer times its lengths: the top right of ``dense(a)`` bit
+    # for bit, without its 2N products on 2N = 2,560 unknowns
+    vl = -(a.blocks[0, :, 1] * a.lengths) / mesh.areas[None, :]
     assert np.linalg.norm(vl - vl.T) / np.linalg.norm(vl) < 1e-2
 
 
@@ -86,7 +87,7 @@ def test_assembly_independent_of_threads(salty, offcenter_charge, space, monkeyp
     a1, b1 = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
     _use_cpus(monkeypatch, 2)
     a2, b2 = pa.assemble_system(mesh, salty, offcenter_charge, space=space)
-    assert np.array_equal(a1, a2)
+    assert np.array_equal(a1.blocks, a2.blocks) and np.array_equal(a1.lengths, a2.lengths)
     assert np.array_equal(b1, b2)
 
 
@@ -160,10 +161,11 @@ def test_gmres_tolerance_changes_energy_less_than_discretization(born_setup):
     assert abs(loose.dG_solv - tight.dG_solv) < discretization
 
 
-def test_gmres_nonconvergence_raises(salty, offcenter_charge):
+def test_gmres_nonconvergence_raises(salty, offcenter_charge, monkeypatch):
     mesh = pa.icosphere(1.0, 1)
+    monkeypatch.setattr(pa.solver, "DEFAULT_MAX_ITERS", 2)
     with pytest.raises(SolverError) as err:
-        pa.solve_forward(mesh, salty, offcenter_charge, max_iters=2)
+        pa.solve_forward(mesh, salty, offcenter_charge)
     assert err.value.residual is not None and err.value.residual > 1e-8
 
 
@@ -198,9 +200,10 @@ def test_preconditioned_solve_matches_direct_solve(salty, offcenter_charge, spac
     residual = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
     assert sol.gmres_residual == pytest.approx(residual, rel=1e-12)
     assert residual <= 1e-8
-    direct = np.linalg.solve(a, b)
+    full = dense(a)
+    direct = np.linalg.solve(full, b)
     # relative error <= cond(A) * relative residual
-    assert np.linalg.norm(x - direct) <= np.linalg.cond(a) * 1e-8 * np.linalg.norm(direct)
+    assert np.linalg.norm(x - direct) <= np.linalg.cond(full) * 1e-8 * np.linalg.norm(direct)
 
 
 def test_born_solve_needs_one_gmres_call_per_cycle(born_setup, monkeypatch):
@@ -434,8 +437,8 @@ def test_incremental_assembly_matches_scratch(background, levels, monkeypatch):
         held = cache._held
         a, b = real(mesh, physics, charges, space, cache)
         a0, b0 = real(mesh, physics, charges, space)
-        dense0 = np.asarray(a0)
-        assert np.abs(np.asarray(a) - dense0).max() <= 1e-13 * np.abs(dense0).max()
+        dense0 = dense(a0)
+        assert np.abs(dense(a) - dense0).max() <= 1e-13 * np.abs(dense0).max()
         assert np.array_equal(b, b0)
         if held is not None:
             rows, cols = solver._unchanged(held.mesh, mesh, space == "P1")
@@ -480,8 +483,8 @@ def test_graded_incremental_assembly_matches_scratch(salty, offcenter_charge, sp
     pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
     a, _ = pa.assemble_system(refined, salty, offcenter_charge, space, cache)
     assert min(cache.reused) > 0
-    a0 = np.asarray(pa.assemble_system(refined, salty, offcenter_charge, space)[0])
-    assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
+    a0 = dense(pa.assemble_system(refined, salty, offcenter_charge, space)[0])
+    assert np.abs(dense(a) - a0).max() <= 1e-13 * np.abs(a0).max()
     monkeypatch.setattr(kernels, "grades", lambda m: m is refined)
     pa.assemble_system(mesh, salty, offcenter_charge, space, cache)
     pa.assemble_system(refined, salty, offcenter_charge, space, cache)
@@ -498,7 +501,7 @@ def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space
     assert cache.reused == (0, 0) and cache.computed == (n, n)
     again, _ = pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
     assert cache.reused == (n, n) and cache.computed == (0, 0)
-    assert np.array_equal(again, fresh)
+    assert np.array_equal(dense(again), dense(fresh))
     for physics in (
         pa.BiePhysics(eps_m=salty.eps_m, eps_w=salty.eps_w, kappa=0.25),
         pa.BiePhysics(eps_m=2.0, eps_w=salty.eps_w, kappa=salty.kappa),
@@ -507,7 +510,8 @@ def test_cache_reuses_only_same_space_and_physics(salty, offcenter_charge, space
         pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
         got, _ = pa.assemble_system(mesh, physics, offcenter_charge, space=space, cache=cache)
         assert cache.reused == (0, 0)
-        assert np.array_equal(got, pa.assemble_system(mesh, physics, offcenter_charge, space=space)[0])
+        want = pa.assemble_system(mesh, physics, offcenter_charge, space=space)[0]
+        assert np.array_equal(dense(got), dense(want))
     other = "P1" if space == "P0" else "P0"
     pa.assemble_system(mesh, salty, offcenter_charge, space=space, cache=cache)
     pa.assemble_system(mesh, salty, offcenter_charge, space=other, cache=cache)
@@ -739,35 +743,35 @@ def test_kappa_zero_system_stores_the_top_block_row(pure_water, offcenter_charge
 def test_kappa_zero_dense_view_is_the_scaled_operator_blocks(pure_water, offcenter_charge, space):
     """Off the diagonal the float64 reference's bottom block row is its top one
     times -1 and -eps_m/eps_w bit for bit, so the top row is all the system
-    stores; the dense view equals that reference at the stored precision bit
-    for bit, free terms included."""
+    stores; the dense matrix of its products equals that reference at the
+    stored precision bit for bit, free terms included."""
     mesh = pa.icosphere(1.0, 2)
     a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
     n = len(b) // 2
-    dense = np.asarray(a)
-    assert dense.shape == (2 * n, 2 * n)
+    full = dense(a)
+    assert full.shape == (2 * n, 2 * n)
     ref, _ = _dense_reference(mesh, pure_water, space)
     off = ~np.eye(n, dtype=bool)
     vl, kl, vy, ky = _system_blocks(ref)
     assert np.array_equal(ky[off], -kl[off])
     assert np.array_equal(vy, -(pure_water.eps_m / pure_water.eps_w) * vl)
     assert np.array_equal(a.lengths, _star_lengths(mesh, space))
-    assert np.array_equal(dense, _at_stored_precision(ref, pure_water, space, a.lengths))
+    assert np.array_equal(full, _at_stored_precision(ref, pure_water, space, a.lengths))
 
 
 @pytest.mark.parametrize("space", ["P0", "P1"])
 def test_kappa_zero_block_jacobi_matches_dense_view(pure_water, offcenter_charge, space):
-    """The preconditioner reads each point's 2x2 block as the dense view holds
+    """The preconditioner reads each point's 2x2 block as the products apply
     it, bit for bit, and applies its inverse."""
     from pbadapt import solver
 
     mesh = pa.icosphere(1.0, 2)
     a, b = pa.assemble_system(mesh, pure_water, offcenter_charge, space=space)
     n = len(b) // 2
-    dense, idx = np.asarray(a), np.arange(n)
+    full, idx = dense(a), np.arange(n)
     p, q, r, s = a.point_blocks()
     for got, (i, j) in zip((p, q, r, s), ((0, 0), (0, 1), (1, 0), (1, 1))):
-        assert np.array_equal(got, dense[i * n + idx, j * n + idx])
+        assert np.array_equal(got, full[i * n + idx, j * n + idx])
     y = np.random.default_rng(12).standard_normal(len(b))
     got = solver._block_jacobi(a)(y, np.empty(len(b)))
     blocks = np.stack([np.stack([p, q], axis=1), np.stack([r, s], axis=1)], axis=1)
@@ -800,19 +804,13 @@ def test_kappa_zero_cached_assembly_matches_scratch(pure_water, offcenter_charge
         new = a.blocks[0, :, j][np.ix_(r, c)]
         old = held.matrix.blocks[0, :, j][np.ix_(rows[r], cols[c])]
         assert np.array_equal(new[off_diagonal], old[off_diagonal])
-    a0 = np.asarray(pa.assemble_system(refined, pure_water, offcenter_charge, space)[0])
-    assert np.abs(np.asarray(a) - a0).max() <= 1e-13 * np.abs(a0).max()
+    a0 = dense(pa.assemble_system(refined, pure_water, offcenter_charge, space)[0])
+    assert np.abs(dense(a) - a0).max() <= 1e-13 * np.abs(a0).max()
 
 
-def test_kappa_zero_solves_never_build_the_dense_matrix(pure_water, salty, offcenter_charge,
-                                                        monkeypatch):
-    """Nor do the kappa > 0 ones: no solve path calls the system's ``__array__``."""
-    from pbadapt import solver
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the dense system was built")
-
-    monkeypatch.setattr(solver.System, "__array__", refuse)
+def test_kappa_zero_solves_never_build_the_dense_matrix(pure_water, salty, offcenter_charge):
+    """Nor do the kappa > 0 ones: ``solver.System`` has no dense view to
+    build, so every solve runs on its products alone."""
     mesh = pa.icosphere(1.0, 1)
     for physics in (pure_water, salty):
         for sol in (pa.solve_forward(mesh, physics, offcenter_charge),
@@ -835,20 +833,23 @@ def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_ch
     pa.assemble_system(mesh, pure_water, offcenter_charge)
 
 
-@pytest.mark.parametrize("path", [(0.0, False), (0.125, False), (0.125, True)],
-                         ids=["kappa0", "kappa", "graded"])
-@pytest.mark.parametrize("space", ["P0", "P1"])
-def test_float32_storage_keeps_the_float64_direct_solve_energy(path, space, monkeypatch):
+@pytest.mark.parametrize("space, kappa, graded, level", [
+    *(pytest.param(space, kappa, graded, 2, id=f"{space}-{path}") for space in ("P0", "P1")
+      for path, kappa, graded in (("kappa0", 0.0, False), ("kappa", 0.125, False),
+                                  ("graded", 0.125, True))),
+    pytest.param("P0", 0.125, False, 3, id="P0-level3"),
+])
+def test_float32_storage_keeps_the_float64_direct_solve_energy(space, kappa, graded, level,
+                                                               monkeypatch):
     """Energies solved from the float32 system agree within 1e-8 relative with
     np.linalg.solve on the float64 ``_dense_reference``, on each operator path
-    (the graded one with ``kernels.grades`` forced on)."""
+    (the graded one with ``kernels.grades`` forced on) and on a finer mesh."""
     from pbadapt import kernels
     from pbadapt.physics import coulomb_potential
 
-    kappa, graded = path
     if graded:
         monkeypatch.setattr(kernels, "grades", lambda mesh: True)
-    mesh = pa.icosphere(1.0, 2)
+    mesh = pa.icosphere(1.0, level)
     charges = pa.ChargeSet(np.array([[0.1, -0.2, 0.5], [-0.3, 0.1, -0.2]]), np.array([1.0, -0.6]))
     physics = pa.BiePhysics(eps_m=4.0, eps_w=80.0, kappa=kappa)
     ref, _ = _dense_reference(mesh, physics, space)
