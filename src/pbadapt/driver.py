@@ -102,29 +102,26 @@ def uniform_loop(
     return _refinement_loop(mesh0, charges, physics, config, estimate=False)
 
 
-def _log_reuse(it: int, space: str, caches: dict) -> None:
-    if space in caches:
-        logger.debug(
-            "iteration %d %s system: %d rows and %d columns reused, %d rows and %d columns "
-            "computed", it, space, *caches[space].reused, *caches[space].computed,
-        )
+def _log_reuse(it: int, space: str, cache: SystemCache) -> None:
+    logger.debug(
+        "iteration %d %s system: %d rows and %d columns reused, %d rows and %d columns "
+        "computed", it, space, *cache.reused, *cache.computed,
+    )
 
 
 def solve_iteration(mesh, charges, physics, config: AdaptiveConfig, adjoint: bool,
-                    caches=None, it: int = 0):
+                    caches=None):
     """(forward, energy, adjoint) on ``mesh`` under ``config``; the adjoint is
     solved only with ``adjoint``, and None otherwise. ``caches`` maps "P0"
-    and "P1" to a ``SystemCache``, whose reuse is logged for iteration ``it``."""
+    and "P1" to a ``SystemCache``."""
     caches = caches or {}
     forward = solve_forward(mesh, physics, charges, gmres_tol=config.gmres_tol,
                             cache=caches.get("P0"))
-    _log_reuse(it, "P0", caches)
     energy = solvation_energy(forward, charges, physics)
     if not adjoint:
         return forward, energy, None
     dual = solve_adjoint(mesh, physics, charges, config.adjoint_refine_levels,
                          config.background_mesh, config.gmres_tol, cache=caches.get("P1"))
-    _log_reuse(it, "P1", caches)
     return forward, energy, dual
 
 
@@ -146,7 +143,10 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
             if it:
                 mesh = refine(mesh, marked, snap_to)
             forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, estimate,
-                                                       caches, it)
+                                                       caches)
+            _log_reuse(it, "P0", caches["P0"])
+            if estimate:
+                _log_reuse(it, "P1", caches["P1"])
             emap, marked = None, range(mesh.n_panels)
             if estimate:
                 emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)

@@ -74,8 +74,11 @@ class SurfaceMesh:
         unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(v)) == 0)
         if unused.size:
             raise MeshInvariantError(f"vertex {unused[0]} is used by no triangle")
-        if self.parent_map is not None and len(self.parent_map) != len(t):
-            raise MeshInvariantError("parent_map length must match triangle count")
+        if self.parent_map is not None:
+            if len(self.parent_map) != len(t):
+                raise MeshInvariantError("parent_map length must match triangle count")
+            if np.any(self.parent_map < 0):
+                raise MeshInvariantError("negative parent_map entry")
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 2] == t[:, 0]):
             raise MeshInvariantError("triangle with repeated vertex")
         if len(v) > 1:

@@ -79,8 +79,6 @@ class PanelSolution:
 
     ``space`` is "P0" (one value per panel, centroid collocation) or "P1"
     (one value per vertex); ``mesh_ref`` is the mesh the solve ran on.
-    ``charges``, when set, are the charges the solve found inside
-    ``mesh_ref``; ``reaction_potential`` does not test them again.
     ``gmres_history`` is the true relative residual after each refinement
     cycle, the last of which is ``gmres_residual``; a zero right-hand side
     takes none.
@@ -92,7 +90,6 @@ class PanelSolution:
     mesh_ref: SurfaceMesh
     gmres_residual: float
     gmres_iters: int
-    charges: ChargeSet | None = None
     gmres_history: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -504,7 +501,7 @@ def _solve(mesh, physics, charges, space, gmres_tol, cache) -> PanelSolution:
     x, history, iters = _gmres_solve(a, b, gmres_tol, DEFAULT_MAX_ITERS)
     n = len(b) // 2
     residual = history[-1] if history else 0.0  # a zero right-hand side takes no cycle
-    return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, charges, tuple(history))
+    return PanelSolution(space, x[:n], x[n:], mesh, residual, iters, tuple(history))
 
 
 def solve_forward(

@@ -108,6 +108,16 @@ def test_inward_mesh_rejected():
         pa.SurfaceMesh(tet.vertices, tet.triangles[:, ::-1])
 
 
+def test_negative_parent_map_entry_rejected():
+    # a -1 would index the last coarse panel, and np.bincount rejects it
+    # without naming the mesh
+    fine = refine_all(pa.icosphere(1.0, 1))
+    parents = fine.parent_map.copy()
+    parents[parents == 0] = -1
+    with pytest.raises(MeshInvariantError, match="negative parent_map entry"):
+        pa.SurfaceMesh(fine.vertices, fine.triangles, parents)
+
+
 def icosphere_reference(radius, level):
     """Per-edge midpoint loop with one-vector norms, the construction's reference."""
     from pbadapt.mesh import _ICO_FACES, _ICO_VERTS

@@ -196,9 +196,9 @@ def test_reaction_potential_rejects_outside_target(born_setup):
         pa.reaction_potential(sol, [[0.0, 0.0, 2.0]])
 
 
-def test_charges_tested_inside_once_per_solve(born_setup, monkeypatch):
-    """The energy of a forward solve does not test its charges again; the
-    adjoint still tests them on its own mesh, and other targets are tested."""
+def test_charges_tested_inside_by_each_assembly_and_the_energy(born_setup, monkeypatch):
+    """The forward assembly, the energy and the adjoint assembly each test
+    the charges inside their own mesh, and other targets are tested."""
     import pbadapt.physics as physics
 
     phys, _ = born_setup
@@ -212,17 +212,20 @@ def test_charges_tested_inside_once_per_solve(born_setup, monkeypatch):
 
     monkeypatch.setattr(physics, "points_inside", counted)
     forward = pa.solve_forward(mesh, phys, charges)
+    assert calls == [2]
     energy = pa.solvation_energy(forward, charges, phys)
+    assert calls == [2, 2]
     pa.solve_adjoint(mesh, phys, charges, refine_levels=1)
-    assert len(calls) == 2
-    ur = pa.reaction_potential(dataclasses.replace(forward, charges=None), charges.positions)
-    assert len(calls) == 3
+    assert calls == [2, 2, 2]
+    ur = pa.reaction_potential(forward, charges.positions)
     assert np.array_equal(energy.per_charge, phys.energy_unit * 0.5 * charges.charges * ur)
     with pytest.raises(DomainError):
         pa.reaction_potential(forward, [[0.0, 0.0, 2.0]])
     outside = pa.ChargeSet(np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 2.0]]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
         pa.solve_forward(mesh, phys, outside)
+    with pytest.raises(DomainError):
+        pa.solvation_energy(forward, outside, phys)
 
 
 def test_born_reaction_potential_at_center(born_setup):

@@ -833,24 +833,35 @@ def test_kappa_zero_memory_guard_counts_the_stored_half(pure_water, offcenter_ch
     pa.assemble_system(mesh, pure_water, offcenter_charge)
 
 
-@pytest.mark.parametrize("space, kappa, graded, level", [
-    *(pytest.param(space, kappa, graded, 2, id=f"{space}-{path}") for space in ("P0", "P1")
+@pytest.mark.parametrize("space, kappa, graded, level, many", [
+    *(pytest.param(space, kappa, graded, 2, 0, id=f"{space}-{path}") for space in ("P0", "P1")
       for path, kappa, graded in (("kappa0", 0.0, False), ("kappa", 0.125, False),
                                   ("graded", 0.125, True))),
-    pytest.param("P0", 0.125, False, 3, id="P0-level3"),
+    pytest.param("P0", 0.125, False, 3, 0, id="P0-level3"),
+    pytest.param("P0", 0.125, False, 2, 20, id="P0-20charges"),
 ])
-def test_float32_storage_keeps_the_float64_direct_solve_energy(space, kappa, graded, level,
+def test_float32_storage_keeps_the_float64_direct_solve_energy(space, kappa, graded, level, many,
                                                                monkeypatch):
     """Energies solved from the float32 system agree within 1e-8 relative with
     np.linalg.solve on the float64 ``_dense_reference``, on each operator path
-    (the graded one with ``kernels.grades`` forced on) and on a finer mesh."""
+    (the graded one with ``kernels.grades`` forced on), on a finer mesh and
+    with ``many`` charges drawn uniform in a ball of radius 0.7."""
     from pbadapt import kernels
     from pbadapt.physics import coulomb_potential
 
     if graded:
         monkeypatch.setattr(kernels, "grades", lambda mesh: True)
     mesh = pa.icosphere(1.0, level)
-    charges = pa.ChargeSet(np.array([[0.1, -0.2, 0.5], [-0.3, 0.1, -0.2]]), np.array([1.0, -0.6]))
+    if many:
+        rng = np.random.default_rng(0)
+        direction = rng.standard_normal((many, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        radius = 0.7 * rng.random(many) ** (1.0 / 3.0)
+        values = rng.choice([-1.0, 1.0], many) * rng.uniform(0.2, 1.0, many)
+        charges = pa.ChargeSet(direction * radius[:, None], values)
+    else:
+        charges = pa.ChargeSet(np.array([[0.1, -0.2, 0.5], [-0.3, 0.1, -0.2]]),
+                               np.array([1.0, -0.6]))
     physics = pa.BiePhysics(eps_m=4.0, eps_w=80.0, kappa=kappa)
     ref, _ = _dense_reference(mesh, physics, space)
     colloc = mesh.vertices if space == "P1" else mesh.centroids
