@@ -145,10 +145,9 @@ def _refinement_loop(mesh0, charges, physics, config: AdaptiveConfig, estimate: 
             forward, energy, adjoint = solve_iteration(mesh, charges, physics, config, estimate,
                                                        caches)
             _log_reuse(it, "P0", caches["P0"])
-            if estimate:
-                _log_reuse(it, "P1", caches["P1"])
             emap, marked = None, range(mesh.n_panels)
             if estimate:
+                _log_reuse(it, "P1", caches["P1"])
                 emap = _ESTIMATORS[config.estimator_tag](forward, adjoint, charges, physics)
                 marked = mark_elements(emap.per_panel, config.marking_fraction)
         except PbAdaptError as exc:
