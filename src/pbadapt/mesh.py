@@ -21,7 +21,7 @@ logger = logging.getLogger(__name__)
 
 DUPLICATE_TOL = 1e-10   # Å; closer vertex pairs count as duplicates
 MIN_AREA = 1e-12        # Å²; triangles below this are degenerate
-INPUT_BOUND = 1e30      # Å or e; bounds outside input, so products of four lengths stay finite
+INPUT_BOUND = 1e30      # Å, e, 1/Å or permittivity; bounds outside input so products stay finite
 MAX_LEVEL = 8           # icosphere levels; level 8 is 1.3 M panels, about 0.6 GB to build
 RAY_TOL = 1e-8          # x largest |vertex coordinate|: nearer the surface, winding_number decides
 THIN_RATIO = 1e-4       # projected panels with an edge below this x their longest are degenerate
@@ -469,85 +469,69 @@ def refine_conforming(
 ) -> SurfaceMesh:
     """Apply a closed plan, snapping each new vertex onto the background mesh.
 
-    New vertices are moved to the nearest background vertex (so they lie on
-    the true surface; the lowest index at an exact distance tie), then
-    relaxed with SMOOTHING_PASSES Laplacian passes that re-snap after every
-    move. A background vertex is never claimed twice: a midpoint whose
-    nearest background vertex is already taken keeps its unsnapped position.
+    One rule moves a new vertex: onto background vertex b only if no vertex
+    holds b yet (an old vertex holds the one it lies on) and no triangle of
+    its star would flip or fall below MIN_AREA; otherwise it stays where it
+    is. First each midpoint, in vertex order, is offered its nearest
+    background vertex (the lowest index at an exact distance tie); then up to
+    SMOOTHING_PASSES Laplacian passes offer every new vertex the background
+    vertex nearest its ring mean, stopping after a pass with no move. The
+    midpoints refused their first offer are counted in a warning.
     """
     _check_plan_closed(mesh, plan)
     grid, targets = background._vertex_grid, background.vertices
     tris, parents, midpoints = _build_children(mesh.vertices, mesh.triangles, plan)
     coords = np.vstack([mesh.vertices, midpoints])
     first = mesh.n_vertices
-    # owner[b]: the mesh vertex on background vertex b, or -1; spot[v] the inverse.
-    owner = np.full(background.n_vertices, -1)
-    spot = np.full(len(coords), -1)
-    dist, nearest = grid.nearest(mesh.vertices)
-    on = np.flatnonzero(dist <= DUPLICATE_TOL)
-    owner[nearest[on]], spot[on] = on, nearest[on]
-    # Midpoints claim their nearest background vertex in vertex order: the
-    # first claimant of a free one snaps, every later one stays unsnapped.
-    _, nearest = grid.nearest(midpoints)
-    _, firsts = np.unique(nearest, return_index=True)
-    snap = firsts[owner[nearest[firsts]] < 0]
-    owner[nearest[snap]], spot[first + snap] = first + snap, nearest[snap]
-    coords[first + snap] = targets[nearest[snap]]
-    collisions = int(np.count_nonzero(spot[first:] < 0))
-
     # Corner slots of the new vertices, by vertex and then by the vertex that
     # follows it in its triangle. On a closed mesh each neighbour of v follows
-    # v in exactly one triangle, so every ring comes out in ascending order.
-    corners, follow = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    # v in exactly one triangle, so every ring comes out in ascending order;
+    # backs holds the vertex that precedes v in the same triangles.
+    corners, follow, precede = (np.roll(tris, -k, axis=1).ravel() for k in range(3))
     slots = np.lexsort((follow, corners))
     slots = slots[np.searchsorted(corners[slots], first):]
     bounds = np.searchsorted(corners[slots], np.arange(first, len(coords) + 1))
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    stars = [tris[slots[lo:hi] // 3] for lo, hi in spans]
-    rings = [follow[slots[lo:hi]] for lo, hi in spans]
-    # A vertex's decision reads only its star's coordinates and the owner of
-    # the background vertex it queried. It is evaluated again only when a
-    # vertex of its ring moved or that background vertex was freed: a claim
-    # by another vertex cannot turn a stay into a move, and a vertex that
-    # just moved would stay. Any other evaluation would repeat a decision
-    # that left the vertex where it is.
-    new_rings = [ring[ring >= first] - first for ring in rings]
-    dirty = np.ones(len(stars), dtype=bool)
-    queried = np.full(len(stars), -1)
+    stars = [slots[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rings, backs = [follow[s] for s in stars], [precede[s] for s in stars]
+    # owner[b]: the mesh vertex on background vertex b, or -1; spot[i] the
+    # background vertex new vertex first + i is on, or -1. owner[-1], one past
+    # the background's vertices, takes the release of a vertex on none.
+    dist, nearest = grid.nearest(coords)
+    owner = np.full(background.n_vertices + 1, -1)
+    on = np.flatnonzero(dist[:first] <= DUPLICATE_TOL)
+    owner[nearest[on]] = on
+    spot = np.full(len(midpoints), -1)
+
+    def move(i: int, b: int) -> bool:
+        """Move new vertex first + i onto background vertex b unless a vertex holds
+        b or a triangle (vertex, a, c) of its star would flip or fall below
+        MIN_AREA; in Python floats, cheaper than numpy on a star's few triangles."""
+        if owner[b] >= 0:
+            return False
+        (px, py, pz), (qx, qy, qz) = coords[first + i].tolist(), targets[b].tolist()
+        star = zip(coords[rings[i]].tolist(), coords[backs[i]].tolist())
+        for (ax, ay, az), (cx, cy, cz) in star:
+            ex, ey, ez = cx - ax, cy - ay, cz - az  # the normal at x is (a - x) x (c - a)
+            ux, uy, uz, wx, wy, wz = ax - px, ay - py, az - pz, ax - qx, ay - qy, az - qz
+            nx, ny, nz = wy * ez - wz * ey, wz * ex - wx * ez, wx * ey - wy * ex
+            dot = (uy * ez - uz * ey) * nx + (uz * ex - ux * ez) * ny + (ux * ey - uy * ex) * nz
+            if dot <= 0.0 or nx * nx + ny * ny + nz * nz < 4.0 * MIN_AREA * MIN_AREA:
+                return False
+        coords[first + i] = targets[b]
+        owner[spot[i]] = -1
+        owner[b], spot[i] = first + i, b
+        return True
+
+    collisions = sum(not move(i, b) for i, b in enumerate(nearest[first:].tolist()))
     for _ in range(SMOOTHING_PASSES):
-        moved = False
-        for i, (star, ring) in enumerate(zip(stars, rings)):
-            if not dirty[i]:
-                continue
-            dirty[i] = False
-            v = first + i
-            b = grid.nearest_one(coords[ring].mean(axis=0))
-            queried[i] = b
-            if owner[b] not in (-1, v):
-                continue  # target taken by someone else; stay put
-            if np.linalg.norm(targets[b] - coords[v]) <= DUPLICATE_TOL:
-                continue
-            before = coords[star]  # (k, 3, 3) corners of the incident triangles
-            after = before.copy()
-            after[star == v] = targets[b]
-            n0, n1 = (np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) for p in (before, after))
-            if np.any(0.5 * np.linalg.norm(n1, axis=1) < MIN_AREA) or np.any(
-                np.einsum("ij,ij->i", n0, n1) <= 0.0
-            ):
-                continue  # the move would squash or flip an incident triangle
-            coords[v] = targets[b]
-            dirty[new_rings[i]] = True
-            if spot[v] >= 0:
-                dirty |= queried == spot[v]  # freed: a vertex it blocked may move there
-                owner[spot[v]] = -1
-            owner[b], spot[v] = v, b
-            moved = True
-        if not moved:
+        if not any([move(i, grid.nearest_one(coords[ring].mean(axis=0)))
+                    for i, ring in enumerate(rings)]):
             break
     if collisions:
         logger.warning(
             "%d new vertices kept their midpoint position (nearest background "
-            "vertex already claimed); background resolution is locally exhausted",
+            "vertex already claimed, or the snap would fold a panel); background "
+            "resolution is locally exhausted",
             collisions,
         )
     return SurfaceMesh(coords, tris, parent_map=parents)

@@ -39,11 +39,13 @@ class BiePhysics:
     energy_unit: ClassVar[float] = ENERGY_UNIT
 
     def __post_init__(self):
-        if not (1 / INPUT_BOUND <= self.eps_m < np.inf and 0 < self.eps_w < np.inf):
-            raise UsageError("permittivities must be finite and positive, "
-                             f"eps_m >= {1 / INPUT_BOUND:g}")
-        if not 0 <= self.kappa < np.inf:
-            raise UsageError("kappa must be finite and >= 0")
+        low, high = 1 / INPUT_BOUND, INPUT_BOUND
+        if not (low <= self.eps_m <= high and low <= self.eps_w <= high
+                and low <= self.eps_m / self.eps_w <= high):
+            raise UsageError(f"permittivities must be finite, with eps_m >= {low:g}, eps_w >= "
+                             f"{low:g} and eps_m/eps_w >= {low:g}, each at most {high:g}")
+        if not 0 <= self.kappa <= high:
+            raise UsageError(f"kappa must be finite, within [0, {high:g}]")
 
 
 @dataclass(frozen=True)

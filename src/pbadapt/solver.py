@@ -261,6 +261,29 @@ def _memory_budget() -> int:
     return min(known) if known else os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _require_memory(n: int, space: str, physics: BiePhysics, cache: SystemCache | None):
+    """Raise SolverError when the system of ``n`` collocation points of
+    ``space`` and an allowance of SOLVE_BYTES_PER_POINT per point for the rest
+    of the solve would not fit in memory beside the ``cache``'s held system."""
+    held = None if cache is None else cache._held
+    # the held system stays allocated while the new one is built; the available
+    # memory and a cgroup's headroom already count it, physical memory does not
+    counted = _available_memory() is not None or _cgroup_headroom() is not None
+    held_bytes = 0 if held is None or counted else held.matrix.nbytes
+    top_only = physics.kappa == 0.0
+    need, budget = 4 * (1 if top_only else 2) * n * 2 * n, _memory_budget()
+    allowance = SOLVE_BYTES_PER_POINT[space] * n
+    if need + allowance + held_bytes > budget:
+        what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
+        points = "vertices" if space == "P1" else "panels"
+        beside = f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else ""
+        raise SolverError(
+            f"the {what} {2 * n} x {2 * n} system of {n} {points} needs {need / 1e9:.2f} GB, and "
+            f"the rest of the solve {allowance / 1e9:.2f} GB, more than the {budget / 1e9:.2f} GB "
+            f"available{beside}"
+        )
+
+
 def _column_lengths(mesh: SurfaceMesh, p1: bool) -> np.ndarray:
     """The length each single-layer column is stored divided by: the panel's
     diameter (P0), or the largest diameter in the vertex's star (P1). It
@@ -298,22 +321,9 @@ def assemble_system(
     p1 = space == "P1"
     colloc = mesh.vertices if p1 else mesh.centroids
     n = len(colloc)
+    _require_memory(n, space, physics, cache)
     held = None if cache is None else cache._held
-    # the held system stays allocated while the new one is built; the available
-    # memory and a cgroup's headroom already count it, physical memory does not
-    counted = _available_memory() is not None or _cgroup_headroom() is not None
-    held_bytes = 0 if held is None or counted else held.matrix.nbytes
-    top_only = physics.kappa == 0.0
-    block_rows = 1 if top_only else 2
-    need, budget = 4 * block_rows * n * 2 * n, _memory_budget()
-    allowance = SOLVE_BYTES_PER_POINT[space] * n
-    if need + allowance + held_bytes > budget:
-        what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
-        raise SolverError(
-            f"the {what} {2 * n} x {2 * n} system needs {need / 1e9:.2f} GB, and the rest "
-            f"of the solve {allowance / 1e9:.2f} GB, more than the {budget / 1e9:.2f} GB available"
-            + (f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else "")
-        )
+    block_rows = 1 if physics.kappa == 0.0 else 2
     rows = cols = np.full(n, -1)
     old = None
     if held is not None and (held.space, held.physics, kernels.grades(held.mesh)) == (
@@ -537,6 +547,9 @@ def solve_adjoint(
     """
     if refine_levels < 0:
         raise UsageError("refine_levels must be >= 0")
+    # a uniform split keeps V - T/2, the Euler characteristic, and quadruples T
+    half = mesh.n_panels // 2
+    _require_memory(mesh.n_vertices - half + 4**refine_levels * half, "P1", physics, cache)
     fine, parents = mesh, np.arange(mesh.n_panels)
     for _ in range(refine_levels):
         fine = refine(fine, range(fine.n_panels), background)

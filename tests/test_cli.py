@@ -419,6 +419,12 @@ def test_non_finite_physics_is_config_error(tmp_path, capsys, name, value):
     assert "config error" in capsys.readouterr().err
 
 
+def test_physics_beyond_the_input_bound_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.ini", SPHERE_SMALL.replace("eps_m = 4.0", "eps_m = 1e300"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_solve_writes_a_one_iteration_run_directory(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     out = tmp_path / "o"

@@ -809,9 +809,10 @@ def nearest_lowest(tree, points):
 def snap_reference(mesh, plan, background, passes=3):
     """Conforming refinement by loops over the new vertices, claims kept in dicts.
 
-    Returns the vertex coordinates and the number of midpoints whose nearest
-    background vertex was already claimed. Nearest vertices come from a k-d
-    tree, the lowest index at an exact tie, as ``refine_conforming`` states.
+    Returns the vertex coordinates and the number of midpoints that did not
+    snap: their nearest background vertex was already claimed, or the snap
+    would squash or flip a triangle. Nearest vertices come from a k-d tree,
+    the lowest index at an exact tie, as ``refine_conforming`` states.
     """
     tree, targets = cKDTree(background.vertices), background.vertices
     dist, idx = nearest_lowest(tree, mesh.vertices)
@@ -819,12 +820,6 @@ def snap_reference(mesh, plan, background, passes=3):
     flat = refine_flat(mesh, plan)
     coords, tris = flat.vertices.copy(), flat.triangles
     new = range(mesh.n_vertices, flat.n_vertices)
-    claims, unsnapped = {}, 0
-    for v, b in zip(new, nearest_lowest(tree, coords[mesh.n_vertices :])[1].tolist()):
-        if b in used:
-            unsnapped += 1
-            continue
-        used[b], claims[v], coords[v] = v, b, targets[b]
     ring = {v: set() for v in new}
     incident = {v: [] for v in new}
     for ti, abc in enumerate(tris.tolist()):
@@ -833,6 +828,26 @@ def snap_reference(mesh, plan, background, passes=3):
                 ring[v].update(abc)
                 ring[v].discard(v)
                 incident[v].append(ti)
+
+    def squashes_or_flips(v, old):
+        for ti in incident[v]:
+            p = coords[tris[ti]]
+            new_n = np.cross(p[1] - p[0], p[2] - p[0])
+            p[tris[ti] == v] = old
+            old_n = np.cross(p[1] - p[0], p[2] - p[0])
+            if 0.5 * np.linalg.norm(new_n) < mesh_mod.MIN_AREA or np.dot(new_n, old_n) <= 0.0:
+                return True
+        return False
+
+    claims, unsnapped = {}, 0
+    for v, b in zip(new, nearest_lowest(tree, coords[mesh.n_vertices :])[1].tolist()):
+        old = coords[v].copy()
+        coords[v] = targets[b]
+        if b in used or squashes_or_flips(v, old):
+            coords[v] = old
+            unsnapped += 1
+            continue
+        used[b], claims[v] = v, b
     for _ in range(passes):
         for v in new:
             old = coords[v].copy()
@@ -840,14 +855,8 @@ def snap_reference(mesh, plan, background, passes=3):
             if used.get(b, v) != v or np.linalg.norm(targets[b] - old) <= mesh_mod.DUPLICATE_TOL:
                 continue
             coords[v] = targets[b]
-            for ti in incident[v]:
-                p = coords[tris[ti]]
-                new_n = np.cross(p[1] - p[0], p[2] - p[0])
-                p[tris[ti] == v] = old
-                old_n = np.cross(p[1] - p[0], p[2] - p[0])
-                if 0.5 * np.linalg.norm(new_n) < mesh_mod.MIN_AREA or np.dot(new_n, old_n) <= 0.0:
-                    coords[v] = old
-                    break
+            if squashes_or_flips(v, old):
+                coords[v] = old
             else:
                 used.pop(claims.pop(v, None), None)
                 used[b], claims[v] = v, b
@@ -873,8 +882,7 @@ def test_refine_conforming_matches_snap_loop(level, background, caplog):
 
 
 def test_refine_conforming_matches_snap_loop_when_later_passes_move():
-    # the second smoothing pass moves vertices, so only the ones whose star
-    # or queried background vertex changed are evaluated again
+    # the second smoothing pass moves vertices
     mesh, target = pa.icosphere(1.0, 2), pa.icosphere(1.0, 5)
     marked = np.random.default_rng(0).choice(mesh.n_panels, mesh.n_panels // 3, replace=False)
     plan = close_marking(mesh, marked)
@@ -882,6 +890,19 @@ def test_refine_conforming_matches_snap_loop_when_later_passes_move():
     coords, _ = snap_reference(mesh, plan, target)
     assert not np.array_equal(one_pass, coords)
     assert np.array_equal(refine_conforming(mesh, plan, target).vertices, coords)
+
+
+def test_refine_conforming_folds_no_child():
+    # past the level-4 background's resolution the nearest background vertex
+    # of a midpoint can lie behind its star: such a snap stays unmade
+    mesh, target = pa.icosphere(1.0, 1), pa.icosphere(1.0, 4)
+    for _ in range(4):
+        plan = close_marking(mesh, np.flatnonzero(mesh.centroids[:, 2] > 0.5))
+        refined = refine_conforming(mesh, plan, target)
+        parent_normals = mesh.normals[refined.parent_map]
+        assert np.all(np.einsum("ij,ij->i", refined.normals, parent_normals) > 0.0)
+        mesh = refined
+    assert mesh.n_panels == 5200
 
 
 def test_refine_conforming_builds_one_grid(background, monkeypatch):

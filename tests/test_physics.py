@@ -386,3 +386,20 @@ def test_energy_unit_is_fixed():
 def test_physics_rejects_non_finite_values(name, value):
     with pytest.raises(UsageError, match="finite"):
         pa.BiePhysics(**{name: value})
+
+
+@pytest.mark.parametrize("given", [dict(eps_m=1e300), dict(eps_w=1e-300),
+                                   dict(eps_m=1e30, eps_w=1e-30), dict(kappa=1e300)],
+                         ids=["eps_m", "eps_w", "ratio", "kappa"])
+def test_physics_rejects_values_beyond_the_input_bound(given):
+    # beyond it the right-hand side underflows or the float32 system overflows
+    with pytest.raises(UsageError, match="1e\\+30"):
+        pa.BiePhysics(**given)
+
+
+@pytest.mark.parametrize("given", [dict(eps_m=1e30), dict(eps_m=1e-30, eps_w=1e-30),
+                                   dict(eps_m=1.0, eps_w=1e30), dict(kappa=1e30)],
+                         ids=["eps_m", "eps_w-low", "eps_w-high", "kappa"])
+def test_physics_accepts_values_at_the_input_bound(given):
+    physics = pa.BiePhysics(**given)
+    assert all(getattr(physics, name) == value for name, value in given.items())

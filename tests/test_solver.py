@@ -629,6 +629,30 @@ def test_held_system_counts_against_physical_memory(salty, offcenter_charge, mon
     pa.assemble_system(mesh, salty, offcenter_charge, cache=cache)
 
 
+def test_adjoint_companion_mesh_beyond_memory_is_refused_before_refining(
+        salty, offcenter_charge, monkeypatch):
+    from pbadapt import solver
+
+    def refine(*args):
+        raise AssertionError("the companion mesh was refined before the memory check")
+
+    monkeypatch.setattr(solver, "refine", refine)
+    with pytest.raises(SolverError, match="671088642 vertices"):
+        pa.solve_adjoint(pa.icosphere(1.0, 1), salty, offcenter_charge, refine_levels=12)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+def test_adjoint_memory_check_counts_the_companion_vertices(salty, offcenter_charge, levels,
+                                                            monkeypatch):
+    from pbadapt import solver
+
+    counted, check = [], solver._require_memory
+    monkeypatch.setattr(solver, "_require_memory",
+                        lambda n, *args: counted.append(n) or check(n, *args))
+    dual = pa.solve_adjoint(pa.icosphere(1.0, 1), salty, offcenter_charge, refine_levels=levels)
+    assert counted == [dual.mesh_ref.n_vertices] * 2  # before refining, and at assembly
+
+
 def test_memory_budget_reads_cgroup_limit(tmp_path, monkeypatch):
     from pbadapt import solver
 
