@@ -494,10 +494,9 @@ def refine_conforming(
     stars = [slots[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     rings, backs = [follow[s] for s in stars], [precede[s] for s in stars]
     # owner[b]: the mesh vertex on background vertex b, or -1; spot[i] the
-    # background vertex new vertex first + i is on, or -1. owner[-1], one past
-    # the background's vertices, takes the release of a vertex on none.
+    # background vertex new vertex first + i is on, or -1
     dist, nearest = grid.nearest(coords)
-    owner = np.full(background.n_vertices + 1, -1)
+    owner = np.full(background.n_vertices, -1)
     on = np.flatnonzero(dist[:first] <= DUPLICATE_TOL)
     owner[nearest[on]] = on
     spot = np.full(len(midpoints), -1)
@@ -518,7 +517,8 @@ def refine_conforming(
             if dot <= 0.0 or nx * nx + ny * ny + nz * nz < 4.0 * MIN_AREA * MIN_AREA:
                 return False
         coords[first + i] = targets[b]
-        owner[spot[i]] = -1
+        if spot[i] >= 0:
+            owner[spot[i]] = -1
         owner[b], spot[i] = first + i, b
         return True
 
