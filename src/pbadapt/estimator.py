@@ -23,15 +23,13 @@ from .solver import PanelSolution
 
 @dataclass(frozen=True)
 class ErrorMap:
-    """Per-panel error indicators (kcal/mol) for one estimator.
+    """Per-panel error indicators (kcal/mol) of one estimator, on the forward mesh.
 
     ``signed_per_panel`` holds each panel's contribution; ``per_panel`` its
     absolute value and ``signed_total`` their sum are derived from it.
     """
 
-    estimator_tag: str
     signed_per_panel: np.ndarray
-    mesh_ref: SurfaceMesh
 
     @property
     def per_panel(self) -> np.ndarray:
@@ -99,7 +97,7 @@ def _estimate(
     per_fine = (wts * integrand).reshape(fine.n_panels, nq).sum(axis=1)
     signed = np.bincount(parents, weights=per_fine, minlength=coarse.n_panels) - forward_only
     signed *= physics.energy_unit
-    return ErrorMap(tag, signed, coarse)
+    return ErrorMap(signed)
 
 
 def estimate_Ephi(

@@ -5,7 +5,8 @@ of padding on every side, so the 27 cells around any cell of the box exist.
 The points are sorted by cell and, within a cell, by index; the three cells
 of a stencil row along z are then one run of sorted positions. Distances are
 squared differences summed x, then y, then z, and an exact tie goes to the
-lowest point index.
+lowest point index. ``walk`` chunks the candidate runs of these queries and
+of the inside test's grid of projected panels (``mesh._CrossingGrid``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,24 @@ import numpy as np
 CELLS_PER_POINT = 8       # cells allowed per point, padding aside
 CHUNK = 1 << 16           # candidate pairs evaluated at once
 _SLACK = 1e-9             # cells; rounding allowance of a cell offset, per cell of magnitude
+
+
+def walk(run_q, s, e):
+    """Yield (query, position) for every position of the runs s[i] .. e[i] - 1,
+    run i belonging to query run_q[i], in chunks of about CHUNK positions. The
+    queries of ``run_q`` ascend, and each query's runs stay in one chunk; a
+    chunk with no position is skipped."""
+    cnt = e - s
+    if not len(cnt):
+        return
+    ends = np.cumsum(cnt)
+    cut = np.searchsorted(ends, np.arange(CHUNK, ends[-1], CHUNK))
+    bounds = np.unique(np.concatenate([[0], np.searchsorted(run_q, run_q[cut]), [len(cnt)]]))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        c = cnt[a:b]
+        qi = np.repeat(run_q[a:b], c)
+        if len(qi):
+            yield qi, np.arange(len(qi)) - np.repeat(np.cumsum(c) - c - s[a:b], c)
 
 
 class CellGrid:
@@ -71,20 +90,8 @@ class CellGrid:
 
     def _candidates(self, qc, run_q, s, e):
         """Yield (query, sorted position, squared distance) of every point in the
-        runs s..e of sorted positions, chunk by chunk; the queries of ``run_q``
-        ascend and each query's runs stay in one chunk. ``qc`` is (3, m)."""
-        cnt = e - s
-        if not len(cnt):
-            return
-        ends = np.cumsum(cnt)
-        cut = np.searchsorted(ends, np.arange(CHUNK, ends[-1], CHUNK))
-        bounds = np.unique(np.concatenate([[0], np.searchsorted(run_q, run_q[cut]), [len(cnt)]]))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            c = cnt[a:b]
-            qi = np.repeat(run_q[a:b], c)
-            if not len(qi):
-                continue
-            pos = np.arange(len(qi)) - np.repeat(np.cumsum(c) - c - s[a:b], c)
+        runs s..e of sorted positions, in the chunks of ``walk``. ``qc`` is (3, m)."""
+        for qi, pos in walk(run_q, s, e):
             d = qc[:, qi] - self.sorted[:, pos]
             d *= d
             yield qi, pos, d[0] + d[1] + d[2]

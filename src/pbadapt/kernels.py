@@ -432,7 +432,7 @@ def _yukawa_remainder(mesh: SurfaceMesh, kappa: float):
     return remainder
 
 
-def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: bool = True,
+def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float,
                       shape_functions: bool = False):
     """Single- and double-layer integrals for (target point, panel) pairs at any distance.
 
@@ -440,7 +440,8 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
     are exact (``_flat_panel_laplace``; on the panel the caller sets KL = 0);
     the Yukawa parts add the bounded remainder integrated with
     ``REMAINDER_RULE``. At kappa = 0 the remainder integrates to +-0, so the
-    Yukawa parts equal the Laplace ones. Chunks of pairs run on ``run_parallel``.
+    Yukawa parts equal the Laplace ones: VY and KY are then the VL and KL
+    arrays themselves, not copies. Chunks of pairs run on ``run_parallel``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     panels = np.asarray(panels, dtype=np.int64)
@@ -453,8 +454,8 @@ def near_pair_entries(points, mesh: SurfaceMesh, panels, kappa: float, yukawa: b
         )
 
     run_parallel(run, chunks(len(panels), GAUSS7.n_points))
-    if not yukawa:
-        return vl, kl, None, None
+    if kappa == 0.0:
+        return vl, kl, vl, kl
     vr, kr = _pair_quadrature(points, mesh, panels, REMAINDER_RULE, shape_functions, 2,
                               _yukawa_remainder(mesh, kappa))
     return vl, kl, vl + vr, kl + kr
@@ -485,13 +486,11 @@ def operator_blocks(
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     ti, pj = near_pairs(targets, mesh, panels)
     pid = pj if panels is None else np.asarray(panels, dtype=np.int64)[pj]
-    near = near_pair_entries(targets[ti], mesh, pid, kappa, yukawa=out[2] is not None,
-                             shape_functions=shape_functions)
+    near = near_pair_entries(targets[ti], mesh, pid, kappa, shape_functions=shape_functions)
     nodes = mesh.corners[pid] if shape_functions else mesh.centroids[pid, None]
     on = (nodes == targets[ti, None]).all(axis=2).any(axis=1)
     for k in (1, 3):  # KL, KY: a target on the panel gets the principal value 0
-        if near[k] is not None:
-            near[k][on] = 0.0
+        near[k][on] = 0.0
     kernel_row_blocks(targets, mesh, GAUSS7, kappa, out, (ti, pj, near), shape_functions, panels,
                       scale, rows)
 
@@ -515,14 +514,14 @@ def near_pairs(points, mesh: SurfaceMesh, panels=None):
 
 def centroid_self_single_layer(mesh: SurfaceMesh) -> np.ndarray:
     """Laplace single-layer self integral of every panel at its centroid."""
-    return near_pair_entries(mesh.centroids, mesh, np.arange(mesh.n_panels), 0.0, yukawa=False)[0]
+    return near_pair_entries(mesh.centroids, mesh, np.arange(mesh.n_panels), 0.0)[0]
 
 
 def corner_single_layer_linear(mesh: SurfaceMesh, panels, corner_local) -> np.ndarray:
     """(P, 3) Laplace single-layer integrals with linear density, target at a corner."""
     panels = np.asarray(panels, dtype=np.int64)
     targets = mesh.corners[panels, np.asarray(corner_local, dtype=np.int64)]
-    return near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
+    return near_pair_entries(targets, mesh, panels, 0.0, shape_functions=True)[0]
 
 
 def yukawa_regular_part(points, mesh: SurfaceMesh, panels, kappa: float, rule: QuadratureRule):

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeshInvariantError, ParseError, UsageError
-from .grid import CellGrid
+from .grid import CellGrid, walk
 from .sweep import CHUNK_PAIRS, sweep
 
 logger = logging.getLogger(__name__)
@@ -25,7 +25,6 @@ INPUT_BOUND = 1e30      # Å, e, 1/Å or permittivity; bounds outside input so p
 MAX_LEVEL = 8           # icosphere levels; level 8 is 1.3 M panels, about 0.6 GB to build
 RAY_TOL = 1e-8          # x largest |vertex coordinate|: nearer the surface, winding_number decides
 THIN_RATIO = 1e-4       # projected panels with an edge below this x their longest are degenerate
-RAY_CHUNK = 1 << 16     # (point, panel) candidate pairs tested at once
 SMOOTHING_PASSES = 3    # Laplacian relax-and-snap passes of conforming refinement
 
 
@@ -143,15 +142,11 @@ class SurfaceMesh:
         c.setflags(write=False)
         return c
 
-    def _edge_lengths(self) -> np.ndarray:
-        """(T, 3) length of local edge k = (v_k, v_{k+1})."""
-        p = self.corners
-        return np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
-
     @cached_property
     def diameters(self) -> np.ndarray:
         """Longest edge per triangle."""
-        d = self._edge_lengths().max(axis=1)
+        p = self.corners
+        d = np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2).max(axis=1)
         d.setflags(write=False)
         return d
 
@@ -607,13 +602,14 @@ class _CrossingGrid:
     distance to the panel's plane by about 1e-15 L. Both are a thousandth of
     ``tol`` or less, so a distance beyond ``tol`` has its true sign. A panel
     whose projection is narrower than ``tol``, or has a shorter edge, is
-    degenerate.
+    degenerate. A point outside the mesh's box needs no case of its own: no
+    candidate's projected box holds it, or its ray enters and leaves the
+    surface, or it lies within ``tol`` of a panel and is unclear.
     """
 
     def __init__(self, mesh: SurfaceMesh):
         v, n = mesh.vertices, mesh.n_panels
         self.tol = tol = RAY_TOL * float(np.abs(v).max())
-        self.box = v.min(axis=0) - tol, v.max(axis=0) + tol
         self.px, self.py = (v @ _PLANE)[mesh.triangles].transpose(2, 1, 0)  # (corner, panel)
         # edge k runs from corner k to corner k + 1
         ex, ey = np.roll(self.px, -1, axis=0) - self.px, np.roll(self.py, -1, axis=0) - self.py
@@ -656,21 +652,12 @@ class _CrossingGrid:
         not clearly behind the point lies within ``tol`` of the ray or of the
         point, or projects degenerate."""
         crossings, unclear = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
-        near = np.flatnonzero(np.all((x >= self.box[0]) & (x <= self.box[1]), axis=1))
-        x = x[near]
         q = (x @ _PLANE).T
         cell = self._cells(q)
         cell = cell[0] * self.dims[1] + cell[1]
-        first = self.start[cell]
-        counts = self.start[cell + 1] - first
-        ends = np.cumsum(counts)
-        cuts = np.searchsorted(ends, np.arange(RAY_CHUNK, ends[-1] if len(ends) else 0, RAY_CHUNK))
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(near)]):
-            c = counts[a:b]
-            point = np.repeat(np.arange(a, b), c)
-            # candidate k of point j is panels[first[j] + k]
-            k = np.arange(len(point)) - np.repeat(np.cumsum(c) - c, c)
-            panel = self.panels[first[point] + k]
+        for point, at in walk(np.arange(len(x)), self.start[cell], self.start[cell + 1]):
+            a, b = int(point[0]), int(point[-1]) + 1  # the chunk holds these points' candidates
+            panel = self.panels[at]
             qx, qy = q[0, point], q[1, point]
             held = ((qx >= self.lo[0, panel]) & (qx <= self.hi[0, panel])
                     & (qy >= self.lo[1, panel]) & (qy <= self.hi[1, panel]))
@@ -685,9 +672,8 @@ class _CrossingGrid:
             degenerate = self.degenerate[panel]
             crossed = (inner > self.tol) & (ahead > self.tol) & ~degenerate
             doubt = degenerate | ((inner >= -self.tol) & (ahead >= -self.tol) & ~crossed)
-            unclear[near[point[doubt]]] = True
-            crossings[near[a:b]] = np.bincount(point[crossed] - a, self.sign[panel[crossed]],
-                                               b - a)
+            unclear[point[doubt]] = True
+            crossings[a:b] = np.bincount(point[crossed] - a, self.sign[panel[crossed]], b - a)
         return crossings, unclear
 
 

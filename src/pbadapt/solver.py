@@ -276,12 +276,17 @@ def _require_memory(n: int, space: str, physics: BiePhysics, cache: SystemCache 
     if need + allowance + held_bytes > budget:
         what = f"top block row ({n} x {2 * n}) of the" if top_only else "dense"
         points = "vertices" if space == "P1" else "panels"
-        beside = f" beside the {held_bytes / 1e9:.2f} GB held system" if held_bytes else ""
+        beside = f" beside the {_gb(held_bytes)} GB held system" if held_bytes else ""
         raise SolverError(
-            f"the {what} {2 * n} x {2 * n} system of {n} {points} needs {need / 1e9:.2f} GB, and "
-            f"the rest of the solve {allowance / 1e9:.2f} GB, more than the {budget / 1e9:.2f} GB "
+            f"the {what} {2 * n} x {2 * n} system of {n} {points} needs {_gb(need)} GB, and "
+            f"the rest of the solve {_gb(allowance)} GB, more than the {_gb(budget)} GB "
             f"available{beside}"
         )
+
+
+def _gb(n_bytes: int) -> str:
+    """``n_bytes`` in GB, rounded half up to two decimals in integers: it may exceed a float."""
+    return f"{(n_bytes + 5_000_000) // 10**9}.{(n_bytes + 5_000_000) // 10**7 % 100:02d}"
 
 
 def _column_lengths(mesh: SurfaceMesh, p1: bool) -> np.ndarray:

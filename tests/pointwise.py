@@ -14,6 +14,7 @@ import numpy as np
 from pbadapt.errors import SingularityError, UsageError
 from pbadapt.physics import coulomb_trace
 from pbadapt.quadrature import GAUSS7, QuadratureRule, subdivided
+from pbadapt.solver import System
 
 COINCIDENT_TOL = 1e-14
 NEAR_RULE = subdivided(GAUSS7, 3)  # 448-point composite rule, a quadrature reference for near pairs
@@ -22,8 +23,18 @@ CENTROID = QuadratureRule(np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]), de
 FOUR_PI = 4.0 * np.pi
 
 
-def dense(a):  # the dense float64 matrix of a ``solver.System``, one product per column
-    return np.column_stack([a @ e for e in np.eye(len(a))])
+def dense(a):
+    """The dense float64 matrix of a ``solver.System``, one product per column.
+    The blocks are upcast once, and each product takes the system's block
+    layout (``System._apply``) with one float64 matrix-vector product per
+    block column. A unit vector leaves one nonzero term in each float64 sum,
+    so column j is bit for bit ``a @ e_j``, whatever the product's chunks."""
+    b, n = System(a.blocks.astype(float), a.ratio, a.lengths), len(a) // 2
+
+    def halves(rows, u, v):
+        return rows[:, :n] @ u, rows[:, n:] @ v
+
+    return np.column_stack([b._apply(e, halves) for e in np.eye(len(a))])
 
 
 def coulomb_gradient(charges, physics, points):  # (M, 3): ``coulomb_trace`` along each axis

@@ -171,6 +171,17 @@ def test_system_beyond_available_memory_exits_solver(tmp_path, capsys, monkeypat
     assert "needs" in capsys.readouterr().err
 
 
+def test_adjoint_level_beyond_float_range_exits_solver(tmp_path, capsys):
+    """The companion mesh of 300 adjoint levels needs more bytes than a float
+    holds; the refusal still says so in one line, with no traceback."""
+    cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
+    code = main(["estimate", "--config", cfg, "--adjoint-levels", "300",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "needs" in err and "Traceback" not in err
+
+
 def test_estimate_sphere_reports_gamma_both_estimators(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.ini", SPHERE_SMALL)
     out_dir = tmp_path / "est"

@@ -275,20 +275,24 @@ def _targets_at(mesh, panel, dist):
     ])
 
 
-@pytest.mark.parametrize("shape_functions", [False, True])
+@pytest.mark.parametrize("shape_functions, kappa", [(False, 0.125), (True, 0.125),
+                                                     (False, 0.0), (True, 0.0)],
+                         ids=["False", "True", "False-kappa0", "True-kappa0"])
 @pytest.mark.parametrize("d_over_h", [0.05, 0.5, 1.0, 2.0])
-def test_closed_form_matches_subdivided_rule(brute_rule, d_over_h, shape_functions):
+def test_closed_form_matches_subdivided_rule(brute_rule, d_over_h, shape_functions, kappa):
     import pbadapt as pa
 
     mesh = pa.icosphere(1.0, 1)
     panels = np.repeat([3, 41], 5)
     points = np.vstack([_targets_at(mesh, t, d_over_h * mesh.diameters[t]) for t in (3, 41)])
-    got = kn.near_pair_entries(points, mesh, panels, 0.125, shape_functions=shape_functions)
-    want = kn.kernel_pair_entries(points, mesh, panels, brute_rule, 0.125,
+    got = kn.near_pair_entries(points, mesh, panels, kappa, shape_functions=shape_functions)
+    want = kn.kernel_pair_entries(points, mesh, panels, brute_rule, kappa,
                                   shape_functions=shape_functions)
     # Laplace parts are exact; the Yukawa remainder has the 28-point rule's error
     for g, w, tol in zip(got, want, (1e-10, 1e-10, 1e-5, 1e-5)):
         assert np.abs(g - w).max() <= tol * np.abs(w).max()
+    if kappa == 0.0:  # VY and KY are VL and KL, bit for bit
+        assert got[2].tobytes() == got[0].tobytes() and got[3].tobytes() == got[1].tobytes()
 
 
 def duffy_single_layer(panel, target, n_points=80):
@@ -322,10 +326,10 @@ def test_closed_form_on_panel_matches_duffy_rule():
         p = mesh.vertices[mesh.triangles[t]]
         targets = np.vstack([p.mean(axis=0), p, np.array([0.5, 0.3, 0.2]) @ p])
         panels = np.full(len(targets), t)
-        vl = kn.near_pair_entries(targets, mesh, panels, 0.0, yukawa=False, shape_functions=True)[0]
+        vl = kn.near_pair_entries(targets, mesh, panels, 0.0, shape_functions=True)[0]
         want = np.array([duffy_single_layer(p, x) for x in targets])
         assert np.abs(vl - want).max() <= 1e-10 * np.abs(want).max()
-        v0 = kn.near_pair_entries(targets, mesh, panels, 0.0, yukawa=False)[0]
+        v0 = kn.near_pair_entries(targets, mesh, panels, 0.0)[0]
         assert np.abs(v0 - want.sum(axis=1)).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -348,7 +352,7 @@ def test_closed_form_double_layer_gauss_identity():
 
     def total(x, shape_functions=False):
         points = np.broadcast_to(x, (mesh.n_panels, 3))
-        kl = kn.near_pair_entries(points, mesh, everything, 0.0, yukawa=False,
+        kl = kn.near_pair_entries(points, mesh, everything, 0.0,
                                   shape_functions=shape_functions)[1]
         return kl, kl.sum()
 

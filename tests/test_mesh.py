@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import pbadapt as pa
+import pbadapt.grid as grid_mod
 import pbadapt.mesh as mesh_mod
 import pbadapt.sweep as sweep
 from pbadapt.errors import MeshInvariantError, ParseError, UsageError
@@ -253,7 +254,7 @@ def test_ray_crossings_do_not_depend_on_the_chunk(monkeypatch):
     m = pa.icosphere(1.0, 3)
     points = ball_and_shell(np.random.default_rng(9), 1000)
     whole = m._crossing_grid.count(points)
-    monkeypatch.setattr(mesh_mod, "RAY_CHUNK", 7)
+    monkeypatch.setattr(grid_mod, "CHUNK", 7)
     cut = m._crossing_grid.count(points)
     assert np.array_equal(whole[0], cut[0]) and np.array_equal(whole[1], cut[1])
 
