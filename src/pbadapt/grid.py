@@ -107,18 +107,17 @@ class CellGrid:
             idx[qi[first]] = np.minimum.reduceat(at_best, first)
         return best, idx
 
-    def nearest(self, queries, half: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """(distance, index) of the nearest point to each of the (m, 3) ``queries``.
 
-        The box of cells within ``half`` cells of a query's cell, the 27
-        around it by default, is searched first; the box doubles in
-        half-width only for the queries whose best distance reaches beyond
-        it.
+        The 27 cells around a query's cell are searched first; the box
+        doubles in half-width only for the queries whose best distance
+        reaches beyond it.
         """
         q = np.asarray(queries, dtype=float).reshape(-1, 3)
         f, c = self._cells(q)
         d2, idx = np.full(len(q), np.inf), np.zeros(len(q), dtype=np.int64)
-        todo = np.arange(len(q))
+        todo, half = np.arange(len(q)), 1
         while todo.size:
             lo, hi = np.maximum(c[todo] - half, 0), np.minimum(c[todo] + half, self.dims - 1)
             span = hi - lo + 1
@@ -137,8 +136,8 @@ class CellGrid:
     def nearest_one(self, point: np.ndarray) -> int:
         """Index of the nearest point to one (3,) ``point``, as ``nearest`` finds it,
         with the cell arithmetic in Python floats for a single query. When the
-        27 cells around the point's cell do not settle it, ``nearest`` goes on
-        from the next box, 5 cells wide, without searching them again."""
+        27 cells around the point's cell do not settle it, ``nearest`` answers
+        (searching those 27 cells again, then its wider boxes)."""
         f = [(x - lo) / self.side for x, lo in zip(point.tolist(), self._lo)]
         c = [min(max(math.floor(v), 0), n - 1) for v, n in zip(f, self._dims)]
         rows = self._rows + sum((ci + 1) * st for ci, st in zip(c, self._strides))
@@ -155,7 +154,7 @@ class CellGrid:
             reach = max(self.side * (gap - _SLACK * (max(self._dims) + max(map(abs, f)))), 0.0)
             if best < reach * reach:
                 return int(self.order[pos[d2 == best]].min())
-        return int(self.nearest(point, half=2)[1][0])
+        return int(self.nearest(point)[1][0])
 
     def first_pair(self, tol: float) -> tuple[int, int] | None:
         """Lowest index pair (i, j), i < j, whose squared distance is at most

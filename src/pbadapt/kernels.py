@@ -335,11 +335,7 @@ def kernel_row_blocks(
         for p, value in zip(part, values):
             p[rb, :, pb] = value[lo:hi].reshape(len(rb), s)
             parts.append(p[:, 0] if fold is None else _fold(p.reshape(len(p), -1), fold))
-        # consecutive rows take one slice: array work per group holds the
-        # interpreter lock that the other workers wait for
-        first, last = rows[start], rows[stop - 1]
-        dst = ([(slice(first, last + 1), slice(None))] if last - first == stop - start - 1
-               else runs(rows[start:stop], np.arange(stop - start)))
+        dst = runs(rows[start:stop], np.arange(stop - start))
         for block, part, factor in zip(out, parts, scale):
             if block is not None:
                 part *= factor  # in float64: a float32 ``out`` would buffer the product

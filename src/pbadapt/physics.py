@@ -75,21 +75,16 @@ class ChargeSet:
         return len(self.charges)
 
 
-def _require_inside(mesh: SurfaceMesh, points, what: str) -> None:
-    """Raise DomainError naming the first ``what`` of ``points`` not strictly inside."""
+def require_inside(mesh: SurfaceMesh, points, what: str) -> None:
+    """Raise DomainError naming the first ``what`` of ``points`` not strictly inside.
+
+    Cost (``mesh.points_inside``): a ray-crossing test of each point
+    against the few panels of its grid cell, after one grid build per mesh
+    (a few passes over the panels); at most ``sweep.CHUNK_PAIRS`` (point,
+    panel) pairs take the solid-angle sum instead, one arctan2 per pair."""
     inside = points_inside(mesh, points)
     if not np.all(inside):
         raise DomainError(f"{what} {int(np.flatnonzero(~inside)[0])} lies outside the surface")
-
-
-def require_charges_inside(charges: ChargeSet, mesh: SurfaceMesh) -> None:
-    """Raise DomainError unless every charge sits strictly inside the surface.
-
-    Cost (``mesh.points_inside``): a ray-crossing test of each charge
-    against the few panels of its grid cell, after one grid build per mesh
-    (a few passes over the panels); at most ``sweep.CHUNK_PAIRS`` (charge,
-    panel) pairs take the solid-angle sum instead, one arctan2 per pair."""
-    _require_inside(mesh, charges.positions, "charge")
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def reaction_potential(solution: "PanelSolution", targets) -> np.ndarray:
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     mesh = solution.mesh_ref
-    _require_inside(mesh, targets, "target")
+    require_inside(mesh, targets, "target")
     vl, kl = (np.empty((len(targets), len(solution.u_trace))) for _ in range(2))
     kernels.operator_blocks(targets, mesh, 0.0, (vl, kl, None, None), solution.space == "P1")
     return -(kl @ solution.u_trace) + vl @ solution.dudn_trace

@@ -56,7 +56,7 @@ import numpy as np
 from . import kernels
 from .errors import SolverError, UsageError
 from .mesh import SurfaceMesh, refine
-from .physics import BiePhysics, ChargeSet, coulomb_potential, require_charges_inside
+from .physics import BiePhysics, ChargeSet, coulomb_potential, require_inside
 from .sweep import chunks, per_worker, run_parallel, runs
 
 DEFAULT_GMRES_TOL = 1e-8
@@ -320,7 +320,7 @@ def assemble_system(
     an allowance of SOLVE_BYTES_PER_POINT per point for the rest of the solve
     would not fit in memory beside the held system.
     """
-    require_charges_inside(charges, mesh)
+    require_inside(mesh, charges.positions, "charge")
     if space not in ("P0", "P1"):
         raise UsageError(f"unknown space {space!r}")
     p1 = space == "P1"

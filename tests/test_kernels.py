@@ -741,8 +741,9 @@ def test_row_blocks_write_near_values_and_scales(shape_functions, kappa, monkeyp
 
 @pytest.mark.parametrize("shape_functions", [False, True])
 def test_operator_rows_written_in_two_parts_equal_one_write(shape_functions, monkeypatch):
-    """Rows that ``rows`` places in two stretches of a taller block equal one
-    contiguous write bit for bit, and no other row is touched."""
+    """Rows that ``rows`` places in two stretches of a taller block, or in one
+    stretch at an offset, equal one contiguous write bit for bit, and no
+    other row is touched."""
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     mesh, kappa, gap = _uneven_mesh(), 0.125, 5
     colloc = mesh.vertices if shape_functions else mesh.centroids
@@ -751,12 +752,12 @@ def test_operator_rows_written_in_two_parts_equal_one_write(shape_functions, mon
     scale = (-1.0, 1.0, 4.0 / 80.0, -1.0)
     one = tuple(np.empty((n, n)) for _ in range(4))
     kn.operator_blocks(colloc, mesh, kappa, one, shape_functions, scale=scale)
-    rows = np.r_[np.arange(n // 2), np.arange(n // 2, n) + gap]
-    tall = tuple(np.full((n + gap, n), np.nan) for _ in range(4))
-    kn.operator_blocks(colloc, mesh, kappa, tall, shape_functions, scale=scale, rows=rows)
-    for o, t in zip(one, tall):
-        assert np.array_equal(t[rows], o)
-        assert np.isnan(np.delete(t, rows, axis=0)).all()
+    for rows in (np.r_[np.arange(n // 2), np.arange(n // 2, n) + gap], np.arange(n) + gap):
+        tall = tuple(np.full((n + gap, n), np.nan) for _ in range(4))
+        kn.operator_blocks(colloc, mesh, kappa, tall, shape_functions, scale=scale, rows=rows)
+        for o, t in zip(one, tall):
+            assert np.array_equal(t[rows], o)
+            assert np.isnan(np.delete(t, rows, axis=0)).all()
 
 
 def test_run_parallel_calls_each_item_once(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import pbadapt as pa
 import pbadapt.sweep as sweep
 from pbadapt.errors import DomainError, ParseError, SingularityError, UsageError
-from pbadapt.physics import ENERGY_UNIT, coulomb_potential, require_charges_inside
+from pbadapt.physics import ENERGY_UNIT, coulomb_potential, require_inside
 
 from pointwise import coulomb_gradient
 
@@ -160,7 +160,7 @@ def test_inside_checks_name_the_first_outside_point(born_setup):
     mesh = pa.icosphere(1.0, 1)
     two = pa.ChargeSet(np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError, match="charge 1 lies outside"):
-        require_charges_inside(two, mesh)
+        require_inside(mesh, two.positions, "charge")
     sol = pa.solve_forward(mesh, phys, charges)
     with pytest.raises(DomainError, match="target 1 lies outside"):
         pa.reaction_potential(sol, [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
@@ -170,9 +170,9 @@ def test_charges_inside_check():
     mesh = pa.icosphere(1.0, 1)
     inside = pa.ChargeSet(np.array([[0.0, 0.0, 0.5]]), np.array([1.0]))
     outside = pa.ChargeSet(np.array([[0.0, 0.0, 1.5]]), np.array([1.0]))
-    require_charges_inside(inside, mesh)
+    require_inside(mesh, inside.positions, "charge")
     with pytest.raises(DomainError):
-        require_charges_inside(outside, mesh)
+        require_inside(mesh, outside.positions, "charge")
 
 
 # -- reaction potential and energy ---------------------------------------------
